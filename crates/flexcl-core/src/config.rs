@@ -536,33 +536,48 @@ impl ConfigSpace {
         self.decode(fam, i - fam.offset)
     }
 
-    /// Decodes candidate `local` of family `fam` by index arithmetic over
-    /// the family's `(pipe, P)` blocks.
-    fn decode(&self, fam: &FamilySpace, local: usize) -> OptimizationConfig {
-        let b = fam.blocks.partition_point(|b| b.offset + b.len <= local);
-        let block = &fam.blocks[b];
-        let rem = local - block.offset;
+    /// Sizes of a block's axes, outermost first: C → V → mode → cf → tb.
+    /// With the identity axes ([1]/[1]) the last two are 1 and the decode
+    /// is bit-for-bit the pre-axis enumeration order.
+    fn radices(&self, fam: &FamilySpace, block: &Block) -> [usize; 5] {
         let n_modes = if block.pipe { self.modes_pipe.len() } else { 1 };
-        // Axis strides, innermost last: C → V → mode → cf → tb. With the
-        // identity axes ([1]/[1]) every new stride is 1 and the decode is
-        // bit-for-bit the pre-axis enumeration order.
-        let per_mode = fam.cfs.len() * self.tbs.len();
-        let per_vec = n_modes * per_mode;
-        let per_cu = self.vecs.len() * per_vec;
+        [self.cus.len(), self.vecs.len(), n_modes, fam.cfs.len(), self.tbs.len()]
+    }
+
+    /// The candidate of `block` whose axis digits (in [`Self::radices`]
+    /// order) are `d`.
+    fn at(&self, fam: &FamilySpace, block: &Block, d: [usize; 5]) -> OptimizationConfig {
         OptimizationConfig {
             work_group: fam.work_group,
             work_item_pipeline: block.pipe,
             num_pes: block.num_pes,
-            num_cus: self.cus[rem / per_cu],
-            vector_width: self.vecs[(rem / per_vec) % self.vecs.len()],
-            comm_mode: if block.pipe {
-                self.modes_pipe[(rem / per_mode) % n_modes]
-            } else {
-                CommMode::Barrier
-            },
-            coarsen_factor: fam.cfs[(rem / self.tbs.len()) % fam.cfs.len()],
-            temporal_block_depth: self.tbs[rem % self.tbs.len()],
+            num_cus: self.cus[d[0]],
+            vector_width: self.vecs[d[1]],
+            comm_mode: if block.pipe { self.modes_pipe[d[2]] } else { CommMode::Barrier },
+            coarsen_factor: fam.cfs[d[3]],
+            temporal_block_depth: self.tbs[d[4]],
         }
+    }
+
+    /// Locates candidate `local` of family `fam`: its `(pipe, P)` block
+    /// and its axis digits within the block.
+    fn locate<'s>(&self, fam: &'s FamilySpace, local: usize) -> (&'s Block, [usize; 5]) {
+        let block = &fam.blocks[fam.blocks.partition_point(|b| b.offset + b.len <= local)];
+        let radices = self.radices(fam, block);
+        let mut rem = local - block.offset;
+        let mut d = [0; 5];
+        for k in (0..5).rev() {
+            d[k] = rem % radices[k];
+            rem /= radices[k];
+        }
+        (block, d)
+    }
+
+    /// Decodes candidate `local` of family `fam` by index arithmetic over
+    /// the family's `(pipe, P)` blocks.
+    fn decode(&self, fam: &FamilySpace, local: usize) -> OptimizationConfig {
+        let (block, d) = self.locate(fam, local);
+        self.at(fam, block, d)
     }
 
     /// Materializes the candidates `[start, start + len)` of family `f`
@@ -570,7 +585,9 @@ impl ConfigSpace {
     ///
     /// This is the sweep engine's chunk loader: each work unit calls it
     /// with its own subrange, so no more than a chunk of the space is ever
-    /// resident per worker.
+    /// resident per worker. Only the first candidate of each block is
+    /// decoded by division; the rest step the axis digits like an
+    /// odometer, `tb` fastest.
     pub fn fill_family_range(
         &self,
         f: usize,
@@ -581,8 +598,22 @@ impl ConfigSpace {
         let fam = &self.families[f];
         let end = (start + len).min(fam.len);
         out.reserve(end.saturating_sub(start));
-        for local in start..end {
-            out.push((fam.offset + local, self.decode(fam, local)));
+        let mut local = start;
+        while local < end {
+            let (block, mut d) = self.locate(fam, local);
+            let radices = self.radices(fam, block);
+            let block_end = (block.offset + block.len).min(end);
+            for i in local..block_end {
+                out.push((fam.offset + i, self.at(fam, block, d)));
+                for k in (0..5).rev() {
+                    d[k] += 1;
+                    if d[k] < radices[k] {
+                        break;
+                    }
+                    d[k] = 0;
+                }
+            }
+            local = block_end;
         }
     }
 
@@ -717,6 +748,57 @@ mod tests {
         buf.clear();
         space.fill_family_range(f, space.family_len(f) - 2, 100, &mut buf);
         assert_eq!(buf.len(), 2);
+    }
+
+    /// The chunk loader's odometer walk agrees, candidate by candidate,
+    /// with the per-candidate division decode it replaced, across block
+    /// and chunk boundaries and with every axis live (iterative kernel).
+    #[test]
+    fn chunked_fill_matches_the_division_decode() {
+        fn reference(space: &ConfigSpace, fam: &FamilySpace, local: usize) -> OptimizationConfig
+        {
+            let b = fam.blocks.partition_point(|b| b.offset + b.len <= local);
+            let block = &fam.blocks[b];
+            let rem = local - block.offset;
+            let n_modes = if block.pipe { space.modes_pipe.len() } else { 1 };
+            let per_mode = fam.cfs.len() * space.tbs.len();
+            let per_vec = n_modes * per_mode;
+            let per_cu = space.vecs.len() * per_vec;
+            OptimizationConfig {
+                work_group: fam.work_group,
+                work_item_pipeline: block.pipe,
+                num_pes: block.num_pes,
+                num_cus: space.cus[rem / per_cu],
+                vector_width: space.vecs[(rem / per_vec) % space.vecs.len()],
+                comm_mode: if block.pipe {
+                    space.modes_pipe[(rem / per_mode) % n_modes]
+                } else {
+                    CommMode::Barrier
+                },
+                coarsen_factor: fam.cfs[(rem / space.tbs.len()) % fam.cfs.len()],
+                temporal_block_depth: space.tbs[rem % space.tbs.len()],
+            }
+        }
+        let limits = DesignSpaceLimits { iterative: true, ..limits_1d() };
+        let cases = [(SweepGrid::standard(), vec![1, 7]), (SweepGrid::fine(), vec![7, 2048])];
+        for (grid, chunks) in cases {
+            let space = ConfigSpace::new(&limits, &grid);
+            assert!(space.tbs.len() > 1 || grid.temporal_depths.len() == 1);
+            for chunk in chunks {
+                for (f, fam) in space.families.iter().enumerate() {
+                    let mut buf = Vec::new();
+                    for start in (0..fam.len).step_by(chunk) {
+                        space.fill_family_range(f, start, chunk, &mut buf);
+                    }
+                    assert_eq!(buf.len(), fam.len);
+                    for (local, (idx, cfg)) in buf.iter().enumerate() {
+                        assert_eq!(*idx, fam.offset + local);
+                        let want = reference(&space, fam, local);
+                        assert_eq!(*cfg, want, "chunk {chunk} local {local}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

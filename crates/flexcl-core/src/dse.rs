@@ -425,6 +425,9 @@ pub struct DseStats {
     /// Chunks the replay pass re-evaluated because the racy incumbent
     /// over-pruned them.
     pub repaired_chunks: usize,
+    /// Wall-clock nanoseconds in the replay pass and the ordered assembly
+    /// of [`DseResult::points`] (repair evaluations included).
+    pub merge_nanos: u64,
     /// Candidates per work unit actually used
     /// ([`DseOptions::effective_chunk_size`] resolution of
     /// [`DseOptions::chunk_size`]).
@@ -466,6 +469,7 @@ impl DseStats {
         self.chunks_processed += other.chunks_processed;
         self.steals += other.steals;
         self.repaired_chunks += other.repaired_chunks;
+        self.merge_nanos += other.merge_nanos;
         // chunk_size is configuration, not a counter; the engine sets it.
     }
 }
@@ -498,10 +502,12 @@ impl fmt::Display for DseStats {
         )?;
         write!(
             f,
-            "  phase time       : analysis {:.2} ms, estimate {:.2} ms (sched {:.2} ms)",
+            "  phase time       : analysis {:.2} ms, estimate {:.2} ms (sched {:.2} ms), \
+             merge {:.2} ms",
             ms(self.analysis_nanos),
             ms(self.estimate_nanos),
-            ms(self.sched_nanos)
+            ms(self.sched_nanos),
+            ms(self.merge_nanos)
         )
     }
 }
@@ -622,9 +628,9 @@ pub fn limits_for(func: &Function, workload: &Workload) -> DesignSpaceLimits {
     }
 }
 
-/// A contiguous run of explicit candidate configurations sharing one
-/// work-group size (hence one kernel analysis), tagged with enumeration
-/// indices so results can be merged back in order.
+/// The explicit candidate configurations sharing one work-group size
+/// (hence one kernel analysis), in caller order, tagged with their
+/// positions in the caller's list.
 struct Family {
     work_group: (u32, u32),
     entries: Vec<(usize, OptimizationConfig)>,
@@ -635,7 +641,7 @@ struct Family {
 /// candidate list partitioned into families.
 enum CandidateSet<'a> {
     Space(&'a ConfigSpace),
-    Explicit(Vec<Family>),
+    Explicit(&'a [Family]),
 }
 
 impl CandidateSet<'_> {
@@ -746,12 +752,12 @@ fn build_schedule(family_lens: &[usize], chunk_size: usize) -> Vec<ChunkRef> {
     sched
 }
 
-/// What one chunk contributed to the sweep: evaluated points plus any
-/// failures, both tagged with enumeration indices, and the pruning
-/// decision the claim phase applied (so replay can audit it).
+/// What one chunk contributed to the sweep: evaluated points in candidate
+/// order, failures tagged with their indices, and the pruning decision
+/// the claim phase applied (so replay can audit it).
 #[derive(Default)]
 struct ChunkOutcome {
-    points: Vec<(usize, DesignPoint)>,
+    points: Vec<DesignPoint>,
     failed: Vec<FailedPoint>,
     /// Per-mode `[barrier, pipeline]`: `true` if the claim phase skipped
     /// that mode's candidates against the racy incumbent.
@@ -798,8 +804,10 @@ enum FamilyAnalysis {
 /// The key fingerprints the kernel IR, the platform tables and the
 /// workload (shape *and* argument values — profiling executes the kernel,
 /// so trip counts and the memory trace can depend on data). Two 64-bit
-/// hashes with independent seeds make an accidental collision across the
-/// resident entries implausible. Capacity is per-insert
+/// lanes with independent seeds and multipliers make an accidental
+/// collision across the resident entries implausible. The key lives only
+/// in this process, so it needs to be stable within one build, not across
+/// builds. Capacity is per-insert
 /// ([`DseOptions::analysis_cache_cap`]); eviction is FIFO, oldest entry
 /// first, so a parameter study cycling through kernels keeps its working
 /// set instead of dropping everything at once.
@@ -811,8 +819,6 @@ enum FamilyAnalysis {
 mod analysis_cache {
     use super::*;
     use flexcl_interp::KernelArg;
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
 
     /// Identity of one analysis: content fingerprint plus the analysis
     /// parameters that are not part of the fingerprinted inputs.
@@ -850,10 +856,55 @@ mod analysis_cache {
         &GLOBAL
     }
 
-    fn seeded(seed: u64) -> DefaultHasher {
-        let mut h = DefaultHasher::new();
-        h.write_u64(seed);
-        h
+    /// Two independent 64-bit hash lanes fed one word at a time.
+    ///
+    /// Each step xors the word into a lane and applies a multiply by an
+    /// odd constant and a xorshift. For a fixed word that step is a
+    /// bijection on the lane state, so two equal-length inputs that differ
+    /// in one word always end in different states in *both* lanes. The
+    /// lanes are independent dependency chains, so a large argument buffer
+    /// costs about one multiply latency per element.
+    struct Lanes {
+        a: u64,
+        b: u64,
+    }
+
+    impl Lanes {
+        const MUL_A: u64 = 0xff51_afd7_ed55_8ccd;
+        const MUL_B: u64 = 0xc4ce_b9fe_1a85_ec53;
+
+        fn new() -> Self {
+            Lanes { a: 0x9e37_79b9_7f4a_7c15, b: 0xc2b2_ae3d_27d4_eb4f }
+        }
+
+        #[inline]
+        fn word(&mut self, w: u64) {
+            let a = (self.a ^ w).wrapping_mul(Self::MUL_A);
+            self.a = a ^ (a >> 32);
+            let b = (self.b ^ w).wrapping_mul(Self::MUL_B);
+            self.b = b ^ (b >> 29);
+        }
+
+        fn bytes(&mut self, bytes: &[u8]) {
+            self.word(bytes.len() as u64);
+            let mut words = bytes.chunks_exact(8);
+            for w in words.by_ref() {
+                self.word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+            }
+            let mut tail = [0u8; 8];
+            tail[..words.remainder().len()].copy_from_slice(words.remainder());
+            self.word(u64::from_le_bytes(tail));
+        }
+
+        /// Full avalanche of each lane (the splitmix64 finalizer).
+        fn finish(self) -> (u64, u64) {
+            let fmix = |mut x: u64| {
+                x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                x ^ (x >> 31)
+            };
+            (fmix(self.a), fmix(self.b))
+        }
     }
 
     /// Content fingerprint of `(func, platform, workload)`.
@@ -867,39 +918,36 @@ mod analysis_cache {
         // serialization. Argument payloads are hashed numerically (a large
         // FloatBuf would be quadratic to format).
         let structural = format!("{func:?}|{platform:?}|{:?}", workload.global);
-        let mut a = seeded(0x9e37_79b9_7f4a_7c15);
-        let mut b = seeded(0xc2b2_ae3d_27d4_eb4f);
-        for h in [&mut a, &mut b] {
-            structural.hash(h);
-            h.write_usize(workload.args.len());
-            for arg in &workload.args {
-                match arg {
-                    KernelArg::Int(v) => {
-                        h.write_u8(0);
-                        h.write_i64(*v);
+        let mut h = Lanes::new();
+        h.bytes(structural.as_bytes());
+        h.word(workload.args.len() as u64);
+        for arg in &workload.args {
+            match arg {
+                KernelArg::Int(v) => {
+                    h.word(0);
+                    h.word(*v as u64);
+                }
+                KernelArg::Float(v) => {
+                    h.word(1);
+                    h.word(v.to_bits());
+                }
+                KernelArg::IntBuf(v) => {
+                    h.word(2);
+                    h.word(v.len() as u64);
+                    for x in v {
+                        h.word(*x as u64);
                     }
-                    KernelArg::Float(v) => {
-                        h.write_u8(1);
-                        h.write_u64(v.to_bits());
-                    }
-                    KernelArg::IntBuf(v) => {
-                        h.write_u8(2);
-                        h.write_usize(v.len());
-                        for x in v {
-                            h.write_i64(*x);
-                        }
-                    }
-                    KernelArg::FloatBuf(v) => {
-                        h.write_u8(3);
-                        h.write_usize(v.len());
-                        for x in v {
-                            h.write_u64(x.to_bits());
-                        }
+                }
+                KernelArg::FloatBuf(v) => {
+                    h.word(3);
+                    h.word(v.len() as u64);
+                    for x in v {
+                        h.word(x.to_bits());
                     }
                 }
             }
         }
-        (a.finish(), b.finish())
+        h.finish()
     }
 
     impl AnalysisCache {
@@ -1073,6 +1121,7 @@ fn evaluate_entries<A: Borrow<KernelAnalysis>>(
     let before = ctx.stats;
     let points_before = out.stats.points_evaluated;
     let t = Instant::now();
+    out.points.reserve(entries.len());
     for &(idx, cfg) in entries {
         if !keep[mode_idx(cfg.comm_mode)] {
             continue;
@@ -1089,7 +1138,7 @@ fn evaluate_entries<A: Borrow<KernelAnalysis>>(
                     incumbent.offer(est.cycles);
                 }
                 out.stats.points_evaluated += 1;
-                out.points.push((idx, DesignPoint { config: cfg, estimate: est }));
+                out.points.push(DesignPoint { config: cfg, estimate: est });
             }
             Ok(Err(e)) => out.failed.push(FailedPoint {
                 index: idx,
@@ -1224,9 +1273,20 @@ fn worker_loop(
     }
 }
 
-/// Runs the chunked sweep over `set` and merges the outcome in
-/// enumeration order. `failed` carries upfront validation failures from
-/// the explicit path. With a cancellation token, a deadline or explicit
+/// A finished sweep plus, for every chunk in candidate order, the modes
+/// whose points survived replay. A chunk's points are exactly its
+/// candidates of those modes that did not fail, which is how
+/// [`explore_configs`] maps points back to the caller's positions
+/// without tagging each point on the hot loop.
+struct SweepOutput {
+    result: DseResult,
+    chunks: Vec<(ChunkRef, [bool; 2])>,
+}
+
+/// Runs the chunked sweep over `set` and assembles the points in
+/// candidate order: families in order, each family's candidates in
+/// order. `failed` carries upfront validation failures from the explicit
+/// path. With a cancellation token, a deadline or explicit
 /// cancel stops the claim loop and the call returns
 /// [`FlexclError::Deadline`] carrying the partial [`DseStats`].
 #[allow(clippy::too_many_arguments)]
@@ -1240,7 +1300,7 @@ fn run_sweep(
     start: Instant,
     cancel: Option<&CancelToken>,
     cache: &AnalysisCache,
-) -> Result<DseResult, FlexclError> {
+) -> Result<SweepOutput, FlexclError> {
     // Intern the kernel and platform once; every family's analysis shares
     // these allocations instead of cloning them.
     let func = Arc::new(func.clone());
@@ -1325,9 +1385,11 @@ fn run_sweep(
     // under-pruned are dropped. The surviving set is a pure function of
     // the schedule order and the model — identical at any thread count,
     // chunk size, and timing.
+    let t_merge = Instant::now();
     let mut replay_span = trace::span("dse.replay");
     let mut stats = DseStats { chunks_processed: sched.len(), chunk_size, ..DseStats::default() };
-    let mut indexed: Vec<(usize, DesignPoint)> = Vec::new();
+    let mut runs: Vec<Vec<DesignPoint>> = Vec::with_capacity(sched.len());
+    let mut kept_modes: Vec<[bool; 2]> = Vec::with_capacity(sched.len());
     let mut prefix_best = f64::INFINITY;
     let mut repair_ctxs: HashMap<usize, EvalContext<Arc<KernelAnalysis>>> = HashMap::new();
     let mut buf: Vec<(usize, OptimizationConfig)> = Vec::new();
@@ -1338,41 +1400,46 @@ fn run_sweep(
             .take()
             .expect("every chunk index was claimed by a worker");
         stats.steals += u64::from(out.stole);
+        let mut keep = [false; 2];
         if let Some(FamilyAnalysis::Ready { analysis, bounds, .. }) =
             states[chunk.family].analysis.get()
         {
-            let keep = [
+            keep = [
                 !opts.prune || bounds[0] <= prefix_best,
                 !opts.prune || bounds[1] <= prefix_best,
             ];
             // Drop what the racy hint under-pruned...
-            out.points.retain(|(_, p)| keep[mode_idx(p.config.comm_mode)]);
-            out.failed.retain(|f| keep[mode_idx(f.config.comm_mode)]);
+            if keep != [true, true] {
+                out.points.retain(|p| keep[mode_idx(p.config.comm_mode)]);
+                out.failed.retain(|f| keep[mode_idx(f.config.comm_mode)]);
+            }
             // ...and repair what it over-pruned.
             let need = [keep[0] && out.skipped[0], keep[1] && out.skipped[1]];
             if need[0] || need[1] {
                 buf.clear();
                 set.fill(chunk.family, chunk.start, chunk.len, &mut buf);
-                let entries: Vec<(usize, OptimizationConfig)> = buf
-                    .iter()
-                    .copied()
-                    .filter(|(_, c)| need[mode_idx(c.comm_mode)])
-                    .collect();
-                if !entries.is_empty() {
+                if buf.iter().any(|(_, c)| need[mode_idx(c.comm_mode)]) {
                     let ctx = repair_ctxs
                         .entry(chunk.family)
                         .or_insert_with(|| EvalContext::new(Arc::clone(analysis)));
-                    evaluate_entries(ctx, &entries, [true, true], &incumbent, opts.inject, &mut out);
+                    let mut fresh = ChunkOutcome::default();
+                    evaluate_entries(ctx, &buf, need, &incumbent, opts.inject, &mut fresh);
+                    merge_repaired(&buf, keep, need, &mut out, fresh);
                     stats.repaired_chunks += 1;
                 }
             }
-            for (_, p) in &out.points {
-                if p.estimate.feasible {
-                    prefix_best = prefix_best.min(p.estimate.cycles);
+            // Without pruning nothing reads the prefix incumbent; skip a
+            // pass over every point.
+            if opts.prune {
+                for p in &out.points {
+                    if p.estimate.feasible {
+                        prefix_best = prefix_best.min(p.estimate.cycles);
+                    }
                 }
             }
         }
-        indexed.append(&mut out.points);
+        runs.push(std::mem::take(&mut out.points));
+        kept_modes.push(keep);
         failed.append(&mut out.failed);
         stats.merge(&out.stats);
     }
@@ -1382,15 +1449,59 @@ fn run_sweep(
     dse_metrics().repaired_chunks.add(stats.repaired_chunks as u64);
     account_families(&states, &mut stats);
 
-    indexed.sort_by_key(|(idx, _)| *idx);
+    // Ordered assembly. Every chunk is a contiguous slice of one family
+    // and families are contiguous in candidate order, so the chunk runs
+    // taken in (family, start) order are already in candidate order:
+    // each point moves once, into an output reserved at its exact size.
+    let mut order: Vec<usize> = (0..sched.len()).collect();
+    order.sort_unstable_by_key(|&i| (sched[i].family, sched[i].start));
+    let mut points = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    for &i in &order {
+        points.append(&mut runs[i]);
+    }
+    drop(runs);
     failed.sort_by_key(|f| f.index);
-    let points = indexed.into_iter().map(|(_, p)| p).collect();
-    Ok(DseResult {
-        points,
-        elapsed: start.elapsed(),
-        diagnostics: DiagnosticsReport { failed },
-        stats,
+    let chunks = order.iter().map(|&i| (sched[i], kept_modes[i])).collect();
+    stats.merge_nanos = t_merge.elapsed().as_nanos() as u64;
+    Ok(SweepOutput {
+        result: DseResult {
+            points,
+            elapsed: start.elapsed(),
+            diagnostics: DiagnosticsReport { failed },
+            stats,
+        },
+        chunks,
     })
+}
+
+/// Interleaves a repaired chunk's two point runs back into candidate
+/// order: `out.points` holds the modes the claim phase evaluated, `fresh`
+/// the modes in `need` that replay re-evaluated. `entries` is the chunk's
+/// candidate list and `keep` the modes that survived replay; failures
+/// (tagged with their indices) mark the kept candidates without a point.
+fn merge_repaired(
+    entries: &[(usize, OptimizationConfig)],
+    keep: [bool; 2],
+    need: [bool; 2],
+    out: &mut ChunkOutcome,
+    mut fresh: ChunkOutcome,
+) {
+    out.failed.append(&mut fresh.failed);
+    out.failed.sort_by_key(|f| f.index);
+    out.stats.merge(&fresh.stats);
+    let mut failed = out.failed.iter().map(|f| f.index).peekable();
+    let mut claimed = std::mem::take(&mut out.points).into_iter();
+    let mut repaired = fresh.points.into_iter();
+    out.points.reserve_exact(claimed.len() + repaired.len());
+    for &(idx, cfg) in entries {
+        let m = mode_idx(cfg.comm_mode);
+        if !keep[m] || failed.next_if_eq(&idx).is_some() {
+            continue;
+        }
+        let run = if need[m] { &mut repaired } else { &mut claimed };
+        out.points.extend(run.next());
+    }
+    debug_assert!(claimed.next().is_none() && repaired.next().is_none());
 }
 
 /// Family-level accounting, once per family regardless of chunk count.
@@ -1509,7 +1620,7 @@ pub fn explore_space_cached(
     platform.validate()?;
     let limits = limits_for(func, workload);
     let space = ConfigSpace::new(&limits, grid);
-    run_sweep(
+    let out = run_sweep(
         func,
         platform,
         workload,
@@ -1519,7 +1630,8 @@ pub fn explore_space_cached(
         start,
         cancel,
         cache,
-    )
+    )?;
+    Ok(out.result)
 }
 
 /// Explores a knob grid like [`explore_space`], but bounded by a
@@ -1574,10 +1686,11 @@ pub fn explore_configs(
 
     // Validate candidates up front (an invalid config must not drag a
     // whole family down), then partition the valid ones into
-    // per-work-group families, remembering each config's enumeration
-    // index for the ordered merge. Validation is kernel-aware: temporal
-    // blocking is rejected here for non-iterative kernels instead of
-    // erroring one estimate at a time inside the sweep.
+    // per-work-group families, remembering each config's position in
+    // `configs` for the failure report and the final reordering.
+    // Validation is kernel-aware: temporal blocking is rejected here for
+    // non-iterative kernels instead of erroring one estimate at a time
+    // inside the sweep.
     let limits = limits_for(func, workload);
     let mut failed: Vec<FailedPoint> = Vec::new();
     let mut families: Vec<Family> = Vec::new();
@@ -1598,17 +1711,41 @@ pub fn explore_configs(
         }
     }
 
-    run_sweep(
+    let SweepOutput { mut result, chunks } = run_sweep(
         func,
         platform,
         workload,
-        &CandidateSet::Explicit(families),
+        &CandidateSet::Explicit(&families),
         failed,
         opts,
         start,
         None,
         analysis_cache::global(),
-    )
+    )?;
+
+    // The sweep returns points grouped by family; put them back in the
+    // caller's order. A chunk's points are its candidates whose mode
+    // survived replay and that did not fail, in candidate order.
+    let mut failed_at = vec![false; configs.len()];
+    for f in &result.diagnostics.failed {
+        failed_at[f.index] = true;
+    }
+    let n_points = result.points.len();
+    let mut by_position: Vec<Option<DesignPoint>> = vec![None; configs.len()];
+    let mut points = result.points.into_iter();
+    for (chunk, keep) in chunks {
+        let entries = &families[chunk.family].entries;
+        let end = (chunk.start + chunk.len).min(entries.len());
+        for &(idx, cfg) in &entries[chunk.start..end] {
+            if keep[mode_idx(cfg.comm_mode)] && !failed_at[idx] {
+                by_position[idx] = points.next();
+            }
+        }
+    }
+    debug_assert!(points.next().is_none());
+    result.points = Vec::with_capacity(n_points);
+    result.points.extend(by_position.into_iter().flatten());
+    Ok(result)
 }
 
 /// Test-only fault injection for the DSE panic backstop.
@@ -1916,6 +2053,7 @@ mod tests {
             chunks_processed: 60,
             steals: 3,
             repaired_chunks: 2,
+            merge_nanos: 5_600_000,
             chunk_size: 2048,
         };
         let s = stats.to_string();
@@ -1923,9 +2061,114 @@ mod tests {
         assert!(s.contains("chunks processed : 60 (size 2048, 3 steals, 2 repaired)"), "{s}");
         assert!(s.contains("families         : 10 (8 analysis-cache hits / 2 misses"), "{s}");
         assert!(s.contains("sched cache      : 97.0% hit"), "{s}");
-        assert!(s.contains("analysis 12.30 ms, estimate 40.10 ms (sched 8.20 ms)"), "{s}");
+        assert!(
+            s.contains("analysis 12.30 ms, estimate 40.10 ms (sched 8.20 ms), merge 5.60 ms"),
+            "{s}"
+        );
         // Every line is indented so the table slots under a header line.
         assert!(s.lines().all(|l| l.starts_with("  ")), "{s}");
+    }
+
+    #[test]
+    fn analysis_fingerprint_sees_every_element_of_a_large_buffer() {
+        let (f, _) = vadd();
+        let platform = Platform::virtex7_adm7v3();
+        let n = 1 << 21;
+        let workload = |flip: Option<usize>| {
+            let mut big: Vec<f64> = (0..n).map(|i| f64::from(i as u32) * 0.5).collect();
+            if let Some(i) = flip {
+                big[i] = -big[i] - 1.0;
+            }
+            Workload {
+                args: vec![
+                    KernelArg::FloatBuf(big),
+                    KernelArg::IntBuf(vec![7; 16]),
+                    KernelArg::Int(3),
+                ],
+                global: (4096, 1),
+            }
+        };
+        let base = analysis_cache::fingerprint(&f, &platform, &workload(None));
+        assert_eq!(base, analysis_cache::fingerprint(&f, &platform, &workload(None)));
+        assert_ne!(base.0, base.1, "the two lanes are independent");
+        for i in [0, n / 2 + 3, n - 1] {
+            let flipped = analysis_cache::fingerprint(&f, &platform, &workload(Some(i)));
+            assert_ne!(flipped.0, base.0, "lane a missed a flip at element {i}");
+            assert_ne!(flipped.1, base.1, "lane b missed a flip at element {i}");
+        }
+        // The structural part still separates shapes with equal payloads.
+        let mut reshaped = workload(None);
+        reshaped.global = (2048, 2);
+        let other = analysis_cache::fingerprint(&f, &platform, &reshaped);
+        assert!(other.0 != base.0 && other.1 != base.1);
+    }
+
+    /// A repaired chunk holds two runs: the modes the claim phase kept and
+    /// the modes replay re-evaluated. They interleave in candidate order,
+    /// and a failure in either run leaves a gap rather than a shift.
+    #[test]
+    fn repaired_chunk_merges_runs_in_candidate_order() {
+        let (f, w) = vadd();
+        let platform = Platform::virtex7_adm7v3();
+        let analysis = KernelAnalysis::analyze(&f, &platform, &w, (64, 1)).expect("analysis");
+        let mut ctx = EvalContext::new(&analysis);
+        let entries: Vec<(usize, OptimizationConfig)> = (0..12)
+            .map(|i| {
+                let mode = if i % 2 == 0 { CommMode::Barrier } else { CommMode::Pipeline };
+                let cfg = OptimizationConfig {
+                    work_item_pipeline: true,
+                    num_cus: 1 + i / 4,
+                    vector_width: [1, 2][(i / 2 % 2) as usize],
+                    comm_mode: mode,
+                    ..OptimizationConfig::baseline((64, 1))
+                };
+                (100 + i as usize, cfg)
+            })
+            .collect();
+        let incumbent = Incumbent::new();
+        let fault = |idx| Some(testhook::InjectedFault::EstimatePanic(idx));
+
+        let mut all = ChunkOutcome::default();
+        evaluate_entries(&mut ctx, &entries, [true, true], &incumbent, None, &mut all);
+        let expected: Vec<DesignPoint> = entries
+            .iter()
+            .zip(all.points)
+            .filter(|((idx, _), _)| *idx != 104 && *idx != 107)
+            .map(|(_, p)| p)
+            .collect();
+
+        let mut out = ChunkOutcome::default();
+        evaluate_entries(&mut ctx, &entries, [true, false], &incumbent, fault(104), &mut out);
+        let mut fresh = ChunkOutcome::default();
+        evaluate_entries(&mut ctx, &entries, [false, true], &incumbent, fault(107), &mut fresh);
+        merge_repaired(&entries, [true, true], [false, true], &mut out, fresh);
+
+        let key = |p: &DesignPoint| (p.config, p.estimate.cycles.to_bits());
+        let got: Vec<_> = out.points.iter().map(key).collect();
+        let want: Vec<_> = expected.iter().map(key).collect();
+        assert_eq!(got, want);
+        assert_eq!(out.failed.iter().map(|f| f.index).collect::<Vec<_>>(), [104, 107]);
+        assert_eq!(out.stats.points_evaluated, 10);
+    }
+
+    #[test]
+    fn dse_stats_merge_sums_merge_time() {
+        let mut total = DseStats { merge_nanos: 1_500, chunk_size: 64, ..DseStats::default() };
+        total.merge(&DseStats { merge_nanos: 2_500, repaired_chunks: 1, ..DseStats::default() });
+        assert_eq!(total.merge_nanos, 4_000);
+        assert_eq!(total.repaired_chunks, 1);
+        assert_eq!(total.chunk_size, 64, "chunk size is configuration, not summed");
+    }
+
+    #[test]
+    fn sweep_reports_merge_time() {
+        let (f, w) = vadd();
+        let platform = Platform::virtex7_adm7v3();
+        let opts = DseOptions { threads: 2, chunk_size: 7, prune: true, ..DseOptions::default() };
+        let r = explore_with(&f, &platform, &w, opts).expect("sweep");
+        assert!(r.stats.merge_nanos > 0);
+        assert!(r.stats.merge_nanos <= r.elapsed.as_nanos() as u64);
+        assert!(r.stats.to_string().contains(", merge "));
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //!   serial exhaustive sweep at *any* thread count and chunk size;
 //! * with pruning **on**, the survivor set is a function of the chunk
 //!   size alone — threads ∈ {2, 4, 8} reproduce the threads = 1 sweep
-//!   bit for bit — and `best()` always matches the exhaustive sweep.
+//!   bit for bit — and `best()` always matches the exhaustive sweep;
+//! * either way the points come back as a subsequence of
+//!   `ConfigSpace::iter()` order, repaired chunks included.
 
 use flexcl_core::{
-    explore_space, explore_with, DseOptions, DseResult, Platform, SweepGrid, Workload,
+    explore_space, explore_with, limits_for, ConfigSpace, DseOptions, DseResult, Platform,
+    SweepGrid, Workload,
 };
 use flexcl_interp::KernelArg;
 use flexcl_ir::Function;
@@ -67,6 +70,16 @@ fn assert_points_identical(a: &DseResult, b: &DseResult) {
     for (pa, pb) in a.points.iter().zip(&b.points) {
         assert_eq!(pa.config, pb.config);
         assert_eq!(pa.estimate, pb.estimate, "{}", pa.config);
+    }
+}
+
+/// The returned configs are a subsequence of the space's enumeration
+/// order: the sweep assembles chunk runs without sorting, so a chunk
+/// placed or a repaired chunk merged out of order shows up here.
+fn assert_enumeration_order(space: &ConfigSpace, r: &DseResult, ctx: &str) {
+    let mut rest = space.iter();
+    for p in &r.points {
+        assert!(rest.any(|c| c == p.config), "{ctx}: {} out of enumeration order", p.config);
     }
 }
 
@@ -124,6 +137,34 @@ fn fine_grid_with_new_axes_is_deterministic_across_threads() {
         for threads in [2usize, 4, 8] {
             let parallel = run(threads, prune);
             assert_points_identical(&reference, &parallel);
+        }
+    }
+}
+
+/// Exhaustive and pruned sweeps at threads ∈ {2, 4, 8} return points in
+/// enumeration order, on the standard grid and on the fine grid with the
+/// coarsening/temporal axes.
+#[test]
+fn sweeps_return_points_in_enumeration_order() {
+    let cases = [
+        (fixture(), SweepGrid::standard(), vec![1usize, 5, 0]),
+        (stencil_fixture(), SweepGrid::fine(), vec![37]),
+    ];
+    for ((f, w, platform), grid, chunk_sizes) in &cases {
+        let space = ConfigSpace::new(&limits_for(f, w), grid);
+        for &chunk_size in chunk_sizes {
+            for threads in [2usize, 4, 8] {
+                for prune in [false, true] {
+                    let opts = DseOptions { threads, chunk_size, prune, ..DseOptions::default() };
+                    let r = explore_space(f, platform, w, grid, opts).expect("sweep");
+                    let ctx =
+                        format!("{} chunk={chunk_size} threads={threads} prune={prune}", f.name);
+                    if !prune {
+                        assert_eq!(r.points.len(), space.len(), "{ctx}");
+                    }
+                    assert_enumeration_order(&space, &r, &ctx);
+                }
+            }
         }
     }
 }

@@ -47,7 +47,8 @@ pub fn serve_jsonl(
 
 /// Accept loop for the length-prefixed TCP transport: one handler thread
 /// per connection, each serving frames sequentially until the peer
-/// closes. Runs until the listener errors (or forever).
+/// closes. Runs until the listener errors (or forever). Nagle's
+/// algorithm is off on every accepted socket, as in the epoll transport.
 ///
 /// # Errors
 ///
@@ -56,6 +57,8 @@ pub fn serve_jsonl(
 pub fn serve_tcp(server: Arc<Server>, listener: TcpListener) -> io::Result<()> {
     loop {
         let (stream, _) = listener.accept()?;
+        // Best effort: a socket that refuses the option still serves.
+        let _ = stream.set_nodelay(true);
         let server = Arc::clone(&server);
         std::thread::spawn(move || {
             let mut reader = stream.try_clone().expect("clone stream");
@@ -100,6 +103,8 @@ pub mod epoll {
         pub const SOL_SOCKET: i32 = 1;
         pub const SO_REUSEADDR: i32 = 2;
         pub const SO_REUSEPORT: i32 = 15;
+        pub const IPPROTO_TCP: i32 = 6;
+        pub const TCP_NODELAY: i32 = 1;
 
         pub const EPOLL_CLOEXEC: i32 = 0o2000000;
         pub const EPOLL_CTL_ADD: i32 = 1;
@@ -157,6 +162,14 @@ pub mod epoll {
                 optname: i32,
                 optval: *const c_void,
                 optlen: u32,
+            ) -> i32;
+            #[cfg(test)]
+            pub fn getsockopt(
+                fd: i32,
+                level: i32,
+                optname: i32,
+                optval: *mut c_void,
+                optlen: *mut u32,
             ) -> i32;
             pub fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
             pub fn listen(fd: i32, backlog: i32) -> i32;
@@ -544,21 +557,9 @@ pub mod epoll {
         next_id: &mut u64,
         opts: &EpollOptions,
     ) {
-        loop {
-            let fd = unsafe {
-                sys::accept4(
-                    listener.0,
-                    std::ptr::null_mut(),
-                    std::ptr::null_mut(),
-                    sys::SOCK_NONBLOCK | sys::SOCK_CLOEXEC,
-                )
-            };
-            if fd < 0 {
-                // EAGAIN drains the edge; anything else (ECONNABORTED,
-                // EMFILE burst) is dropped and the loop stays up.
-                return;
-            }
-            let fd = Fd(fd);
+        // EAGAIN drains the edge; anything else (ECONNABORTED, EMFILE
+        // burst) is dropped and the loop stays up.
+        while let Some(fd) = accept_one(listener) {
             if conns.len() >= opts.max_conns {
                 continue; // drop: Fd closes on scope exit
             }
@@ -581,6 +582,40 @@ pub mod epoll {
                 },
             );
         }
+    }
+
+    /// Accepts one pending connection as a non-blocking socket with
+    /// Nagle's algorithm off: responses pipelined on one connection are
+    /// small writes that would otherwise wait for the peer's ACK.
+    fn accept_one(listener: &Fd) -> Option<Fd> {
+        // SAFETY: accept4 allows null address pointers when the peer
+        // address is not wanted; `listener` is an open socket we own.
+        let fd = unsafe {
+            sys::accept4(
+                listener.0,
+                std::ptr::null_mut(),
+                std::ptr::null_mut(),
+                sys::SOCK_NONBLOCK | sys::SOCK_CLOEXEC,
+            )
+        };
+        if fd < 0 {
+            return None;
+        }
+        let fd = Fd(fd);
+        let one: i32 = 1;
+        // Best effort: a socket that refuses the option still serves.
+        // SAFETY: `optval` points at `one`, which outlives the call, and
+        // `optlen` is its size.
+        unsafe {
+            sys::setsockopt(
+                fd.0,
+                sys::IPPROTO_TCP,
+                sys::TCP_NODELAY,
+                (&one as *const i32).cast(),
+                std::mem::size_of::<i32>() as u32,
+            )
+        };
+        Some(fd)
     }
 
     fn drain_eventfd(fd: i32) {
@@ -723,6 +758,44 @@ pub mod epoll {
             conn.wpos = 0;
         }
         true
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn accepted_sockets_have_nagle_off() {
+            let listener =
+                listen_socket(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0), false).expect("listen");
+            let addr = local_addr_of(listener.0).expect("local addr");
+            let _client = std::net::TcpStream::connect(addr).expect("connect");
+            // The handshake completes in the kernel; the accept queue may
+            // still need a moment to surface it on a loaded host.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let conn = loop {
+                if let Some(fd) = accept_one(&listener) {
+                    break fd;
+                }
+                assert!(Instant::now() < deadline, "no connection to accept");
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            let mut value: i32 = 0;
+            let mut len = std::mem::size_of::<i32>() as u32;
+            // SAFETY: `value` and `len` outlive the call and `len` holds
+            // the size of `value`.
+            cvt(unsafe {
+                sys::getsockopt(
+                    conn.0,
+                    sys::IPPROTO_TCP,
+                    sys::TCP_NODELAY,
+                    (&mut value as *mut i32).cast(),
+                    &mut len,
+                )
+            })
+            .expect("getsockopt");
+            assert_eq!(value, 1);
+        }
     }
 }
 
