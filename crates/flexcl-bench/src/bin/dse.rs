@@ -22,7 +22,13 @@
 //! the analysis and schedule caches — and writes it to the repo-root
 //! `BENCH_dse.json`. Each row is the **median of N repetitions** after a
 //! warm-up sweep: the per-sweep times are sub-millisecond at standard
-//! scale, so single-shot timings are noise-dominated.
+//! scale, so single-shot timings are noise-dominated. Besides these warm
+//! rows (analysis cache hot, the steady state of a re-explored kernel),
+//! the measurement always adds one **cold** vadd row at threads=1: each
+//! repetition sweeps with a fresh [`flexcl_core::AnalysisCache`], so the
+//! row times first exploration and splits its analysis into interpreter
+//! profiling, burst grouping and DRAM replay (`profile_ms`, `group_ms`,
+//! `replay_ms`).
 //!
 //! Flags:
 //!
@@ -40,14 +46,16 @@
 //! * `--trace-out PATH` (with `--trace-sample N`) — dump the span trace
 //!   of the run as JSONL.
 //! * `--check PATH` — validate an existing BENCH_dse.json (schema keys
-//!   present, `configs_per_sec` finite and positive) and exit; used by
-//!   `scripts/tier1.sh`. With `--require-scaling`, additionally require
+//!   present, `configs_per_sec` finite and positive, a cold row whose
+//!   analysis stages sum to no more than its elapsed time) and exit; used
+//!   by `scripts/tier1.sh`. With `--require-scaling`, additionally require
 //!   threads=8 throughput to beat threads=1 per kernel — skipped with a
 //!   notice when the rows were measured on a single-core host.
 
 use flexcl_bench::{compile, sweep_kernel, write_csv, SYNTHESIS_HOURS_PER_DESIGN};
 use flexcl_core::{
-    explore_space, DseOptions, KernelAnalysis, Platform, SweepGrid, Workload,
+    explore_space, explore_space_cached, AnalysisCache, DseOptions, DseResult, KernelAnalysis,
+    Platform, SweepGrid, Workload,
 };
 use flexcl_interp::KernelArg;
 use flexcl_kernels::{polybench, Scale};
@@ -58,6 +66,8 @@ use std::time::Instant;
 /// counters and cache effectiveness.
 struct BenchRow {
     kernel: String,
+    /// `"warm"` (analysis cache hot) or `"cold"` (fresh cache per sweep).
+    cache: &'static str,
     points: usize,
     threads: usize,
     grid: String,
@@ -70,10 +80,82 @@ struct BenchRow {
     elapsed_ms: f64,
     configs_per_sec: f64,
     analysis_ms: f64,
+    profile_ms: f64,
+    group_ms: f64,
+    replay_ms: f64,
     estimate_ms: f64,
     sched_ms: f64,
     analysis_cache_hit_rate: f64,
     sched_cache_hit_rate: f64,
+}
+
+impl BenchRow {
+    /// The row for the median-time `res` of `reps` sweeps.
+    fn new(
+        kernel: &str,
+        cache: &'static str,
+        grid: &str,
+        threads: usize,
+        reps: usize,
+        secs: f64,
+        res: &DseResult,
+    ) -> BenchRow {
+        let ms = |ns: u64| ns as f64 / 1e6;
+        BenchRow {
+            kernel: kernel.to_string(),
+            cache,
+            points: res.points.len(),
+            threads,
+            grid: grid.to_string(),
+            reps,
+            chunk_size: res.stats.chunk_size,
+            chunks: res.stats.chunks_processed,
+            steals: res.stats.steals,
+            repaired_chunks: res.stats.repaired_chunks,
+            host_cores: host_cores(),
+            elapsed_ms: secs * 1e3,
+            configs_per_sec: res.points.len() as f64 / secs.max(1e-9),
+            analysis_ms: ms(res.stats.analysis_nanos),
+            profile_ms: ms(res.stats.profile_nanos),
+            group_ms: ms(res.stats.group_nanos),
+            replay_ms: ms(res.stats.replay_nanos),
+            estimate_ms: ms(res.stats.estimate_nanos),
+            sched_ms: ms(res.stats.sched_nanos),
+            analysis_cache_hit_rate: res.stats.analysis_cache_hit_rate(),
+            sched_cache_hit_rate: res.stats.sched_cache_hit_rate(),
+        }
+    }
+}
+
+/// Runs `sweep` `reps` times and returns the median-time run.
+fn median_run(reps: usize, mut sweep: impl FnMut() -> DseResult) -> (f64, DseResult) {
+    let mut runs: Vec<(f64, DseResult)> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            let res = sweep();
+            (start.elapsed().as_secs_f64(), res)
+        })
+        .collect();
+    runs.sort_by(|(a, _), (b, _)| a.total_cmp(b));
+    runs.swap_remove(runs.len() / 2)
+}
+
+/// Reports a measured sweep's internals (`--verbose`) and any skipped
+/// candidates.
+fn report(name: &str, label: &str, res: &DseResult, verbose: bool) {
+    if verbose {
+        println!("{name} {label} sweep internals:\n{}", res.stats);
+        println!("  diagnostics      : {}", res.diagnostics);
+    }
+    if !res.diagnostics.is_clean() {
+        eprintln!(
+            "  warning: {} skipped {} candidate(s) [{}]: {}",
+            name,
+            res.diagnostics.skipped_count(),
+            res.diagnostics.summary(),
+            res.diagnostics.failed[0].message
+        );
+    }
 }
 
 /// CPU cores of the measuring host — the scaling gate only demands a
@@ -113,7 +195,6 @@ fn bench_sweeps(filter: Option<&str>, grid_name: &str, reps: usize, verbose: boo
         .unwrap_or_else(|| panic!("unknown grid {grid_name:?} (standard|fine|ultra)"));
     let thread_counts = [1usize, 2, 4, 8];
     let reps = reps.max(1);
-    let cores = host_cores();
 
     let mut targets: Vec<(String, flexcl_ir::Function, Workload)> = Vec::new();
     let (f, w) = vadd();
@@ -128,6 +209,16 @@ fn bench_sweeps(filter: Option<&str>, grid_name: &str, reps: usize, verbose: boo
     }
 
     let mut rows = Vec::new();
+    // First exploration: every repetition starts from an empty analysis
+    // cache, so the row carries the real profiling and replay cost.
+    let (f, w) = vadd();
+    let (secs, res) = median_run(reps, || {
+        let opts = DseOptions { threads: 1, ..DseOptions::default() };
+        explore_space_cached(&f, &platform, &w, &grid, opts, None, &AnalysisCache::default())
+            .expect("cold bench sweep")
+    });
+    report("vadd", "cold threads=1", &res, verbose);
+    rows.push(BenchRow::new("vadd", "cold", grid_name, 1, reps, secs, &res));
     for (name, func, workload) in &targets {
         // Warm the process-wide caches once so every repetition measures
         // the same steady state (the analysis cache fully hot).
@@ -136,55 +227,20 @@ fn bench_sweeps(filter: Option<&str>, grid_name: &str, reps: usize, verbose: boo
             let opts = DseOptions { threads, ..DseOptions::default() };
             // Median of `reps` runs: sub-millisecond standard-grid sweeps
             // are noise-dominated single-shot.
-            let mut runs = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let start = Instant::now();
-                let res =
-                    explore_space(func, &platform, workload, &grid, opts).expect("bench sweep");
-                runs.push((start.elapsed().as_secs_f64(), res));
-            }
-            runs.sort_by(|(a, _), (b, _)| a.total_cmp(b));
-            let (secs, res) = &runs[runs.len() / 2];
-            if verbose {
-                println!("{name} threads={threads} sweep internals:\n{}", res.stats);
-                println!("  diagnostics      : {}", res.diagnostics);
-            }
-            if !res.diagnostics.is_clean() {
-                eprintln!(
-                    "  warning: {} skipped {} candidate(s) [{}]: {}",
-                    name,
-                    res.diagnostics.skipped_count(),
-                    res.diagnostics.summary(),
-                    res.diagnostics.failed[0].message
-                );
-            }
-            rows.push(BenchRow {
-                kernel: name.clone(),
-                points: res.points.len(),
-                threads,
-                grid: grid_name.to_string(),
-                reps,
-                chunk_size: res.stats.chunk_size,
-                chunks: res.stats.chunks_processed,
-                steals: res.stats.steals,
-                repaired_chunks: res.stats.repaired_chunks,
-                host_cores: cores,
-                elapsed_ms: secs * 1e3,
-                configs_per_sec: res.points.len() as f64 / secs.max(1e-9),
-                analysis_ms: res.stats.analysis_nanos as f64 / 1e6,
-                estimate_ms: res.stats.estimate_nanos as f64 / 1e6,
-                sched_ms: res.stats.sched_nanos as f64 / 1e6,
-                analysis_cache_hit_rate: res.stats.analysis_cache_hit_rate(),
-                sched_cache_hit_rate: res.stats.sched_cache_hit_rate(),
+            let (secs, res) = median_run(reps, || {
+                explore_space(func, &platform, workload, &grid, opts).expect("bench sweep")
             });
+            report(name, &format!("threads={threads}"), &res, verbose);
+            rows.push(BenchRow::new(name, "warm", grid_name, threads, reps, secs, &res));
         }
     }
     rows
 }
 
 /// Every key a BENCH_dse.json row must carry, in emission order.
-const BENCH_KEYS: [&str; 17] = [
+const BENCH_KEYS: [&str; 21] = [
     "kernel",
+    "cache",
     "points",
     "threads",
     "grid",
@@ -197,6 +253,9 @@ const BENCH_KEYS: [&str; 17] = [
     "elapsed_ms",
     "configs_per_sec",
     "analysis_ms",
+    "profile_ms",
+    "group_ms",
+    "replay_ms",
     "estimate_ms",
     "sched_ms",
     "analysis_cache_hit_rate",
@@ -209,13 +268,15 @@ fn write_bench_json(rows: &[BenchRow], out: Option<&str>) {
     let mut body = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         body.push_str(&format!(
-            "  {{\"kernel\": \"{}\", \"points\": {}, \"threads\": {}, \
+            "  {{\"kernel\": \"{}\", \"cache\": \"{}\", \"points\": {}, \"threads\": {}, \
              \"grid\": \"{}\", \"reps\": {}, \"chunk_size\": {}, \"chunks\": {}, \
              \"steals\": {}, \"repaired_chunks\": {}, \"host_cores\": {}, \
              \"elapsed_ms\": {:.3}, \"configs_per_sec\": {:.1}, \
-             \"analysis_ms\": {:.3}, \"estimate_ms\": {:.3}, \"sched_ms\": {:.3}, \
+             \"analysis_ms\": {:.3}, \"profile_ms\": {:.3}, \"group_ms\": {:.3}, \
+             \"replay_ms\": {:.3}, \"estimate_ms\": {:.3}, \"sched_ms\": {:.3}, \
              \"analysis_cache_hit_rate\": {:.3}, \"sched_cache_hit_rate\": {:.3}}}{}\n",
             r.kernel,
+            r.cache,
             r.points,
             r.threads,
             r.grid,
@@ -228,6 +289,9 @@ fn write_bench_json(rows: &[BenchRow], out: Option<&str>) {
             r.elapsed_ms,
             r.configs_per_sec,
             r.analysis_ms,
+            r.profile_ms,
+            r.group_ms,
+            r.replay_ms,
             r.estimate_ms,
             r.sched_ms,
             r.analysis_cache_hit_rate,
@@ -246,15 +310,28 @@ fn write_bench_json(rows: &[BenchRow], out: Option<&str>) {
     println!("\nSweep throughput (model only):");
     for r in rows {
         println!(
-            "  {:<26} {:>4} points  threads={}  {:>8.2} ms  {:>9.0} configs/s  \
+            "  {:<26} {} {:>4} points  threads={}  {:>8.2} ms  {:>9.0} configs/s  \
              sched-hits={:>5.1}%",
             r.kernel,
+            r.cache,
             r.points,
             r.threads,
             r.elapsed_ms,
             r.configs_per_sec,
             r.sched_cache_hit_rate * 100.0,
         );
+        if r.cache == "cold" {
+            println!(
+                "  {:<26}      analysis {:.2} ms = profile {:.2} + group {:.2} + replay {:.2} \
+                 + static {:.2}",
+                "",
+                r.analysis_ms,
+                r.profile_ms,
+                r.group_ms,
+                r.replay_ms,
+                r.analysis_ms - r.profile_ms - r.group_ms - r.replay_ms,
+            );
+        }
     }
     println!("wrote {}", path.display());
 }
@@ -277,12 +354,14 @@ fn str_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// Validates a BENCH_dse.json produced by [`write_bench_json`]: at least
-/// one row, every schema key in every row, and a finite positive
-/// `configs_per_sec`. With `require_scaling`, additionally demands that
-/// per kernel the threads=8 throughput beats threads=1 — skipped with a
-/// notice when the rows report a single-core measuring host, where a
-/// parallel speedup is physically impossible. Exits non-zero with a
-/// message on the first problem.
+/// one row, every schema key in every row, a finite positive
+/// `configs_per_sec`, and a cold row that missed the analysis cache and
+/// whose analysis stages (`profile_ms + group_ms + replay_ms`) sum to no
+/// more than its `elapsed_ms`. With `require_scaling`, additionally
+/// demands that per kernel the warm threads=8 throughput beats threads=1
+/// — skipped with a notice when the rows report a single-core measuring
+/// host, where a parallel speedup is physically impossible. Exits
+/// non-zero with a message on the first problem.
 fn check_bench_json(path: &str, require_scaling: bool) {
     let body = match std::fs::read_to_string(path) {
         Ok(b) => b,
@@ -314,10 +393,32 @@ fn check_bench_json(path: &str, require_scaling: bool) {
             fail(format!("row {i}: configs_per_sec = {cps} (must be finite and positive)"));
         }
     }
+    let cold: Vec<&&str> =
+        objects.iter().filter(|obj| str_field(obj, "cache") == Some("cold")).collect();
+    if cold.is_empty() {
+        fail("no cold row (first exploration with a fresh analysis cache)".to_string());
+    }
+    for obj in cold {
+        let field = |key: &str| {
+            num_field(obj, key).unwrap_or_else(|| fail(format!("cold row: {key} is not a number")))
+        };
+        let stages = field("profile_ms") + field("group_ms") + field("replay_ms");
+        let elapsed = field("elapsed_ms");
+        if !(stages > 0.0 && stages <= elapsed) {
+            fail(format!(
+                "cold row: analysis stages sum to {stages:.3} ms against {elapsed:.3} ms \
+                 elapsed (must be positive and no more than elapsed)"
+            ));
+        }
+        if field("analysis_cache_hit_rate") != 0.0 {
+            fail("cold row hit the analysis cache".to_string());
+        }
+        println!("BENCH check: cold row ok (stages {stages:.2} ms of {elapsed:.2} ms elapsed)");
+    }
     if require_scaling {
         // kernel → (threads=1 cps, threads=8 cps, host_cores).
         let mut per_kernel: Vec<(String, Option<f64>, Option<f64>, usize)> = Vec::new();
-        for obj in &objects {
+        for obj in objects.iter().filter(|obj| str_field(obj, "cache") == Some("warm")) {
             let kernel = str_field(obj, "kernel").unwrap_or("?").to_string();
             let threads = num_field(obj, "threads").unwrap_or(0.0) as usize;
             let cps = num_field(obj, "configs_per_sec");

@@ -1,0 +1,188 @@
+//! Analysis golden: every [`KernelAnalysis`] field the model reads, hashed
+//! per corpus kernel at one standard work-group, must stay bit-identical.
+//!
+//! `identity_golden` pins final estimates only, so a change inside the
+//! analysis that happens to cancel out (or lands in a branch its probe
+//! configurations never take) can slip past it. This test pins the
+//! analysis itself: pattern counts in both burst orders and the latency
+//! table, transfer beats, burst owners and group maxima, every coarsening
+//! level, the contention curve and channel probe, loop trips and
+//! recurrences — plus the profiled trace and weights they are derived from.
+//!
+//! Each line is `kernel|field|hash` with a stable FNV-1a hash over the
+//! fields' `f64::to_bits` / integer words, so a mismatch names the field
+//! that moved. Regenerate only on an intentional analysis change with
+//! `FLEXCL_REGEN_GOLDEN=1 cargo test -p flexcl-bench --test analysis_golden`.
+
+use flexcl_bench::compile;
+use flexcl_core::{ContentionProbe, KernelAnalysis, Platform};
+use flexcl_dram::PatternTable;
+use flexcl_kernels::Scale;
+use std::fmt::Write as _;
+
+const GOLDEN: &str = include_str!("data/analysis_golden.txt");
+
+/// 64-bit FNV-1a over little-endian words: specified, so the golden does
+/// not depend on the standard library's hasher.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(mut self, w: u64) -> Self {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    fn f64(self, v: f64) -> Self {
+        self.u64(v.to_bits())
+    }
+
+    fn table(self, t: &PatternTable<f64>) -> Self {
+        t.iter().fold(self, |h, (_, v)| h.f64(v))
+    }
+}
+
+/// The work-group the corpus is analyzed at: the kernel's required size,
+/// else 8×8 for 2-D NDRanges and 64×1 for 1-D ones.
+fn standard_wg(global: (u64, u64), reqd: Option<(u32, u32, u32)>) -> (u32, u32) {
+    match reqd {
+        Some((x, y, _)) => (x, y),
+        None if global.1 > 1 => (8, 8),
+        None => (64, 1),
+    }
+}
+
+fn render_fields(out: &mut String, name: &str, a: &KernelAnalysis) {
+    let mut line = |field: &str, h: Fnv| writeln!(out, "{name}|{field}|{:016x}", h.0).unwrap();
+    line("pattern_counts", Fnv::new().table(&a.pattern_counts));
+    line("pattern_counts_phased", Fnv::new().table(&a.pattern_counts_phased));
+    line("pattern_latencies", Fnv::new().table(&a.pattern_latencies));
+    line(
+        "mem_scalars",
+        Fnv::new()
+            .f64(a.global_accesses_per_wi)
+            .f64(a.mem_extra_wi)
+            .f64(a.burst_owners_per_group)
+            .f64(a.mem_group_max)
+            .f64(a.mem_group_max_phased),
+    );
+    let mut h = Fnv::new().u64(a.coarsen_levels.len() as u64);
+    for l in &a.coarsen_levels {
+        h = h
+            .u64(u64::from(l.factor))
+            .table(&l.pattern_counts)
+            .table(&l.pattern_counts_phased)
+            .f64(l.global_accesses_per_wi)
+            .f64(l.mem_extra_wi)
+            .f64(l.burst_owners_per_group)
+            .f64(l.mem_group_max)
+            .f64(l.mem_group_max_phased);
+    }
+    line("coarsen_levels", h);
+    let mut h = Fnv::new();
+    for &(c, p, b) in a.contention.points() {
+        h = h.u64(u64::from(c)).f64(p).f64(b);
+    }
+    line("contention_curve", h);
+    let probe = match a.contention_probe {
+        ContentionProbe::PairedGroups { pair } => Fnv::new().u64(1).u64(pair),
+        ContentionProbe::SelfOffset => Fnv::new().u64(2),
+        ContentionProbe::NoTraffic => Fnv::new().u64(3),
+    };
+    line("channel_probe", probe.f64(a.channel_contention));
+    let mut trips: Vec<_> = a.profile.trips.raw.iter().collect();
+    trips.sort_by_key(|(id, _)| **id);
+    let h =
+        trips.into_iter().fold(Fnv::new(), |h, (id, (e, i))| h.u64(u64::from(*id)).f64(*e).f64(*i));
+    line("trips", h);
+    let h = a.recurrences.iter().fold(Fnv::new(), |h, r| {
+        h.u64(u64::from(r.distance))
+            .u64(r.cycle_latency)
+            .u64(u64::from(r.load.0))
+            .u64(u64::from(r.store.0))
+    });
+    line("recurrences", h);
+    let h = a.profile.trace.iter().fold(Fnv::new().u64(a.profile.work_items), |h, m| {
+        h.u64(u64::from(m.write))
+            .u64(u64::from(m.param))
+            .u64(m.elem_index as u64)
+            .u64(u64::from(m.bytes))
+            .u64(m.work_item)
+            .u64(m.work_group)
+    });
+    line("trace", h);
+    let h = a
+        .profile
+        .groups
+        .iter()
+        .fold(Fnv::new(), |h, g| h.u64(g.group).f64(g.weight).u64(g.work_items));
+    line("group_weights", h);
+    let mut local: Vec<(String, f64)> = a
+        .local_reads
+        .iter()
+        .map(|(r, v)| (format!("r{r:?}"), *v))
+        .chain(a.local_writes.iter().map(|(r, v)| (format!("w{r:?}"), *v)))
+        .collect();
+    local.sort_by(|x, y| x.0.cmp(&y.0));
+    let mut h = Fnv::new()
+        .f64(a.dsp_ops_per_wi)
+        .u64(u64::from(a.static_dsps_per_pe))
+        .u64(u64::from(a.dsp_op_instances))
+        .u64(a.local_bytes);
+    for (k, v) in &local {
+        h = k.bytes().fold(h, |h, b| h.u64(u64::from(b))).f64(*v);
+    }
+    for inst in &a.func.insts {
+        h = h.f64(a.multiplier(inst.id));
+    }
+    line("static", h);
+}
+
+fn render_current() -> String {
+    let platform = Platform::virtex7_adm7v3();
+    let mut out = String::new();
+    for spec in flexcl_kernels::all() {
+        let func = compile(&spec);
+        let workload = spec.workload(Scale::Test, 7);
+        let wg = standard_wg(workload.global, func.reqd_work_group_size);
+        let name = spec.full_name();
+        match KernelAnalysis::analyze(&func, &platform, &workload, wg) {
+            Ok(a) => render_fields(&mut out, &name, &a),
+            Err(e) => writeln!(out, "{name}|analysis-err|{}", e.kind()).unwrap(),
+        }
+    }
+    out
+}
+
+#[test]
+fn corpus_analyses_match_golden_bit_for_bit() {
+    let current = render_current();
+    if std::env::var_os("FLEXCL_REGEN_GOLDEN").is_some() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/analysis_golden.txt");
+        std::fs::write(path, &current).expect("write golden");
+        eprintln!("regenerated {path}");
+        return;
+    }
+    let mut mismatches = Vec::new();
+    for (want, got) in GOLDEN.lines().zip(current.lines()) {
+        if want != got {
+            mismatches.push(format!("  want: {want}\n  got:  {got}"));
+        }
+    }
+    let want_n = GOLDEN.lines().count();
+    let got_n = current.lines().count();
+    assert!(
+        mismatches.is_empty() && want_n == got_n,
+        "kernel analyses drifted from the golden ({} mismatched lines, \
+         {want_n} golden vs {got_n} current):\n{}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
+}

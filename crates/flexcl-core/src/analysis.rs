@@ -19,8 +19,10 @@ use flexcl_interp::{run, GroupSampling, InterpError, KernelArg, MemAccess, NdRan
 use flexcl_ir::{build_deps, find_recurrences, DepEdge, Function, InstId, MemRoot, Op, Region,
     Value};
 use flexcl_sched::{list, sms, NodeId, ResourceBudget, ResourceClass, SchedGraph, SchedScratch};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Implementation draws averaged by [`KernelAnalysis::pipeline_params_with`]
 /// to estimate the expected synthesized pipeline parameters. Memoized per
@@ -49,28 +51,78 @@ pub struct OwnedBurst {
 ///
 /// A design-space sweep re-runs [`KernelAnalysis::analyze_interned`] once
 /// per work-group size; the intermediate allocations (trace staging, the
-/// coalescing element buffer and the DRAM replay simulator) are identical
-/// in shape each time, so a sweep holds one scratch per worker and reuses
-/// it instead of reallocating. A fresh `AnalysisScratch::default()` gives
-/// bit-identical results to a reused one: every buffer is cleared (and the
-/// simulator fully [`DramSim::reset`]) before use.
+/// coalescing element buffer, the coarsening dedup table and the DRAM
+/// replay simulator) are identical in shape each time, so a sweep holds
+/// one scratch per worker and reuses it instead of reallocating. A fresh
+/// `AnalysisScratch::default()` gives bit-identical results to a reused
+/// one: every buffer is cleared (and the simulator fully
+/// [`DramSim::reset`]) before use.
 #[derive(Debug, Default)]
 pub struct AnalysisScratch {
-    /// Trace staging: `(work_group, param, work_item, access)`.
-    entries: Vec<(u64, u32, u64, ElementAccess)>,
+    /// One group run's staging: `(param, work_item, access)`.
+    entries: Vec<(u32, u64, ElementAccess)>,
     /// Per-stream element buffer handed to `coalesce`.
     elements: Vec<ElementAccess>,
+    /// Dedup table of [`coarsen_trace`], reset per group run.
+    seen: AccessSet,
+    /// The merged trace of the coarsening level being analyzed.
+    merged: Vec<MemAccess>,
     /// DRAM replay simulator, reset between uses.
     replay: Option<DramSim>,
     /// Pool of replay simulators for the multi-stream contention replays,
     /// reset between uses.
     replay_pool: Vec<DramSim>,
+    /// Time spent per analysis sub-stage, summed over every analysis run
+    /// through this scratch.
+    stages: AnalysisStages,
+}
+
+/// Wall-clock nanoseconds spent in each sub-stage of
+/// [`KernelAnalysis::analyze_interned`], summed over every analysis run
+/// through one [`AnalysisScratch`]. The stages are disjoint, so their sum
+/// never exceeds the analyses' wall-clock time (static analysis —
+/// multipliers, recurrences — is left unattributed).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AnalysisStages {
+    /// Interpreter profiling (`interp.profile`).
+    pub profile_nanos: u64,
+    /// Burst grouping, coarsening dedup and burst-owner counting.
+    pub group_nanos: u64,
+    /// Every DRAM replay: pattern counts in both orders, each coarsening
+    /// level, the contention curve and the channel probe.
+    pub replay_nanos: u64,
+}
+
+impl AnalysisStages {
+    /// The time accumulated since an `earlier` reading of the same
+    /// scratch.
+    pub fn since(self, earlier: AnalysisStages) -> AnalysisStages {
+        AnalysisStages {
+            profile_nanos: self.profile_nanos.saturating_sub(earlier.profile_nanos),
+            group_nanos: self.group_nanos.saturating_sub(earlier.group_nanos),
+            replay_nanos: self.replay_nanos.saturating_sub(earlier.replay_nanos),
+        }
+    }
+}
+
+/// Nanoseconds since `*clock`, restarting it.
+fn lap(clock: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = now.duration_since(*clock).as_nanos() as u64;
+    *clock = now;
+    ns
 }
 
 impl AnalysisScratch {
     /// A fresh scratch with empty buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sub-stage time accumulated by the analyses run through this
+    /// scratch so far.
+    pub fn stages(&self) -> AnalysisStages {
+        self.stages
     }
 
     /// A freshly-reset simulator for `config`, reusing the held one when
@@ -104,6 +156,26 @@ impl AnalysisScratch {
     }
 }
 
+/// `trace` in the layout [`Profile::trace`] guarantees — each work-group
+/// one contiguous run, runs in ascending group id — borrowed as-is when it
+/// already has it (always, for interpreter traces; checking costs one
+/// pass), else stable-sorted by group so trace order survives within each
+/// group.
+fn grouped(trace: &[MemAccess]) -> Cow<'_, [MemAccess]> {
+    if trace.windows(2).all(|w| w[0].work_group <= w[1].work_group) {
+        Cow::Borrowed(trace)
+    } else {
+        let mut sorted = trace.to_vec();
+        sorted.sort_by_key(|a| a.work_group);
+        Cow::Owned(sorted)
+    }
+}
+
+/// The per-group runs of a [`grouped`] trace.
+fn group_runs(trace: &[MemAccess]) -> impl Iterator<Item = &[MemAccess]> {
+    trace.chunk_by(|a, b| a.work_group == b.work_group)
+}
+
 /// Converts an interpreter trace into per-work-group burst lists.
 ///
 /// Within each work-group, each global buffer's access stream is coalesced
@@ -119,57 +191,42 @@ pub fn trace_to_group_bursts(trace: &[MemAccess], unit_bytes: u32) -> Vec<(u64, 
 
 /// [`trace_to_group_bursts`] with caller-provided scratch buffers.
 ///
-/// Streams are segmented by a single stable sort on `(work_group, param)`:
-/// stability preserves trace order within each stream, parameters come out
-/// ascending per group and groups ascending overall, so the output is
-/// bit-identical to grouping via nested maps.
+/// Streams are segmented per group run: each run is stable-sorted by
+/// `param`, which keeps trace order within each stream and yields
+/// parameters ascending per group and groups ascending overall. A stable
+/// sort by group followed by a stable sort by parameter within each group
+/// is a stable sort by `(group, param)`, so the output is bit-identical to
+/// sorting the whole trace by that pair, grouped input or not.
 pub fn trace_to_group_bursts_into(
     trace: &[MemAccess],
     unit_bytes: u32,
     scratch: &mut AnalysisScratch,
 ) -> Vec<(u64, Vec<OwnedBurst>)> {
+    let trace = grouped(trace);
     let AnalysisScratch { entries, elements, .. } = scratch;
-    entries.clear();
-    entries.reserve(trace.len());
-    for a in trace {
-        let addr =
-            (param_base(a.param) as i64 + a.elem_index * i64::from(a.bytes)).max(0) as u64;
-        entries.push((
-            a.work_group,
-            a.param,
-            a.work_item,
-            ElementAccess {
-                addr,
-                bytes: a.bytes,
-                kind: if a.write { AccessKind::Write } else { AccessKind::Read },
-            },
-        ));
-    }
-    entries.sort_by_key(|(g, p, _, _)| (*g, *p));
-
     let mut out: Vec<(u64, Vec<OwnedBurst>)> = Vec::new();
-    let mut i = 0usize;
-    while i < entries.len() {
-        let g = entries[i].0;
+    for run in group_runs(&trace) {
+        entries.clear();
+        entries.extend(run.iter().map(|a| {
+            let addr =
+                (param_base(a.param) as i64 + a.elem_index * i64::from(a.bytes)).max(0) as u64;
+            let kind = if a.write { AccessKind::Write } else { AccessKind::Read };
+            (a.param, a.work_item, ElementAccess { addr, bytes: a.bytes, kind })
+        }));
+        entries.sort_by_key(|(p, _, _)| *p);
         let mut bursts = Vec::new();
-        while i < entries.len() && entries[i].0 == g {
-            let p = entries[i].1;
-            let start = i;
-            while i < entries.len() && entries[i].0 == g && entries[i].1 == p {
-                i += 1;
-            }
-            let stream = &entries[start..i];
+        for stream in entries.chunk_by(|x, y| x.0 == y.0) {
             elements.clear();
-            elements.extend(stream.iter().map(|(_, _, _, e)| *e));
+            elements.extend(stream.iter().map(|(_, _, e)| *e));
             let mut cursor = 0usize;
             for b in coalesce(elements, unit_bytes) {
-                let owner = stream[cursor].2;
+                let owner = stream[cursor].1;
                 cursor += b.merged as usize;
                 bursts.push(OwnedBurst { burst: b, work_item: owner });
             }
         }
         bursts.sort_by_key(|b| b.work_item);
-        out.push((g, bursts));
+        out.push((run[0].work_group, bursts));
     }
     out
 }
@@ -362,21 +419,98 @@ impl CoarsenLevel {
 /// windows — are deduplicated (the coarse item keeps the value in a
 /// register). Trace order is preserved, so downstream coalescing sees the
 /// merged stream exactly as a coarsened datapath would emit it.
+///
+/// A coarse item never spans two work-groups, so repeats are looked up
+/// within the current group's run only. A trace whose groups are not
+/// contiguous runs is first stable-sorted by group; the output is then in
+/// that order, which [`trace_to_group_bursts`] groups identically.
 pub fn coarsen_trace(trace: &[MemAccess], factor: u32) -> Vec<MemAccess> {
+    let mut out = Vec::new();
+    coarsen_trace_into(trace, factor, &mut AccessSet::default(), &mut out);
+    out
+}
+
+/// [`coarsen_trace`] into `out` (cleared first) with a reusable dedup
+/// table.
+fn coarsen_trace_into(
+    trace: &[MemAccess],
+    factor: u32,
+    seen: &mut AccessSet,
+    out: &mut Vec<MemAccess>,
+) {
+    out.clear();
     if factor <= 1 {
-        return trace.to_vec();
+        out.extend_from_slice(trace);
+        return;
     }
     let cf = u64::from(factor);
-    let mut seen: std::collections::HashSet<(u64, u64, u32, i64, u32, bool)> =
-        std::collections::HashSet::with_capacity(trace.len());
-    let mut out = Vec::with_capacity(trace.len());
-    for a in trace {
-        let coarse = a.work_item / cf;
-        if seen.insert((a.work_group, coarse, a.param, a.elem_index, a.bytes, a.write)) {
-            out.push(MemAccess { work_item: coarse, ..*a });
+    let trace = grouped(trace);
+    out.reserve(trace.len());
+    for run in group_runs(&trace) {
+        let kept = out.len();
+        seen.reset(run.len());
+        for a in run {
+            let merged = MemAccess { work_item: a.work_item / cf, ..*a };
+            if seen.insert(&merged, &out[kept..]) {
+                out.push(merged);
+            }
         }
     }
-    out
+}
+
+/// Linear-probing set over the accesses one group run has kept so far,
+/// for [`coarsen_trace`]. Slots hold indices into the kept accesses, so
+/// the table is 4 bytes a slot and resetting it costs time linear in the
+/// run: a whole trace is deduplicated in linear time without ever
+/// holding more than one group's keys. (`u32` indices bound one group's
+/// run far above any profiling trace budget.)
+#[derive(Debug, Default)]
+struct AccessSet {
+    slots: Vec<u32>,
+}
+
+impl AccessSet {
+    const EMPTY: u32 = u32::MAX;
+
+    /// Empties the set and sizes it for up to `n` keys at load ≤ 1/2.
+    fn reset(&mut self, n: usize) {
+        let cap = (2 * n).next_power_of_two().max(16);
+        self.slots.clear();
+        self.slots.resize(cap, Self::EMPTY);
+    }
+
+    /// Whether the merged access `a` is new to the run — equal to no
+    /// access in `kept` (same coarse item, buffer, element, width and
+    /// direction; the group is the run's). If so, records it as the next
+    /// element of `kept` (the caller appends it).
+    #[inline]
+    fn insert(&mut self, a: &MemAccess, kept: &[MemAccess]) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut i = Self::hash(a) as usize & mask;
+        loop {
+            match self.slots[i] {
+                Self::EMPTY => {
+                    self.slots[i] = kept.len() as u32;
+                    return true;
+                }
+                k if kept[k as usize] == *a => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Fixed multiply-xorshift hash of the dedup key (no per-process
+    /// seed, so probe sequences are reproducible).
+    #[inline]
+    fn hash(a: &MemAccess) -> u64 {
+        const M1: u64 = 0xff51_afd7_ed55_8ccd;
+        const M2: u64 = 0xc4ce_b9fe_1a85_ec53;
+        let tag = (u64::from(a.param) << 33) | (u64::from(a.bytes) << 1) | u64::from(a.write);
+        let mut h = a.work_item.wrapping_mul(M1);
+        h = (h ^ (h >> 32) ^ a.elem_index as u64).wrapping_mul(M2);
+        h = (h ^ (h >> 29) ^ tag).wrapping_mul(M1);
+        h ^ (h >> 32)
+    }
 }
 
 /// An inter-work-item recurrence with its resolved cycle latency.
@@ -536,6 +670,7 @@ impl KernelAnalysis {
         // work-groups are profiled in practice"). Stratified sampling picks
         // representative groups (first/middle/last plus NDRange-boundary
         // groups) and weights each by how many groups it stands in for.
+        let mut clock = Instant::now();
         let mut args = workload.args.clone();
         let groups = nd.num_groups();
         let opts = RunOptions {
@@ -559,6 +694,7 @@ impl KernelAnalysis {
                 source: other,
             },
         })?;
+        scratch.stages.profile_nanos += lap(&mut clock);
 
         // ---- memory: coalesce per buffer, interleave in work-item order,
         // and classify against the banked DRAM (Table 1). Each profiled
@@ -569,11 +705,13 @@ impl KernelAnalysis {
         let unit_bytes = platform.mem_access_unit_bits / 8;
         let group_bursts = trace_to_group_bursts_into(&profile.trace, unit_bytes, scratch);
         let eff_wi = profile.weighted_work_items().max(1.0);
+        scratch.stages.group_nanos += lap(&mut clock);
 
         let (pipe_totals, weighted_bursts, weighted_extra, mem_group_max) =
             replay_weighted(&platform, &group_bursts, &profile, 1, false, scratch);
         let (phased_totals, _, _, mem_group_max_phased) =
             replay_weighted(&platform, &group_bursts, &profile, 1, true, scratch);
+        scratch.stages.replay_nanos += lap(&mut clock);
         let mut pattern_counts = PatternTable::new();
         let mut pattern_counts_phased = PatternTable::new();
         for (p, c) in pipe_totals.iter() {
@@ -590,29 +728,7 @@ impl KernelAnalysis {
         // coalesced group (one burst covering all work-items) has one
         // owner; the pipeline integration uses this to model how much of
         // the wave schedule the memory stream can actually overlap.
-        let mut owner_runs_weighted = 0.0f64;
-        let mut owner_weight_total = 0.0f64;
-        for (g, bursts) in group_bursts.iter() {
-            if bursts.is_empty() {
-                continue;
-            }
-            let mut runs = 0u64;
-            let mut last: Option<u64> = None;
-            for ob in bursts {
-                if last != Some(ob.work_item) {
-                    runs += 1;
-                    last = Some(ob.work_item);
-                }
-            }
-            let w = profile.group_weight(*g);
-            owner_runs_weighted += w * runs as f64;
-            owner_weight_total += w;
-        }
-        let burst_owners_per_group = if owner_weight_total > 0.0 {
-            owner_runs_weighted / owner_weight_total
-        } else {
-            0.0
-        };
+        let burst_owners_per_group = owner_runs_per_group(&group_bursts, &profile);
         // ---- thread-coarsening levels: re-derive the same memory
         // summaries over the merged trace for every candidate factor that
         // tiles the work-group. The merged stream is re-coalesced from
@@ -626,12 +742,17 @@ impl KernelAnalysis {
             if !wg_size.is_multiple_of(u64::from(cf)) {
                 continue;
             }
-            let merged = coarsen_trace(&profile.trace, cf);
+            let mut merged = std::mem::take(&mut scratch.merged);
+            coarsen_trace_into(&profile.trace, cf, &mut scratch.seen, &mut merged);
             let merged_bursts = trace_to_group_bursts_into(&merged, unit_bytes, scratch);
+            scratch.merged = merged;
+            let cf_owners = owner_runs_per_group(&merged_bursts, &profile);
+            scratch.stages.group_nanos += lap(&mut clock);
             let (cf_pipe, cf_bursts, cf_extra, cf_group_max) =
                 replay_weighted(&platform, &merged_bursts, &profile, 1, false, scratch);
             let (cf_phased, _, _, cf_group_max_phased) =
                 replay_weighted(&platform, &merged_bursts, &profile, 1, true, scratch);
+            scratch.stages.replay_nanos += lap(&mut clock);
             let mut counts = PatternTable::new();
             let mut counts_phased = PatternTable::new();
             for (p, c) in cf_pipe.iter() {
@@ -640,39 +761,19 @@ impl KernelAnalysis {
             for (p, c) in cf_phased.iter() {
                 counts_phased[p] = c / eff_wi;
             }
-            let mut cf_owner_runs = 0.0f64;
-            let mut cf_owner_weight = 0.0f64;
-            for (g, bursts) in merged_bursts.iter() {
-                if bursts.is_empty() {
-                    continue;
-                }
-                let mut runs = 0u64;
-                let mut last: Option<u64> = None;
-                for ob in bursts {
-                    if last != Some(ob.work_item) {
-                        runs += 1;
-                        last = Some(ob.work_item);
-                    }
-                }
-                let w = profile.group_weight(*g);
-                cf_owner_runs += w * runs as f64;
-                cf_owner_weight += w;
-            }
             coarsen_levels.push(CoarsenLevel {
                 factor: cf,
                 pattern_counts: counts,
                 pattern_counts_phased: counts_phased,
                 global_accesses_per_wi: cf_bursts / eff_wi,
                 mem_extra_wi: cf_extra / eff_wi,
-                burst_owners_per_group: if cf_owner_weight > 0.0 {
-                    cf_owner_runs / cf_owner_weight
-                } else {
-                    0.0
-                },
+                burst_owners_per_group: cf_owners,
                 mem_group_max: cf_group_max,
                 mem_group_max_phased: cf_group_max_phased,
             });
         }
+
+        scratch.stages.group_nanos += lap(&mut clock);
 
         let pattern_latencies = microbench::profile_cached(platform.dram);
         if pattern_latencies.iter().any(|(_, dt)| !dt.is_finite() || dt < 0.0) {
@@ -707,6 +808,7 @@ impl KernelAnalysis {
         let contention = ContentionCurve { points: curve_points };
         let (channel_contention, contention_probe) =
             measure_channel_contention(&platform, &group_bursts, scratch);
+        scratch.stages.replay_nanos += lap(&mut clock);
 
         // ---- static analysis with trip-count weighting.
         let multipliers = instruction_multipliers(&func, &profile);
@@ -1206,6 +1308,34 @@ impl KernelAnalysis {
     }
 }
 
+/// Stratum-weighted mean of distinct burst-owner runs per group (groups
+/// without bursts are left out; 0 when every group is silent).
+fn owner_runs_per_group(group_bursts: &[(u64, Vec<OwnedBurst>)], profile: &Profile) -> f64 {
+    let mut runs_weighted = 0.0f64;
+    let mut weight_total = 0.0f64;
+    for (g, bursts) in group_bursts.iter() {
+        if bursts.is_empty() {
+            continue;
+        }
+        let mut runs = 0u64;
+        let mut last: Option<u64> = None;
+        for ob in bursts {
+            if last != Some(ob.work_item) {
+                runs += 1;
+                last = Some(ob.work_item);
+            }
+        }
+        let w = profile.group_weight(*g);
+        runs_weighted += w * runs as f64;
+        weight_total += w;
+    }
+    if weight_total > 0.0 {
+        runs_weighted / weight_total
+    } else {
+        0.0
+    }
+}
+
 /// Replays the profiled group streams round-robin across `streams` DRAM
 /// channel states — each with its own serial clock, the way `streams`
 /// co-running CUs emit them — and returns the stratum-weighted pattern
@@ -1450,6 +1580,138 @@ fn dep_path_latency(
         (lat(from) + lat(to)).max(1) as u64
     } else {
         d.max(1) as u64
+    }
+}
+
+#[cfg(test)]
+mod trace_pass_equivalence {
+    //! The per-group trace passes against the whole-trace reference
+    //! implementations they replaced: one global dedup set for
+    //! coarsening, one stable `(group, param)` sort for burst grouping.
+    use super::*;
+    use proptest::prelude::*;
+
+    fn ref_coarsen_trace(trace: &[MemAccess], factor: u32) -> Vec<MemAccess> {
+        if factor <= 1 {
+            return trace.to_vec();
+        }
+        let cf = u64::from(factor);
+        let mut seen: std::collections::HashSet<(u64, u64, u32, i64, u32, bool)> =
+            std::collections::HashSet::with_capacity(trace.len());
+        let mut out = Vec::with_capacity(trace.len());
+        for a in trace {
+            let coarse = a.work_item / cf;
+            if seen.insert((a.work_group, coarse, a.param, a.elem_index, a.bytes, a.write)) {
+                out.push(MemAccess { work_item: coarse, ..*a });
+            }
+        }
+        out
+    }
+
+    fn ref_group_bursts(trace: &[MemAccess], unit_bytes: u32) -> Vec<(u64, Vec<OwnedBurst>)> {
+        let mut entries: Vec<(u64, u32, u64, ElementAccess)> = trace
+            .iter()
+            .map(|a| {
+                let addr =
+                    (param_base(a.param) as i64 + a.elem_index * i64::from(a.bytes)).max(0) as u64;
+                let kind = if a.write { AccessKind::Write } else { AccessKind::Read };
+                (a.work_group, a.param, a.work_item, ElementAccess { addr, bytes: a.bytes, kind })
+            })
+            .collect();
+        entries.sort_by_key(|(g, p, _, _)| (*g, *p));
+        let mut out: Vec<(u64, Vec<OwnedBurst>)> = Vec::new();
+        let mut i = 0usize;
+        while i < entries.len() {
+            let g = entries[i].0;
+            let mut bursts = Vec::new();
+            while i < entries.len() && entries[i].0 == g {
+                let p = entries[i].1;
+                let start = i;
+                while i < entries.len() && entries[i].0 == g && entries[i].1 == p {
+                    i += 1;
+                }
+                let stream = &entries[start..i];
+                let elements: Vec<ElementAccess> = stream.iter().map(|e| e.3).collect();
+                let mut cursor = 0usize;
+                for b in coalesce(&elements, unit_bytes) {
+                    let owner = stream[cursor].2;
+                    cursor += b.merged as usize;
+                    bursts.push(OwnedBurst { burst: b, work_item: owner });
+                }
+            }
+            bursts.sort_by_key(|b| b.work_item);
+            out.push((g, bursts));
+        }
+        out
+    }
+
+    /// A random trace over 4 groups of 8 work-items: small element and
+    /// parameter ranges so coarse items repeat accesses and streams
+    /// coalesce, negative indices included. `grouped` stable-sorts it by
+    /// group (the interpreter's layout); otherwise groups are revisited.
+    fn arb_trace() -> BoxedStrategy<(Vec<MemAccess>, bool)> {
+        let access = (
+            0u64..4,
+            0u64..8,
+            0u32..3,
+            -6i64..24,
+            prop::sample::select(vec![4u32, 8, 16]),
+            any::<bool>(),
+        );
+        (prop::collection::vec(access, 0..160), any::<bool>()).prop_map(|(raw, grouped)| {
+            let mut trace: Vec<MemAccess> = raw
+                .into_iter()
+                .map(|(g, wi, param, elem_index, bytes, write)| MemAccess {
+                    write,
+                    param,
+                    elem_index,
+                    bytes,
+                    work_item: g * 8 + wi,
+                    work_group: g,
+                })
+                .collect();
+            if grouped {
+                trace.sort_by_key(|a| a.work_group);
+            }
+            (trace, grouped)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn per_group_passes_match_whole_trace_references(
+            (trace, grouped) in arb_trace(),
+            factor in prop::sample::select(vec![2u32, 4, 8]),
+        ) {
+            let unit = 64;
+            let merged = coarsen_trace(&trace, factor);
+            let ref_merged = ref_coarsen_trace(&trace, factor);
+            if grouped {
+                prop_assert_eq!(&merged, &ref_merged);
+                prop_assert_eq!(
+                    trace_to_group_bursts(&trace, unit),
+                    ref_group_bursts(&trace, unit)
+                );
+            }
+            prop_assert_eq!(trace_to_group_bursts(&trace, unit), ref_group_bursts(&trace, unit));
+            prop_assert_eq!(
+                trace_to_group_bursts(&merged, unit),
+                ref_group_bursts(&ref_merged, unit)
+            );
+            // A scratch reused across traces and factors matches fresh ones.
+            let mut scratch = AnalysisScratch::new();
+            for cf in [factor, 1, 8] {
+                coarsen_trace_into(&trace, cf, &mut scratch.seen, &mut scratch.merged);
+                let again = std::mem::take(&mut scratch.merged);
+                prop_assert_eq!(
+                    trace_to_group_bursts_into(&again, unit, &mut scratch),
+                    ref_group_bursts(&ref_coarsen_trace(&trace, cf), unit)
+                );
+                scratch.merged = again;
+            }
+        }
     }
 }
 

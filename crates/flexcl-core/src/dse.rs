@@ -55,7 +55,7 @@
 //!   [`ProfileFuel`] budget in [`DseOptions::fuel`], so a runaway kernel
 //!   costs a bounded amount of work, not a hung worker.
 
-use crate::analysis::{AnalysisScratch, KernelAnalysis, ProfileFuel, Workload};
+use crate::analysis::{AnalysisScratch, AnalysisStages, KernelAnalysis, ProfileFuel, Workload};
 use crate::config::{CommMode, ConfigSpace, DesignSpaceLimits, OptimizationConfig, SweepGrid};
 use crate::error::{ErrorKind, FlexclError};
 use crate::eval::EvalContext;
@@ -412,6 +412,16 @@ pub struct DseStats {
     pub sched_cache_misses: u64,
     /// Wall-clock nanoseconds in kernel analysis (cache hits included).
     pub analysis_nanos: u64,
+    /// Part of `analysis_nanos` spent profiling in the interpreter
+    /// ([`AnalysisStages::profile_nanos`]; 0 for cache hits).
+    pub profile_nanos: u64,
+    /// Part of `analysis_nanos` spent on burst grouping and thread
+    /// coarsening ([`AnalysisStages::group_nanos`]).
+    pub group_nanos: u64,
+    /// Part of `analysis_nanos` spent in DRAM replays, the contention
+    /// curve and channel probe included
+    /// ([`AnalysisStages::replay_nanos`]).
+    pub replay_nanos: u64,
     /// Wall-clock nanoseconds in the candidate-evaluation loops.
     pub estimate_nanos: u64,
     /// Wall-clock nanoseconds inside scheduler calls (subset of
@@ -455,6 +465,12 @@ impl DseStats {
         }
     }
 
+    fn add_stages(&mut self, stages: &AnalysisStages) {
+        self.profile_nanos += stages.profile_nanos;
+        self.group_nanos += stages.group_nanos;
+        self.replay_nanos += stages.replay_nanos;
+    }
+
     fn merge(&mut self, other: &DseStats) {
         self.families_analyzed += other.families_analyzed;
         self.points_evaluated += other.points_evaluated;
@@ -464,6 +480,9 @@ impl DseStats {
         self.sched_cache_hits += other.sched_cache_hits;
         self.sched_cache_misses += other.sched_cache_misses;
         self.analysis_nanos += other.analysis_nanos;
+        self.profile_nanos += other.profile_nanos;
+        self.group_nanos += other.group_nanos;
+        self.replay_nanos += other.replay_nanos;
         self.estimate_nanos += other.estimate_nanos;
         self.sched_nanos += other.sched_nanos;
         self.chunks_processed += other.chunks_processed;
@@ -500,7 +519,7 @@ impl fmt::Display for DseStats {
             self.sched_cache_hits,
             self.sched_cache_misses
         )?;
-        write!(
+        writeln!(
             f,
             "  phase time       : analysis {:.2} ms, estimate {:.2} ms (sched {:.2} ms), \
              merge {:.2} ms",
@@ -508,6 +527,13 @@ impl fmt::Display for DseStats {
             ms(self.estimate_nanos),
             ms(self.sched_nanos),
             ms(self.merge_nanos)
+        )?;
+        write!(
+            f,
+            "  analysis stages  : profile {:.2} ms, group {:.2} ms, replay {:.2} ms",
+            ms(self.profile_nanos),
+            ms(self.group_nanos),
+            ms(self.replay_nanos)
         )
     }
 }
@@ -785,6 +811,7 @@ enum FamilyAnalysis {
         from_cache: bool,
         evictions: u64,
         nanos: u64,
+        stages: AnalysisStages,
     },
     /// The work-group does not tile the NDRange; the family is skipped
     /// silently (the enumerated space is generated before geometry is
@@ -792,7 +819,7 @@ enum FamilyAnalysis {
     Geometry { nanos: u64 },
     /// Analysis failed (typed error or contained panic); every candidate
     /// of the family is reported with this reason.
-    Failed { kind: ErrorKind, message: String, nanos: u64 },
+    Failed { kind: ErrorKind, message: String, nanos: u64, stages: AnalysisStages },
 }
 
 /// Memoization of kernel analyses, keyed by the *content* of everything
@@ -1054,6 +1081,7 @@ fn analyze_family(
         fuel: opts.fuel,
     });
     let t = Instant::now();
+    let stages_before = scratch.stages();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         testhook::maybe_panic(work_group);
         if opts.inject == Some(testhook::InjectedFault::AnalysisPanic) {
@@ -1083,6 +1111,7 @@ fn analyze_family(
         (fresh, false, evictions)
     }));
     let nanos = t.elapsed().as_nanos() as u64;
+    let stages = scratch.stages().since(stages_before);
     match outcome {
         Ok((Ok(analysis), from_cache, evictions)) => {
             span.attr_u64("from_cache", u64::from(from_cache));
@@ -1090,16 +1119,17 @@ fn analyze_family(
                 cycle_lower_bound(&analysis, CommMode::Barrier),
                 cycle_lower_bound(&analysis, CommMode::Pipeline),
             ];
-            FamilyAnalysis::Ready { analysis, bounds, from_cache, evictions, nanos }
+            FamilyAnalysis::Ready { analysis, bounds, from_cache, evictions, nanos, stages }
         }
         Ok((Err(e), _, _)) if e.kind() == ErrorKind::Geometry => FamilyAnalysis::Geometry { nanos },
         Ok((Err(e), _, _)) => {
-            FamilyAnalysis::Failed { kind: e.kind(), message: e.to_string(), nanos }
+            FamilyAnalysis::Failed { kind: e.kind(), message: e.to_string(), nanos, stages }
         }
         Err(payload) => FamilyAnalysis::Failed {
             kind: ErrorKind::Panic,
             message: format!("analysis panicked: {}", panic_message(payload)),
             nanos,
+            stages,
         },
     }
 }
@@ -1510,7 +1540,7 @@ fn account_families(states: &[FamilyState], stats: &mut DseStats) {
         if let Some(fam) = state.analysis.get() {
             stats.families_analyzed += 1;
             match fam {
-                FamilyAnalysis::Ready { from_cache, evictions, nanos, .. } => {
+                FamilyAnalysis::Ready { from_cache, evictions, nanos, stages, .. } => {
                     if *from_cache {
                         stats.analysis_cache_hits += 1;
                     } else {
@@ -1518,8 +1548,14 @@ fn account_families(states: &[FamilyState], stats: &mut DseStats) {
                     }
                     stats.analysis_cache_evictions += evictions;
                     stats.analysis_nanos += nanos;
+                    stats.add_stages(stages);
                 }
-                FamilyAnalysis::Geometry { nanos } | FamilyAnalysis::Failed { nanos, .. } => {
+                FamilyAnalysis::Failed { nanos, stages, .. } => {
+                    stats.analysis_cache_misses += 1;
+                    stats.analysis_nanos += nanos;
+                    stats.add_stages(stages);
+                }
+                FamilyAnalysis::Geometry { nanos } => {
                     stats.analysis_cache_misses += 1;
                     stats.analysis_nanos += nanos;
                 }
@@ -2048,6 +2084,9 @@ mod tests {
             sched_cache_hits: 118_000,
             sched_cache_misses: 3_600,
             analysis_nanos: 12_300_000,
+            profile_nanos: 6_100_000,
+            group_nanos: 2_500_000,
+            replay_nanos: 3_200_000,
             estimate_nanos: 40_100_000,
             sched_nanos: 8_200_000,
             chunks_processed: 60,
@@ -2063,6 +2102,10 @@ mod tests {
         assert!(s.contains("sched cache      : 97.0% hit"), "{s}");
         assert!(
             s.contains("analysis 12.30 ms, estimate 40.10 ms (sched 8.20 ms), merge 5.60 ms"),
+            "{s}"
+        );
+        assert!(
+            s.contains("analysis stages  : profile 6.10 ms, group 2.50 ms, replay 3.20 ms"),
             "{s}"
         );
         // Every line is indented so the table slots under a header line.
@@ -2158,6 +2201,46 @@ mod tests {
         assert_eq!(total.merge_nanos, 4_000);
         assert_eq!(total.repaired_chunks, 1);
         assert_eq!(total.chunk_size, 64, "chunk size is configuration, not summed");
+    }
+
+    #[test]
+    fn dse_stats_merge_sums_analysis_stages() {
+        let stages = |p, g, r| DseStats {
+            profile_nanos: p,
+            group_nanos: g,
+            replay_nanos: r,
+            ..DseStats::default()
+        };
+        let mut total = stages(10, 20, 30);
+        total.merge(&stages(1, 2, 3));
+        assert_eq!((total.profile_nanos, total.group_nanos, total.replay_nanos), (11, 22, 33));
+    }
+
+    #[test]
+    fn analysis_stages_fit_in_analysis_time_and_vanish_when_cached() {
+        let (f, w) = vadd();
+        let platform = Platform::virtex7_adm7v3();
+        let grid = SweepGrid::standard();
+        let cache = AnalysisCache::default();
+        // Cold at two workers (their families' stages merge), then warm.
+        for threads in [2, 1] {
+            let opts = DseOptions { threads, ..DseOptions::default() };
+            let cold = explore_space_cached(&f, &platform, &w, &grid, opts, None, &cache)
+                .expect("cold sweep");
+            let s = cold.stats;
+            if threads == 2 {
+                assert!(s.analysis_cache_misses > 0, "{s}");
+                assert!(s.profile_nanos > 0 && s.group_nanos > 0 && s.replay_nanos > 0, "{s}");
+                assert!(
+                    s.profile_nanos + s.group_nanos + s.replay_nanos <= s.analysis_nanos,
+                    "{s}"
+                );
+            } else {
+                // Second pass over the same cache: every family hits.
+                assert_eq!(s.analysis_cache_misses, 0, "{s}");
+                assert_eq!((s.profile_nanos, s.group_nanos, s.replay_nanos), (0, 0, 0), "{s}");
+            }
+        }
     }
 
     #[test]

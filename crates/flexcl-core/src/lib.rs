@@ -59,7 +59,7 @@ pub mod eval;
 pub mod model;
 pub mod platform;
 
-pub use analysis::{coarsen_trace, AnalysisScratch, CoarsenLevel, ContentionCurve,
+pub use analysis::{coarsen_trace, AnalysisScratch, AnalysisStages, CoarsenLevel, ContentionCurve,
     ContentionProbe, KernelAnalysis, ProfileFuel, ResolvedRecurrence, Workload,
     COARSEN_CANDIDATES};
 pub use area::{estimate_area, pareto_frontier, AreaEstimate, ParetoPoint};

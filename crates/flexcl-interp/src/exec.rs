@@ -18,7 +18,6 @@ use flexcl_frontend::ast::{BinOp, UnOp};
 use flexcl_frontend::builtins::{MathOp, WorkItemFn};
 use flexcl_frontend::types::{AddressSpace, Scalar, Type};
 use flexcl_ir::{Function, InstId, Literal, MemRoot, Op, Terminator, Value};
-use std::collections::HashMap;
 use std::fmt;
 
 /// The execution geometry of a kernel launch.
@@ -277,6 +276,9 @@ pub fn run(
         trace: Vec::new(),
         opts,
         work_items_executed: 0,
+        regs: Vec::new(),
+        local_mem: AllocaMem::new(func, AddressSpace::Local),
+        private_mem: AllocaMem::new(func, AddressSpace::Private),
     };
 
     let groups = group_iter(&ndrange);
@@ -494,6 +496,77 @@ struct Machine<'a> {
     trace: Vec<MemAccess>,
     opts: RunOptions,
     work_items_executed: u64,
+    /// Register file, one slot per instruction, reused across work-items
+    /// (cleared to `None` before each one).
+    regs: Vec<Option<RtVal>>,
+    /// `__local` allocas, shared by the work-items of one group.
+    local_mem: AllocaMem,
+    /// `__private` allocas of the running work-item.
+    private_mem: AllocaMem,
+}
+
+/// The allocas of one address space in dense slots, indexed through a
+/// per-instruction slot table instead of a map lookup per access.
+///
+/// A slot holds data only once its alloca is *live*: `__local` allocas
+/// go live when their group starts, `__private` ones when the work-item
+/// executes the alloca (re-executing it zeroes the slot again). Buffers
+/// keep their capacity across groups and work-items.
+struct AllocaMem {
+    /// `slot_of[inst id]`: index into `bufs`, or [`AllocaMem::NONE`] for
+    /// instructions that are not allocas of this space.
+    slot_of: Vec<u32>,
+    bufs: Vec<Vec<RtVal>>,
+    live: Vec<bool>,
+}
+
+impl AllocaMem {
+    const NONE: u32 = u32::MAX;
+
+    /// Slots for every alloca of `func` in `space`, none live yet.
+    fn new(func: &Function, space: AddressSpace) -> Self {
+        let mut slot_of = vec![Self::NONE; func.insts.len()];
+        let mut n = 0usize;
+        for inst in &func.insts {
+            if matches!(inst.op, Op::Alloca { space: s, .. } if s == space) {
+                slot_of[inst.id.0 as usize] = n as u32;
+                n += 1;
+            }
+        }
+        AllocaMem { slot_of, bufs: vec![Vec::new(); n], live: vec![false; n] }
+    }
+
+    fn slot(&self, a: InstId) -> Option<usize> {
+        match self.slot_of.get(a.0 as usize) {
+            Some(&s) if s != Self::NONE && self.live[s as usize] => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// The live buffer of alloca `a`.
+    fn get(&self, a: InstId) -> Option<&Vec<RtVal>> {
+        self.slot(a).map(|s| &self.bufs[s])
+    }
+
+    /// The live buffer of alloca `a`, mutably.
+    fn get_mut(&mut self, a: InstId) -> Option<&mut Vec<RtVal>> {
+        self.slot(a).map(|s| &mut self.bufs[s])
+    }
+
+    /// Makes alloca `a` live with `len` zeroed elements.
+    fn alloc(&mut self, a: InstId, len: usize, zero: &RtVal) {
+        if let Some(&s) = self.slot_of.get(a.0 as usize).filter(|&&s| s != Self::NONE) {
+            let buf = &mut self.bufs[s as usize];
+            buf.clear();
+            buf.resize(len, zero.clone());
+            self.live[s as usize] = true;
+        }
+    }
+
+    /// Retires every alloca (end of scope).
+    fn reset(&mut self) {
+        self.live.fill(false);
+    }
 }
 
 /// Per-work-item geometry context.
@@ -526,12 +599,14 @@ impl<'a> Machine<'a> {
         nd: &NdRange,
     ) -> Result<(), InterpError> {
         // Local allocas shared across the work-group.
-        let mut local_mem: HashMap<InstId, Vec<RtVal>> = HashMap::new();
         for inst in &self.func.insts {
             if let Op::Alloca { space: AddressSpace::Local, elems } = inst.op {
                 let lanes = inst.ty.lanes() as u64;
-                local_mem
-                    .insert(inst.id, vec![RtVal::zero(&inst.ty); (elems * lanes.max(1)) as usize]);
+                self.local_mem.alloc(
+                    inst.id,
+                    (elems * lanes.max(1)) as usize,
+                    &RtVal::zero(&inst.ty),
+                );
             }
         }
 
@@ -561,7 +636,7 @@ impl<'a> Machine<'a> {
                         linear_id,
                         group_linear,
                     };
-                    self.run_work_item(ctx, &mut local_mem)?;
+                    self.run_work_item(ctx)?;
                     self.work_items_executed += 1;
                 }
             }
@@ -569,14 +644,25 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    fn run_work_item(
+    fn run_work_item(&mut self, ctx: WiCtx) -> Result<(), InterpError> {
+        let func = self.func;
+        // Taken out of the machine for the work-item so instructions can
+        // borrow it alongside `&mut self`; put back on the way out.
+        let mut regs = std::mem::take(&mut self.regs);
+        regs.clear();
+        regs.resize(func.insts.len(), None);
+        self.private_mem.reset();
+        let result = self.run_work_item_with(&ctx, &mut regs);
+        self.regs = regs;
+        result
+    }
+
+    fn run_work_item_with(
         &mut self,
-        ctx: WiCtx,
-        local_mem: &mut HashMap<InstId, Vec<RtVal>>,
+        ctx: &WiCtx,
+        regs: &mut [Option<RtVal>],
     ) -> Result<(), InterpError> {
         let func = self.func;
-        let mut regs: Vec<Option<RtVal>> = vec![None; func.insts.len()];
-        let mut private_mem: HashMap<InstId, Vec<RtVal>> = HashMap::new();
         let mut steps: u64 = 0;
         let mut block = func.entry;
         let mut prev_block: Option<flexcl_ir::BlockId> = None;
@@ -591,8 +677,7 @@ impl<'a> Machine<'a> {
                     return Err(InterpError::StepLimit(self.opts.step_limit));
                 }
                 let inst = func.inst(iid);
-                let result =
-                    self.exec_inst(inst, &ctx, &mut regs, &mut private_mem, local_mem)?;
+                let result = self.exec_inst(inst, ctx, regs)?;
                 regs[iid.0 as usize] = result;
             }
             let term = &func.block(block).term;
@@ -600,7 +685,7 @@ impl<'a> Machine<'a> {
             match term {
                 Terminator::Br(t) => block = *t,
                 Terminator::CondBr(c, t, f) => {
-                    let cond = eval_value_with(c, &regs, self.args);
+                    let cond = eval_value_with(c, regs, self.args);
                     block = if cond.as_bool() { *t } else { *f };
                 }
                 Terminator::Ret => return Ok(()),
@@ -614,15 +699,12 @@ impl<'a> Machine<'a> {
         inst: &flexcl_ir::Inst,
         ctx: &WiCtx,
         regs: &mut [Option<RtVal>],
-        private_mem: &mut HashMap<InstId, Vec<RtVal>>,
-        local_mem: &mut HashMap<InstId, Vec<RtVal>>,
     ) -> Result<Option<RtVal>, InterpError> {
         let arg = |i: usize| eval_value_with(&inst.args[i], regs, self.args);
         Ok(match &inst.op {
             Op::Alloca { space, elems } => {
                 if *space == AddressSpace::Private {
-                    private_mem
-                        .insert(inst.id, vec![RtVal::zero(&inst.ty); *elems as usize]);
+                    self.private_mem.alloc(inst.id, *elems as usize, &RtVal::zero(&inst.ty));
                 }
                 // Local allocas were materialised per work-group.
                 Some(RtVal::Int(0))
@@ -678,18 +760,17 @@ impl<'a> Machine<'a> {
             Op::Barrier => None,
             Op::Load { space, root } => {
                 let idx = arg(0).as_int();
-                Some(self.load(*space, *root, idx, &inst.ty, ctx, private_mem, local_mem)?)
+                Some(self.load(*space, *root, idx, &inst.ty, ctx)?)
             }
             Op::Store { space, root } => {
                 let idx = arg(0).as_int();
                 let val = arg(1);
-                self.store(*space, *root, idx, &val, ctx, private_mem, local_mem)?;
+                self.store(*space, *root, idx, &val, ctx)?;
                 None
             }
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn load(
         &mut self,
         space: AddressSpace,
@@ -697,8 +778,6 @@ impl<'a> Machine<'a> {
         idx: i64,
         ty: &Type,
         ctx: &WiCtx,
-        private_mem: &HashMap<InstId, Vec<RtVal>>,
-        local_mem: &HashMap<InstId, Vec<RtVal>>,
     ) -> Result<RtVal, InterpError> {
         match (space, root) {
             (AddressSpace::Global | AddressSpace::Constant, MemRoot::Param(p)) => {
@@ -755,9 +834,9 @@ impl<'a> Machine<'a> {
             }
             (_, MemRoot::Alloca(a)) => {
                 let mem = if space == AddressSpace::Local {
-                    local_mem.get(&a)
+                    self.local_mem.get(a)
                 } else {
-                    private_mem.get(&a)
+                    self.private_mem.get(a)
                 };
                 let mem = mem.ok_or(InterpError::OutOfBounds { param: 0, index: idx, len: 0 })?;
                 mem.get(usize::try_from(idx).unwrap_or(usize::MAX)).cloned().ok_or(
@@ -770,7 +849,6 @@ impl<'a> Machine<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn store(
         &mut self,
         space: AddressSpace,
@@ -778,8 +856,6 @@ impl<'a> Machine<'a> {
         idx: i64,
         val: &RtVal,
         ctx: &WiCtx,
-        private_mem: &mut HashMap<InstId, Vec<RtVal>>,
-        local_mem: &mut HashMap<InstId, Vec<RtVal>>,
     ) -> Result<(), InterpError> {
         match (space, root) {
             (AddressSpace::Global, MemRoot::Param(p)) => {
@@ -844,9 +920,9 @@ impl<'a> Machine<'a> {
             }
             (_, MemRoot::Alloca(a)) => {
                 let mem = if space == AddressSpace::Local {
-                    local_mem.get_mut(&a)
+                    self.local_mem.get_mut(a)
                 } else {
-                    private_mem.get_mut(&a)
+                    self.private_mem.get_mut(a)
                 };
                 let mem = mem.ok_or(InterpError::OutOfBounds { param: 0, index: idx, len: 0 })?;
                 let len = mem.len();

@@ -40,6 +40,7 @@ pub use value::{KernelArg, RtVal};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexcl_frontend::types::AddressSpace;
     use flexcl_ir::lower_kernel;
 
     fn exec(src: &str, args: &mut [KernelArg], nd: NdRange) {
@@ -166,6 +167,44 @@ mod tests {
         let mut args = vec![KernelArg::IntBuf(vec![0; 4])];
         let err = run(&f, &mut args, NdRange::new_1d(1, 1), RunOptions::default()).unwrap_err();
         assert!(matches!(err, InterpError::OutOfBounds { index: 100, .. }));
+    }
+
+    #[test]
+    fn alloca_memories_are_scoped_and_typed_errors() {
+        let src = "__kernel void k(__global int* a) {
+            __local int tile[4];
+            int p[4];
+            int l = get_local_id(0);
+            tile[l] = l + 10;
+            p[l] = a[get_global_id(0)];
+            a[get_global_id(0)] = p[l] + tile[l];
+        }";
+        let p = flexcl_frontend::parse_and_check(src).expect("frontend");
+        let f = lower_kernel(&p.kernels[0]).expect("lowering");
+        // Two groups of 4: each work-item sees only its own private array
+        // and its group's tile.
+        let mut args = vec![KernelArg::IntBuf((0..8).collect())];
+        run(&f, &mut args, NdRange::new_1d(8, 4), RunOptions::default()).expect("run");
+        assert_eq!(args[0], KernelArg::IntBuf(vec![10, 12, 14, 16, 14, 16, 18, 20]));
+
+        // A private alloca that never executes has no memory: accesses
+        // through it fail with the zero-length bounds error.
+        let private = f
+            .insts
+            .iter()
+            .find(|i| {
+                matches!(i.op, flexcl_ir::Op::Alloca { space: AddressSpace::Private, elems: 4 })
+            })
+            .map(|i| i.id)
+            .expect("private array alloca");
+        let mut skipped = f.clone();
+        for b in &mut skipped.blocks {
+            b.insts.retain(|&id| id != private);
+        }
+        let mut args = vec![KernelArg::IntBuf((0..8).collect())];
+        let err = run(&skipped, &mut args, NdRange::new_1d(8, 4), RunOptions::default())
+            .expect_err("unallocated private array");
+        assert!(matches!(err, InterpError::OutOfBounds { param: 0, len: 0, .. }), "{err:?}");
     }
 
     #[test]

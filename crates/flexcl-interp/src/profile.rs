@@ -17,9 +17,15 @@ use flexcl_ir::{BlockId, Function, LoopId, Region, TripCount};
 use std::collections::HashMap;
 
 /// CFG edge execution counts gathered during interpretation.
+///
+/// Dense by source block: `succs[from]` lists `(to, count)` for every
+/// successor taken from `from`, in first-taken order. A block ends in at
+/// most a two-way branch, so recording an edge is an index plus a scan of
+/// at most two entries. Every query returns an integer sum, so its result
+/// does not depend on that order.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeCounts {
-    counts: HashMap<(u32, u32), u64>,
+    succs: Vec<Vec<(u32, u64)>>,
 }
 
 impl EdgeCounts {
@@ -30,17 +36,28 @@ impl EdgeCounts {
 
     /// Records one traversal of `from → to`.
     pub fn record(&mut self, from: BlockId, to: BlockId) {
-        *self.counts.entry((from.0, to.0)).or_insert(0) += 1;
+        let from = from.0 as usize;
+        if from >= self.succs.len() {
+            self.succs.resize_with(from + 1, Vec::new);
+        }
+        let succs = &mut self.succs[from];
+        match succs.iter_mut().find(|(t, _)| *t == to.0) {
+            Some((_, c)) => *c += 1,
+            None => succs.push((to.0, 1)),
+        }
     }
 
     /// Number of traversals of `from → to`.
     pub fn count(&self, from: BlockId, to: BlockId) -> u64 {
-        self.counts.get(&(from.0, to.0)).copied().unwrap_or(0)
+        self.succs
+            .get(from.0 as usize)
+            .and_then(|s| s.iter().find(|(t, _)| *t == to.0))
+            .map_or(0, |(_, c)| *c)
     }
 
     /// Total traversals into `to`.
     pub fn into_block(&self, to: BlockId) -> u64 {
-        self.counts.iter().filter(|((_, t), _)| *t == to.0).map(|(_, c)| c).sum()
+        self.succs.iter().flatten().filter(|(t, _)| *t == to.0).map(|(_, c)| c).sum()
     }
 
     /// Total traversals into `to` from blocks in `from_set`.
@@ -124,6 +141,14 @@ pub struct Profile {
     /// Observed loop trip statistics (stratum-weighted).
     pub trips: LoopTrips,
     /// Global memory accesses in execution order.
+    ///
+    /// Layout contract: the interpreter runs each profiled group to
+    /// completion, one at a time in ascending group id (warm-up
+    /// predecessors included), so each group's accesses form exactly one
+    /// contiguous run and the runs are in ascending id order —
+    /// `work_group` never decreases along the trace. The analysis's trace
+    /// passes (burst grouping, coarsening) work one group run at a time
+    /// on the strength of this.
     pub trace: Vec<MemAccess>,
     /// Number of work-items executed (may be a subset of the NDRange when
     /// `profile_groups` limits profiling).
@@ -397,6 +422,35 @@ mod tests {
         // Outer: static 4. Inner: profiled, entered 4 times, 8 iters each.
         assert_eq!(prof.trip_count(&f, LoopId(1)), 4.0);
         assert_eq!(prof.trip_count(&f, LoopId(0)), 8.0);
+    }
+
+    proptest::proptest! {
+        /// The dense counters answer every query exactly like a map keyed
+        /// by `(from, to)`, whatever order the edges arrive in.
+        #[test]
+        fn edge_counts_match_a_map(
+            edges in proptest::collection::vec((0u32..6, 0u32..6), 0..200),
+        ) {
+            let mut dense = EdgeCounts::new();
+            let mut map: HashMap<(u32, u32), u64> = HashMap::new();
+            for &(f, t) in &edges {
+                dense.record(BlockId(f), BlockId(t));
+                *map.entry((f, t)).or_insert(0) += 1;
+            }
+            let count = |f: u32, t: u32| map.get(&(f, t)).copied().unwrap_or(0);
+            for t in 0..7 {
+                for f in 0..7 {
+                    proptest::prop_assert_eq!(dense.count(BlockId(f), BlockId(t)), count(f, t));
+                }
+                let into: u64 = (0..7).map(|f| count(f, t)).sum();
+                proptest::prop_assert_eq!(dense.into_block(BlockId(t)), into);
+                let from = [BlockId(1), BlockId(4), BlockId(6)];
+                proptest::prop_assert_eq!(
+                    dense.into_block_from(BlockId(t), &from),
+                    count(1, t) + count(4, t) + count(6, t)
+                );
+            }
+        }
     }
 
     #[test]

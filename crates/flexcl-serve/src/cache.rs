@@ -233,7 +233,9 @@ impl PersistentCache {
             // Respect the cap even for a corpus written by a larger
             // configuration.
             while shard.index.len() > cache.cap_per_shard {
-                cache.evict_coldest(s, &mut shard);
+                if let Some(path) = cache.evict_coldest(s, &mut shard) {
+                    let _ = fs::remove_file(path);
+                }
                 cache.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -286,14 +288,14 @@ impl PersistentCache {
         self.families.lock().unwrap_or_else(|e| e.into_inner()).contains_key(&family)
     }
 
-    fn evict_coldest(&self, s: usize, shard: &mut Shard) {
-        let Some((&key, _)) = shard.index.iter().min_by_key(|(_, &(tick, _))| tick) else {
-            return;
-        };
+    /// Unindexes the shard's coldest entry and returns the path of its
+    /// record, which the caller deletes.
+    fn evict_coldest(&self, s: usize, shard: &mut Shard) -> Option<PathBuf> {
+        let (&key, _) = shard.index.iter().min_by_key(|(_, &(tick, _))| tick)?;
         if let Some((_, family)) = shard.index.remove(&key) {
             self.family_release(family);
         }
-        let _ = fs::remove_file(self.root.join(format!("shard_{s:02x}")).join(entry_name(key)));
+        Some(self.shard_dir(s).join(entry_name(key)))
     }
 
     /// Looks `key` up, verifying the record checksum on every read. A
@@ -349,14 +351,23 @@ impl PersistentCache {
             let _ = fs::remove_file(&tmp);
             return Err(e);
         }
-        let mut shard = self.shards[s].lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, old_family)) = shard.index.insert(key, (tick, family)) {
-            self.family_release(old_family);
+        let mut evicted = Vec::new();
+        {
+            let mut shard = self.shards[s].lock().unwrap_or_else(|e| e.into_inner());
+            if let Some((_, old_family)) = shard.index.insert(key, (tick, family)) {
+                self.family_release(old_family);
+            }
+            self.family_retain(family);
+            while shard.index.len() > self.cap_per_shard {
+                evicted.extend(self.evict_coldest(s, &mut shard));
+                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        self.family_retain(family);
-        while shard.index.len() > self.cap_per_shard {
-            self.evict_coldest(s, &mut shard);
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+        // Evicted records are already unindexed, so no reader opens them;
+        // an unlink can wait on the filesystem journal, and the shard's
+        // readers must not wait with it.
+        for path in evicted {
+            let _ = fs::remove_file(path);
         }
         Ok(())
     }

@@ -42,6 +42,16 @@
 //!
 //! Requests shard by content fingerprint, so identical sources land on
 //! the same worker and the same [`PersistentCache`] entries.
+//!
+//! Results reach the persistent cache **write-behind**: a worker answers
+//! a computed request as soon as its sweep ends and hands the result to
+//! one writer thread, which makes it durable through
+//! [`PersistentCache::put`] (temp file, fsync, rename). No worker waits
+//! on the disk, so a slow fsync cannot stall the requests queued behind
+//! a miss. Until its write lands, an entry is served from memory, so a
+//! repeat of the key hits at once. A crash loses only the writes still
+//! queued, which are misses on restart; the writer's queue is bounded
+//! and a write past the bound is dropped, never waited for.
 
 use crate::cache::{Key, OpenReport, PersistentCache};
 use crate::protocol::{CacheDisposition, Request, RequestFault, Response, SweepSummary};
@@ -134,6 +144,8 @@ struct Counters {
     analysis_hits: metrics::Counter,
     /// Per-family analyses computed fresh.
     analysis_misses: metrics::Counter,
+    /// Cache writes dropped because the writer's queue was full.
+    persist_dropped: metrics::Counter,
     /// Requests queued right now (admission increments, pickup decrements).
     queue_depth: metrics::Gauge,
     /// Distinct fingerprints with an in-flight sweep right now.
@@ -158,6 +170,7 @@ impl Counters {
             near_miss: r.counter("serve.near_miss"),
             analysis_hits: r.counter("serve.analysis_hits"),
             analysis_misses: r.counter("serve.analysis_misses"),
+            persist_dropped: r.counter("serve.persist_dropped"),
             queue_depth: r.gauge("serve.queue_depth"),
             inflight_keys: r.gauge("serve.inflight_keys"),
             service_us: r.histogram("serve.service_us"),
@@ -194,6 +207,8 @@ pub struct CounterSnapshot {
     pub analysis_hits: u64,
     /// Per-family analyses computed fresh.
     pub analysis_misses: u64,
+    /// Cache writes dropped because the writer's queue was full.
+    pub persist_dropped: u64,
 }
 
 struct Job {
@@ -238,6 +253,29 @@ struct ShardQueue {
     cv: Condvar,
 }
 
+/// Cache writes that may wait for the writer thread at once; past this a
+/// write is dropped (the cache is best-effort) instead of stalling a
+/// worker.
+const WRITE_QUEUE_CAP: usize = 256;
+
+/// A result on its way to disk: its family fingerprint and payload.
+type PendingWrite = (Key, Arc<[u8]>);
+
+/// The write-behind state shared by the workers and the writer thread.
+#[derive(Default)]
+struct WriteBehind {
+    /// Every write handed to the writer and not yet on disk, by key;
+    /// lookups read it before the disk.
+    pending: Mutex<HashMap<Key, PendingWrite>>,
+    /// The writer's queue of keys; `None` without a cache and once the
+    /// server shuts down.
+    queue: Mutex<Option<mpsc::SyncSender<Key>>>,
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 struct Inner {
     cfg: ServerConfig,
     shards: Vec<ShardQueue>,
@@ -248,6 +286,8 @@ struct Inner {
     /// the `metrics` introspection frame.
     registry: metrics::Registry,
     cache: Option<PersistentCache>,
+    /// Results on their way into `cache`.
+    writes: WriteBehind,
     /// Fingerprint → completion list of the sweep currently queued or
     /// executing for it. Guarded by one mutex: entries are touched once
     /// per request (admission) plus once per sweep (fan-out), far off
@@ -272,6 +312,8 @@ struct Inner {
 pub struct Server {
     inner: Arc<Inner>,
     workers: Vec<std::thread::JoinHandle<()>>,
+    /// The cache's writer thread, when there is a cache.
+    writer: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Content fingerprint of a request: everything that determines the
@@ -347,6 +389,13 @@ impl Server {
             }
             None => (None, OpenReport::default()),
         };
+        let (queue, writes) = match cache {
+            Some(_) => {
+                let (tx, rx) = mpsc::sync_channel(WRITE_QUEUE_CAP);
+                (Some(rx), WriteBehind { queue: Mutex::new(Some(tx)), ..WriteBehind::default() })
+            }
+            None => (None, WriteBehind::default()),
+        };
         let workers = cfg.workers.max(1);
         let registry = metrics::Registry::new();
         let counters = Counters::register(&registry);
@@ -359,6 +408,7 @@ impl Server {
             counters,
             registry,
             cache,
+            writes,
             inflight: Mutex::new(HashMap::new()),
             analysis: AnalysisCache::new(),
             service_ewma_us: AtomicU64::new(0),
@@ -375,7 +425,14 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-        Ok((Server { inner, workers: handles }, report))
+        let writer = queue.map(|rx| {
+            let inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name("flexcl-serve-writer".to_string())
+                .spawn(move || writer(&inner, rx))
+                .expect("spawn cache writer")
+        });
+        Ok((Server { inner, workers: handles, writer }, report))
     }
 
     /// Handles one raw frame end to end, introspection included: a
@@ -670,6 +727,7 @@ impl Server {
             near_miss: c.near_miss.get(),
             analysis_hits: c.analysis_hits.get(),
             analysis_misses: c.analysis_misses.get(),
+            persist_dropped: c.persist_dropped.get(),
         }
     }
 
@@ -685,7 +743,8 @@ impl Server {
         self.inner.cache.as_ref()
     }
 
-    /// Stops the workers and joins them. Jobs still queued are answered
+    /// Stops the workers and joins them, then lets the cache writer
+    /// finish the writes still queued. Jobs still queued are answered
     /// with an `overloaded` rejection by the draining workers before
     /// they exit.
     pub fn shutdown(mut self) -> CounterSnapshot {
@@ -694,6 +753,11 @@ impl Server {
             sq.cv.notify_all();
         }
         for h in self.workers.drain(..) {
+            let _ = h.join();
+        }
+        // Closing the queue ends the writer once it has drained it.
+        drop(lock(&self.inner.writes.queue).take());
+        if let Some(h) = self.writer.take() {
             let _ = h.join();
         }
         self.counters()
@@ -714,6 +778,31 @@ impl Inner {
         (ewma_us * (depth + 1) / workers / 1000).max(1)
     }
 
+    /// The cached payload of `key`: a write still on its way to disk,
+    /// else the persistent cache's record.
+    fn cached(&self, key: Key) -> Option<Vec<u8>> {
+        let cache = self.cache.as_ref()?;
+        let pending = lock(&self.writes.pending).get(&key).map(|(_, p)| p.to_vec());
+        pending.or_else(|| cache.get(key))
+    }
+
+    /// Whether some cached entry, written or pending, has `family`.
+    fn family_cached(&self, family: Key) -> bool {
+        self.cache.as_ref().is_some_and(|c| c.family_present(family))
+            || lock(&self.writes.pending).values().any(|(f, _)| *f == family)
+    }
+
+    /// Hands `payload` to the cache writer (a no-op without a cache).
+    fn persist(&self, key: Key, family: Key, payload: &[u8]) {
+        let queue = lock(&self.writes.queue);
+        let Some(tx) = queue.as_ref() else { return };
+        lock(&self.writes.pending).insert(key, (family, Arc::from(payload)));
+        if tx.try_send(key).is_err() {
+            lock(&self.writes.pending).remove(&key);
+            self.counters.persist_dropped.inc();
+        }
+    }
+
     fn observe_service(&self, elapsed: Duration) {
         let us = (elapsed.as_micros() as u64) << 4;
         // EWMA with α = 1/8 in ×16 fixed point; racy updates only blur
@@ -732,6 +821,21 @@ fn shutdown_response(id: &str) -> Response {
         message: "server shut down before the request was served".to_string(),
         retry_after_ms: None,
         request_id: String::new(),
+    }
+}
+
+/// The cache writer: makes each queued result durable, then stops serving
+/// it from memory. Ends when the queue closes and is drained.
+fn writer(inner: &Inner, queue: mpsc::Receiver<Key>) {
+    let Some(cache) = &inner.cache else { return };
+    for key in queue {
+        let entry = lock(&inner.writes.pending).get(&key).cloned();
+        if let Some((family, payload)) = entry {
+            // Best-effort, like every cache write: a full disk must not
+            // fail anything.
+            let _ = cache.put(key, family, &payload);
+            lock(&inner.writes.pending).remove(&key);
+        }
     }
 }
 
@@ -901,27 +1005,23 @@ fn serve_job(inner: &Inner, job: &Job) -> Response {
     // Cache lookup — skipped when a corruption fault is armed so the
     // request demonstrably computes and then damages its own entry.
     if fault != Some(RequestFault::CorruptCache) {
-        if let Some(cache) = &inner.cache {
-            if let Some(payload) = cache.get(key) {
-                if let Ok(summary) =
-                    SweepSummary::from_json(&String::from_utf8_lossy(&payload))
-                {
-                    inner.counters.cache_hits.inc();
-                    trace::event("serve.cache_hit");
-                    return Response::Ok {
-                        id: req.id.clone(),
-                        summary,
-                        degraded: job.degraded,
-                        grid_used: job.grid_used.clone(),
-                        cache: CacheDisposition::Hit,
-                        elapsed_ms: job.accepted.elapsed().as_millis() as u64,
-                        coalesced: false,
-                        request_id: String::new(),
-                    };
-                }
-                // Decoded bytes that fail the protocol parse count as
-                // corruption too; fall through to recompute.
+        if let Some(payload) = inner.cached(key) {
+            if let Ok(summary) = SweepSummary::from_json(&String::from_utf8_lossy(&payload)) {
+                inner.counters.cache_hits.inc();
+                trace::event("serve.cache_hit");
+                return Response::Ok {
+                    id: req.id.clone(),
+                    summary,
+                    degraded: job.degraded,
+                    grid_used: job.grid_used.clone(),
+                    cache: CacheDisposition::Hit,
+                    elapsed_ms: job.accepted.elapsed().as_millis() as u64,
+                    coalesced: false,
+                    request_id: String::new(),
+                };
             }
+            // Decoded bytes that fail the protocol parse count as
+            // corruption too; fall through to recompute.
         }
     }
     inner.counters.cache_misses.inc();
@@ -930,7 +1030,7 @@ fn serve_job(inner: &Inner, job: &Job) -> Response {
     // other grid/objective of this kernel was served before, so the
     // sweep below should find its per-family analyses already settled
     // in the serve-scoped analysis cache.
-    if inner.cache.as_ref().is_some_and(|c| c.family_present(job.family)) {
+    if inner.family_cached(job.family) {
         inner.counters.near_miss.inc();
         trace::event("serve.near_miss");
     }
@@ -999,12 +1099,16 @@ fn serve_job(inner: &Inner, job: &Job) -> Response {
     }
 
     let summary = SweepSummary::of(&result);
-    if let Some(cache) = &inner.cache {
-        // Persist best-effort: a full disk must not fail the request.
-        let _ = cache.put(key, job.family, summary.to_json().as_bytes());
-        if fault == Some(RequestFault::CorruptCache) {
+    let payload = summary.to_json();
+    match (&inner.cache, fault) {
+        // The fault damages the request's own record, so that record is
+        // written in place, over any clean write still pending.
+        (Some(cache), Some(RequestFault::CorruptCache)) => {
+            lock(&inner.writes.pending).remove(&key);
+            let _ = cache.put(key, job.family, payload.as_bytes());
             cache.corrupt_entry_for_test(key);
         }
+        _ => inner.persist(key, job.family, payload.as_bytes()),
     }
     Response::Ok {
         id: req.id.clone(),

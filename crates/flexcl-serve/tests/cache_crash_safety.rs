@@ -12,6 +12,9 @@
 //! 3. **Unbounded corpus** — the per-shard LRU cap evicts cold entries,
 //!    so a serving process's cache memory and disk stay bounded.
 //!
+//! The server writes results behind its answers, from one writer thread;
+//! shutdown drains that writer, so every answered miss is on disk after.
+//!
 //! The end-to-end story — a `corrupt-cache` fault request damaging its
 //! own fresh entry, and the *next* identical request recomputing through
 //! quarantine instead of serving garbage — runs against a real `Server`.
@@ -149,6 +152,58 @@ fn a_corrupting_request_cannot_poison_the_next_identical_request() {
 
     let cache_stats = server.cache().expect("cache");
     assert_eq!(cache_stats.stats.quarantined.load(std::sync::atomic::Ordering::Relaxed), 1);
+    server.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn write_behind_results_are_durable_once_the_server_shuts_down() {
+    let dir = tmpdir("behind");
+    let start = || {
+        Server::start(ServerConfig {
+            workers: 2,
+            cache_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("start")
+    };
+    const SRC: &str = "__kernel void vadd(__global float* a, __global float* b, \
+                        __global float* c) { int i = get_global_id(0); c[i] = a[i] + b[i]; }";
+    let src_json = SRC.replace('"', "\\\"");
+    let frame = |g: u32| format!(r#"{{"id":"g{g}","src":"{src_json}","global":{g}}}"#);
+    let sizes = [1024, 2048, 4096];
+
+    // Each answer goes out before its write lands; a repeat still hits,
+    // from the pending write or from disk.
+    let (server, _) = start();
+    let mut first = Vec::new();
+    for g in sizes {
+        let r = server.handle_frame(&frame(g));
+        let Response::Ok { summary, cache, .. } = &r else { panic!("{}", r.to_json()) };
+        assert_eq!(format!("{cache:?}"), "Miss");
+        first.push(summary.clone());
+        let again = server.handle_frame(&frame(g));
+        let Response::Ok { summary, cache, .. } = &again else { panic!("{}", again.to_json()) };
+        assert_eq!(format!("{cache:?}"), "Hit");
+        assert_eq!(summary, first.last().expect("first answer"));
+    }
+    let counters = server.shutdown();
+    assert_eq!(counters.persist_dropped, 0);
+
+    // Shutdown drained the writer: every result is on disk, intact.
+    let (cache, report) = PersistentCache::open(&dir, 64).expect("reopen");
+    assert_eq!(report.loaded, sizes.len());
+    assert_eq!(report.quarantined, 0);
+    drop(cache);
+
+    // A fresh server answers each from disk.
+    let (server, _) = start();
+    for (g, want) in sizes.into_iter().zip(&first) {
+        let r = server.handle_frame(&frame(g));
+        let Response::Ok { summary, cache, .. } = &r else { panic!("{}", r.to_json()) };
+        assert_eq!(format!("{cache:?}"), "Hit");
+        assert_eq!(summary, want);
+    }
     server.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

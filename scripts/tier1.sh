@@ -16,7 +16,10 @@ cargo test -q -p flexcl-core --test fault_injection
 # cores, finite positive configs-per-second), and threads=8 throughput
 # must beat threads=1 — the --check skips the scaling comparison with a
 # notice when the measuring host has a single core, where a parallel
-# speedup is physically impossible.
+# speedup is physically impossible. The smoke also carries one cold vadd
+# row (fresh analysis cache per repetition); --check fails when that row
+# is missing, hit the cache, or its analysis stages (profile + group +
+# replay) sum to more than its elapsed time.
 BENCH_SMOKE="$(mktemp -t bench_dse_smoke.XXXXXX.json)"
 trap 'rm -f "$BENCH_SMOKE"' EXIT
 cargo run --release -q -p flexcl-bench --bin dse -- \
