@@ -23,12 +23,13 @@
 //! `BENCH_dse.json`. Each row is the **median of N repetitions** after a
 //! warm-up sweep: the per-sweep times are sub-millisecond at standard
 //! scale, so single-shot timings are noise-dominated. Besides these warm
-//! rows (analysis cache hot, the steady state of a re-explored kernel),
-//! the measurement always adds one **cold** vadd row at threads=1: each
-//! repetition sweeps with a fresh [`flexcl_core::AnalysisCache`], so the
-//! row times first exploration and splits its analysis into interpreter
-//! profiling, burst grouping and DRAM replay (`profile_ms`, `group_ms`,
-//! `replay_ms`).
+//! rows (one [`flexcl_core::AnalysisCache`] per kernel held across the
+//! warm-up and every repetition, the steady state of a re-explored
+//! kernel), the measurement always adds one **cold** vadd row at
+//! threads=1: each repetition sweeps with a fresh
+//! [`flexcl_core::AnalysisCache`], so the row times first exploration
+//! and splits its analysis into interpreter profiling, burst grouping
+//! and DRAM replay (`profile_ms`, `group_ms`, `replay_ms`).
 //!
 //! Flags:
 //!
@@ -54,8 +55,8 @@
 
 use flexcl_bench::{compile, sweep_kernel, write_csv, SYNTHESIS_HOURS_PER_DESIGN};
 use flexcl_core::{
-    explore_space, explore_space_cached, AnalysisCache, DseOptions, DseResult, KernelAnalysis,
-    Platform, SweepGrid, Workload,
+    explore_space_cached, AnalysisCache, DseOptions, DseResult, KernelAnalysis, Platform,
+    SweepGrid, Workload,
 };
 use flexcl_interp::KernelArg;
 use flexcl_kernels::{polybench, Scale};
@@ -220,16 +221,19 @@ fn bench_sweeps(filter: Option<&str>, grid_name: &str, reps: usize, verbose: boo
     report("vadd", "cold threads=1", &res, verbose);
     rows.push(BenchRow::new("vadd", "cold", grid_name, 1, reps, secs, &res));
     for (name, func, workload) in &targets {
-        // Warm the process-wide caches once so every repetition measures
-        // the same steady state (the analysis cache fully hot).
-        let _ = explore_space(func, &platform, workload, &grid, DseOptions::default());
+        // Warm this kernel's cache once so every repetition measures the
+        // same steady state (the analysis cache fully hot).
+        let cache = AnalysisCache::new();
+        let sweep = |opts| {
+            explore_space_cached(func, &platform, workload, &grid, opts, None, &cache)
+                .expect("bench sweep")
+        };
+        sweep(DseOptions::default());
         for &threads in &thread_counts {
             let opts = DseOptions { threads, ..DseOptions::default() };
             // Median of `reps` runs: sub-millisecond standard-grid sweeps
             // are noise-dominated single-shot.
-            let (secs, res) = median_run(reps, || {
-                explore_space(func, &platform, workload, &grid, opts).expect("bench sweep")
-            });
+            let (secs, res) = median_run(reps, || sweep(opts));
             report(name, &format!("threads={threads}"), &res, verbose);
             rows.push(BenchRow::new(name, "warm", grid_name, threads, reps, secs, &res));
         }

@@ -22,7 +22,8 @@
 //! `--buf-elems`.
 
 use flexcl_core::{
-    estimate, estimate_area, CommMode, KernelAnalysis, OptimizationConfig, Platform, Workload,
+    estimate, estimate_area, explore_space_cached, AnalysisCache, CommMode, DseOptions,
+    KernelAnalysis, OptimizationConfig, Platform, SweepGrid, Workload,
 };
 use flexcl_frontend::types::Type;
 use flexcl_interp::KernelArg;
@@ -298,7 +299,9 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         .map_or(Ok(10), |v| v.parse())
         .map_err(|_| "bad --top")?;
 
-    let result = flexcl_core::explore(&loaded.func, &platform, &loaded.workload)
+    let (grid, opts, cache) = (SweepGrid::standard(), DseOptions::default(), AnalysisCache::new());
+    let (func, workload) = (&loaded.func, &loaded.workload);
+    let result = explore_space_cached(func, &platform, workload, &grid, opts, None, &cache)
         .map_err(|e| format!("{e}\nhint: if out of bounds, raise --buf-elems"))?;
     println!(
         "explored {} configurations ({} feasible) in {:.2} s",

@@ -29,7 +29,7 @@
 //! `sweep_trace.overhead_pct` (default ceiling 5%) and the derived
 //! `sweep_off.overhead_pct` (default ceiling 1%).
 
-use flexcl_core::{explore_space, DseOptions, Platform, SweepGrid, Workload};
+use flexcl_core::{explore_space_cached, AnalysisCache, DseOptions, Platform, SweepGrid, Workload};
 use flexcl_interp::KernelArg;
 use flexcl_serve::server::ServerConfig;
 use flexcl_serve::Server;
@@ -131,8 +131,15 @@ fn bench_disabled_span() -> f64 {
 /// Best-of-reps fine-grid sweep throughput: (points, configs/s).
 /// Best-of rather than median: the overhead comparison wants each
 /// configuration's peak capability, which is far less sensitive to
-/// scheduler noise on small hosts than any averaged statistic.
-fn bench_sweep(func: &flexcl_ir::Function, workload: &Workload, threads: usize, reps: usize) -> (u64, f64) {
+/// scheduler noise on small hosts than any averaged statistic. Analyses
+/// are reused from `cache`.
+fn bench_sweep(
+    func: &flexcl_ir::Function,
+    workload: &Workload,
+    threads: usize,
+    reps: usize,
+    cache: &AnalysisCache,
+) -> (u64, f64) {
     let platform = Platform::virtex7_adm7v3();
     let grid = SweepGrid::fine();
     let opts = DseOptions { threads, ..DseOptions::default() };
@@ -140,7 +147,8 @@ fn bench_sweep(func: &flexcl_ir::Function, workload: &Workload, threads: usize, 
     let mut points = 0u64;
     for _ in 0..reps {
         let start = Instant::now();
-        let res = explore_space(func, &platform, workload, &grid, opts).expect("obs sweep");
+        let res = explore_space_cached(func, &platform, workload, &grid, opts, None, cache)
+            .expect("obs sweep");
         let secs = start.elapsed().as_secs_f64();
         points = res.points.len() as u64;
         best = best.max(points as f64 / secs.max(1e-9));
@@ -423,16 +431,18 @@ fn main() {
         "tracer already installed"
     );
     flexcl_obs::trace::set_enabled(false);
-    let _ = bench_sweep(&func, &workload, threads, 1); // cache warm-up
+    // One analysis cache, warmed here, serves every off/on rep.
+    let cache = AnalysisCache::new();
+    let _ = bench_sweep(&func, &workload, threads, 1, &cache);
     let mut points = 0u64;
     let mut cps_off = 0.0f64;
     let mut cps_trace = 0.0f64;
     let mut pair_overhead = f64::INFINITY;
     for _ in 0..reps {
         flexcl_obs::trace::set_enabled(false);
-        let (p, off) = bench_sweep(&func, &workload, threads, 1);
+        let (p, off) = bench_sweep(&func, &workload, threads, 1, &cache);
         flexcl_obs::trace::set_enabled(true);
-        let (_, on) = bench_sweep(&func, &workload, threads, 1);
+        let (_, on) = bench_sweep(&func, &workload, threads, 1, &cache);
         points = p;
         cps_off = cps_off.max(off);
         cps_trace = cps_trace.max(on);

@@ -36,7 +36,8 @@
 
 use flexcl_bench::{compile, write_csv};
 use flexcl_core::{
-    estimate, explore, is_iterative_stencil, KernelAnalysis, OptimizationConfig, Platform,
+    estimate, explore_space_cached, is_iterative_stencil, AnalysisCache, DseOptions,
+    KernelAnalysis, OptimizationConfig, Platform, SweepGrid,
 };
 use flexcl_kernels::{all, Scale, Suite};
 use flexcl_sim::{system_run, SimError, SimOptions};
@@ -94,7 +95,10 @@ fn triage_sweep(filter: Option<&str>) -> Vec<PointRow> {
         }
         let func = compile(&spec);
         let workload = spec.workload(Scale::Test, 1234);
-        let dse = explore(&func, &platform, &workload).expect("exploration");
+        let (grid, opts) = (SweepGrid::standard(), DseOptions::default());
+        let cache = AnalysisCache::new();
+        let dse = explore_space_cached(&func, &platform, &workload, &grid, opts, None, &cache)
+            .expect("exploration");
         for point in &dse.points {
             if !point.estimate.feasible {
                 continue;

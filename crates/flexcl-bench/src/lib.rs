@@ -8,7 +8,10 @@
 //! All experiments write both a human-readable report to stdout and a CSV
 //! under `results/`.
 
-use flexcl_core::{explore, KernelAnalysis, OptimizationConfig, Platform};
+use flexcl_core::{
+    explore_space_cached, AnalysisCache, DseOptions, KernelAnalysis, OptimizationConfig, Platform,
+    SweepGrid,
+};
 use flexcl_ir::Function;
 use flexcl_kernels::{KernelSpec, Scale};
 use flexcl_sim::{system_run, SimError, SimOptions};
@@ -109,9 +112,12 @@ pub fn sweep_kernel(spec: &KernelSpec, platform: &Platform, scale: Scale) -> Ker
     let func = compile(spec);
     let workload = spec.workload(scale, 1234);
 
-    // FlexCL: exhaustive exploration (includes per-wg analyses).
+    // FlexCL: exhaustive exploration from a cold analysis cache (includes
+    // per-wg analyses).
+    let (grid, opts, cache) = (SweepGrid::standard(), DseOptions::default(), AnalysisCache::new());
     let t0 = Instant::now();
-    let dse = explore(&func, platform, &workload).expect("exploration");
+    let dse = explore_space_cached(&func, platform, &workload, &grid, opts, None, &cache)
+        .expect("exploration");
     let flexcl_time = t0.elapsed();
 
     // Reuse the per-wg analyses for the SDAccel baseline.
@@ -164,15 +170,6 @@ pub fn sweep_kernel(spec: &KernelSpec, platform: &Platform, scale: Scale) -> Ker
         sdaccel_time,
         flexcl_time,
     }
-}
-
-/// Re-evaluates FlexCL only (no System Run) — used by timing comparisons.
-pub fn flexcl_only_sweep(spec: &KernelSpec, platform: &Platform, scale: Scale) -> Duration {
-    let func = compile(spec);
-    let workload = spec.workload(scale, 1234);
-    let t0 = Instant::now();
-    let _ = explore(&func, platform, &workload).expect("exploration");
-    t0.elapsed()
 }
 
 /// Finds a spec by `benchmark/kernel` name.

@@ -10,8 +10,8 @@
 
 use flexcl_bench::{compile, find_spec};
 use flexcl_core::{
-    estimate, explore_space, CommMode, DseOptions, KernelAnalysis, OptimizationConfig,
-    Platform, SweepGrid,
+    estimate, explore_space_cached, AnalysisCache, CommMode, DseOptions, KernelAnalysis,
+    OptimizationConfig, Platform, SweepGrid,
 };
 use flexcl_kernels::Scale;
 use flexcl_sim::{system_run, SimOptions};
@@ -93,12 +93,14 @@ fn fine_grid_sweeps_the_new_axes_and_blocking_reaches_the_frontier() {
     let func = compile(&spec);
     let platform = Platform::virtex7_adm7v3();
     let workload = spec.workload(Scale::Test, 1234);
-    let result = explore_space(
+    let result = explore_space_cached(
         &func,
         &platform,
         &workload,
         &SweepGrid::fine(),
         DseOptions::default(),
+        None,
+        &AnalysisCache::new(),
     )
     .expect("fine sweep");
     assert!(result.points.iter().any(|p| p.config.coarsen_factor > 1));

@@ -255,8 +255,8 @@ pub struct SweepGrid {
 
 impl SweepGrid {
     /// The paper-scale grid: 100–400 configurations per kernel, matching
-    /// the "#Designs" column of Table 2. This is what [`enumerate`] and
-    /// [`crate::dse::explore_with`] sweep.
+    /// the "#Designs" column of Table 2. This is what [`enumerate`]
+    /// lists and [`crate::FlexCl::explore_source`] sweeps.
     pub fn standard() -> Self {
         SweepGrid {
             work_groups_1d: vec![(16, 1), (32, 1), (64, 1), (128, 1), (256, 1)],
@@ -630,7 +630,7 @@ impl ConfigSpace {
 ///
 /// The defaults produce 100–400 configurations per kernel, matching the
 /// "#Designs" column of Table 2. Large sweeps should prefer
-/// [`ConfigSpace`] (via [`crate::dse::explore_space`]), which never
+/// [`ConfigSpace`] (via [`crate::dse::explore_space_cached`]), which never
 /// materializes the candidate list.
 pub fn enumerate(limits: &DesignSpaceLimits) -> Vec<OptimizationConfig> {
     ConfigSpace::new(limits, &SweepGrid::standard()).iter().collect()

@@ -23,16 +23,16 @@
 //!   analysis in parallel and seeds the pruning incumbent with strong
 //!   candidates), then the remaining chunks per family from tail to head.
 //! * **Lazy materialization** — when sweeping a [`ConfigSpace`]
-//!   ([`explore_space`]), candidates are decoded per chunk by index
+//!   ([`explore_space_cached`]), candidates are decoded per chunk by index
 //!   arithmetic; the full candidate list is never allocated, which is
 //!   what lets the space grow to 10⁶+ points per kernel.
 //! * **Memoization** — kernel and platform are interned behind [`Arc`]s,
 //!   each family is analyzed once behind a [`OnceLock`] (whichever worker
-//!   touches it first), and completed analyses are kept in a bounded
-//!   process-wide content-keyed cache ([`DseOptions::reuse_analysis`],
-//!   capacity [`DseOptions::analysis_cache_cap`]) so repeated sweeps skip
-//!   profiling. [`DseResult::stats`] reports where the time went and how
-//!   the caches performed.
+//!   touches it first), and completed analyses are kept in the
+//!   caller-owned, bounded, content-keyed [`AnalysisCache`] passed to the
+//!   sweep, so repeated sweeps over one cache skip profiling.
+//!   [`DseResult::stats`] reports where the time went and how the caches
+//!   performed.
 //! * **Pruning with deterministic replay** — optionally, a chunk's mode
 //!   whose cheap monotonic lower bound ([`cycle_lower_bound`]) exceeds
 //!   the shared atomic incumbent is skipped without evaluating. The
@@ -110,8 +110,7 @@ fn dse_metrics() -> &'static DseMetrics {
 /// (a chunk is the unit of isolation — bounded work, never a hung
 /// worker), and returns [`FlexclError::Deadline`] carrying the partial
 /// [`DseStats`] accumulated before the stop. A sweep observes the token
-/// only through [`explore_space_deadline`]; the plain entry points never
-/// cancel.
+/// only when one is passed to [`explore_space_cached`].
 ///
 /// Cloning shares the token: `cancel()` through any clone stops every
 /// sweep holding one.
@@ -233,29 +232,14 @@ pub struct DseOptions {
     /// exhausts it fails that family with
     /// [`ErrorKind::ResourceLimit`] instead of hanging the sweep.
     pub fuel: ProfileFuel,
-    /// Reuse kernel analyses across sweeps of the same
-    /// `(kernel, platform, workload, work_group, fuel)` through a small
-    /// process-wide cache. Repeated sweeps (parameter studies, benchmark
-    /// harnesses) then skip re-profiling entirely; the estimates are
-    /// bit-identical because the cached analysis is the same value the
-    /// sweep would recompute. Disable to force every sweep to re-analyze.
-    pub reuse_analysis: bool,
     /// Candidates per work unit. `0` picks an automatic size that gives
     /// each worker ~32 chunks of slack (clamped to `16..=2048`). The
     /// explored points are bit-identical for every chunk size; smaller
     /// chunks balance better, larger chunks amortize claiming overhead.
     pub chunk_size: usize,
-    /// Capacity of the process-wide analysis cache (resident entries
-    /// before FIFO eviction). Only consulted when inserting; sweeps with
-    /// different caps share the one cache. **`0` disables the cache for
-    /// this sweep** — no lookups and no inserts, exactly as if
-    /// [`DseOptions::reuse_analysis`] were `false` — rather than behaving
-    /// as some accidental tiny capacity.
-    pub analysis_cache_cap: usize,
-    /// Per-sweep fault injection for the robustness test surface: unlike
-    /// the process-global [`testhook`] arming, a fault injected here is
-    /// scoped to this one sweep, so concurrent sweeps (a serving batch)
-    /// can prove isolation. Production callers leave it `None`.
+    /// Fault injection for the robustness test surface, scoped to this
+    /// one sweep, so concurrent sweeps (a serving batch) can prove
+    /// isolation. Production callers leave it `None`.
     #[doc(hidden)]
     pub inject: Option<testhook::InjectedFault>,
 }
@@ -266,20 +250,13 @@ impl Default for DseOptions {
             threads: 1,
             prune: false,
             fuel: ProfileFuel::default(),
-            reuse_analysis: true,
             chunk_size: 0,
-            analysis_cache_cap: analysis_cache::DEFAULT_CAP,
             inject: None,
         }
     }
 }
 
 impl DseOptions {
-    /// An exhaustive sweep over `threads` workers.
-    pub fn parallel(threads: usize) -> Self {
-        DseOptions { threads: threads.max(1), ..Self::default() }
-    }
-
     /// The chunk size a sweep over `total` candidates will use.
     fn effective_chunk_size(&self, total: usize) -> usize {
         if self.chunk_size > 0 {
@@ -398,8 +375,7 @@ pub struct DseStats {
     /// Candidate configurations successfully evaluated (including any
     /// re-evaluated by the deterministic replay pass).
     pub points_evaluated: usize,
-    /// Families served by the process-wide analysis cache
-    /// ([`DseOptions::reuse_analysis`]).
+    /// Families served by the sweep's [`AnalysisCache`].
     pub analysis_cache_hits: u64,
     /// Families that ran the full analysis (profiling included).
     pub analysis_cache_misses: u64,
@@ -834,15 +810,14 @@ enum FamilyAnalysis {
 /// lanes with independent seeds and multipliers make an accidental
 /// collision across the resident entries implausible. The key lives only
 /// in this process, so it needs to be stable within one build, not across
-/// builds. Capacity is per-insert
-/// ([`DseOptions::analysis_cache_cap`]); eviction is FIFO, oldest entry
-/// first, so a parameter study cycling through kernels keeps its working
-/// set instead of dropping everything at once.
+/// builds. Capacity is fixed at 256 entries; eviction is FIFO, oldest
+/// entry first, so a parameter study cycling through kernels keeps its
+/// working set instead of dropping everything at once.
 ///
-/// The default entry points share one process-wide [`AnalysisCache`];
-/// callers that need an isolated lifetime (a server scoping reuse to its
-/// own instance, a test proving cold-start behaviour) own an
-/// `AnalysisCache` and thread it through [`explore_space_cached`].
+/// There is no process-wide instance: every sweep names the
+/// [`AnalysisCache`] it reuses from, so its lifetime is the caller's — a
+/// server scopes reuse to its own instance, a benchmark holds one across
+/// warm repetitions, and a fresh cache is a cold start.
 mod analysis_cache {
     use super::*;
     use flexcl_interp::KernelArg;
@@ -856,31 +831,19 @@ mod analysis_cache {
         pub fuel: ProfileFuel,
     }
 
-    /// Default resident entries before eviction. The benchmark suite
-    /// sweeps a handful of kernels with up to ~10 work-group families
-    /// each; 64 keeps them all resident while bounding memory held by
-    /// profiling artifacts.
-    pub(super) const DEFAULT_CAP: usize = 64;
+    /// Resident entries before eviction. A serving instance sees many
+    /// kernels with up to ~10 work-group families each; 256 keeps a few
+    /// dozen of them resident while bounding memory held by profiling
+    /// artifacts.
+    pub(super) const CAP: usize = 256;
 
     /// A content-keyed store of settled [`KernelAnalysis`] values,
     /// shareable across sweeps. All methods take `&self`; the store is a
     /// single mutex over a small FIFO vector (lookups are off the
     /// estimation hot loop — one per family per sweep).
-    ///
-    /// [`explore_space`](super::explore_space) and friends use a hidden
-    /// process-wide instance; [`explore_space_cached`](super::explore_space_cached)
-    /// takes a caller-owned one, which is how a serving deployment scopes
-    /// per-family reuse to the server's lifetime and capacity instead of
-    /// the whole process.
     #[derive(Debug, Default)]
     pub struct AnalysisCache {
         entries: Mutex<Vec<(Key, Arc<KernelAnalysis>)>>,
-    }
-
-    /// The process-wide instance behind the default entry points.
-    pub(super) fn global() -> &'static AnalysisCache {
-        static GLOBAL: AnalysisCache = AnalysisCache { entries: Mutex::new(Vec::new()) };
-        &GLOBAL
     }
 
     /// Two independent 64-bit hash lanes fed one word at a time.
@@ -978,9 +941,7 @@ mod analysis_cache {
     }
 
     impl AnalysisCache {
-        /// An empty cache. Capacity is supplied per insert (it follows
-        /// [`DseOptions::analysis_cache_cap`](super::DseOptions), not the
-        /// store), so there is nothing to configure here.
+        /// An empty cache holding up to 256 analyses.
         #[must_use]
         pub fn new() -> Self {
             Self::default()
@@ -1010,7 +971,7 @@ mod analysis_cache {
             if cache.iter().any(|(k, _)| *k == key) {
                 return 0; // racing workers computed the same analysis
             }
-            let cap = cap.max(1);
+            debug_assert!(cap > 0, "analysis cache capacity must be positive");
             let mut evicted = 0;
             while cache.len() >= cap {
                 cache.remove(0);
@@ -1036,17 +997,15 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 }
 
 /// The sweep-wide inputs shared by every chunk: what to analyze, how,
-/// and the precomputed analysis-cache fingerprint (if caching is on).
+/// and the precomputed analysis-cache fingerprint.
 #[derive(Clone, Copy)]
 struct SweepInputs<'a> {
     func: &'a Arc<Function>,
     platform: &'a Arc<Platform>,
     workload: &'a Workload,
     opts: DseOptions,
-    fingerprint: Option<(u64, u64)>,
-    /// Which analysis store this sweep reuses from — the process-wide
-    /// one for the default entry points, a caller-owned one for
-    /// [`explore_space_cached`].
+    fingerprint: (u64, u64),
+    /// The caller-owned analysis store this sweep reuses from.
     cache: &'a AnalysisCache,
     /// Trace id of the enclosing `dse.sweep` span (`0` when tracing is
     /// off) — the explicit parent for spans opened on worker threads,
@@ -1075,25 +1034,20 @@ fn analyze_family(
     let mut span = trace::span_with_parent("dse.analysis", sweep_parent(sweep));
     span.attr_u64("wg_x", u64::from(work_group.0));
     span.attr_u64("wg_y", u64::from(work_group.1));
-    let cache_key = fingerprint.map(|fingerprint| analysis_cache::Key {
-        fingerprint,
-        work_group,
-        fuel: opts.fuel,
-    });
+    let key = analysis_cache::Key { fingerprint, work_group, fuel: opts.fuel };
     let t = Instant::now();
     let stages_before = scratch.stages();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        testhook::maybe_panic(work_group);
-        if opts.inject == Some(testhook::InjectedFault::AnalysisPanic) {
-            panic!(
-                "testhook: injected per-sweep panic analyzing work-group {}x{}",
-                work_group.0, work_group.1
-            );
-        }
-        if let Some(key) = &cache_key {
-            if let Some(hit) = cache.lookup(key) {
-                return (Ok(hit), true, 0);
+        if let Some(testhook::InjectedFault::AnalysisPanic(target)) = opts.inject {
+            if target.is_none_or(|wg| wg == work_group) {
+                panic!(
+                    "testhook: injected panic analyzing work-group {}x{}",
+                    work_group.0, work_group.1
+                );
             }
+        }
+        if let Some(hit) = cache.lookup(&key) {
+            return (Ok(hit), true, 0);
         }
         let fresh = KernelAnalysis::analyze_interned(
             Arc::clone(func),
@@ -1104,10 +1058,10 @@ fn analyze_family(
             scratch,
         )
         .map(Arc::new);
-        let mut evictions = 0;
-        if let (Some(key), Ok(a)) = (&cache_key, &fresh) {
-            evictions = cache.insert(key.clone(), a, opts.analysis_cache_cap);
-        }
+        let evictions = match &fresh {
+            Ok(a) => cache.insert(key.clone(), a, analysis_cache::CAP),
+            Err(_) => 0,
+        };
         (fresh, false, evictions)
     }));
     let nanos = t.elapsed().as_nanos() as u64;
@@ -1157,9 +1111,8 @@ fn evaluate_entries<A: Borrow<KernelAnalysis>>(
             continue;
         }
         match catch_unwind(AssertUnwindSafe(|| {
-            testhook::maybe_panic_estimate(idx);
             if inject == Some(testhook::InjectedFault::EstimatePanic(idx)) {
-                panic!("testhook: injected per-sweep panic for candidate {idx}");
+                panic!("testhook: injected panic for candidate {idx}");
             }
             ctx.estimate(&cfg)
         })) {
@@ -1338,9 +1291,7 @@ fn run_sweep(
 
     // One content fingerprint covers the whole sweep: families differ only
     // in work-group size, which is part of the cache key, not the hash.
-    // Capacity 0 is the documented no-cache mode: no lookups, no inserts.
-    let fingerprint = (opts.reuse_analysis && opts.analysis_cache_cap > 0)
-        .then(|| analysis_cache::fingerprint(&func, &platform, workload));
+    let fingerprint = analysis_cache::fingerprint(&func, &platform, workload);
 
     let family_lens: Vec<usize> = (0..set.family_count()).map(|f| set.family_len(f)).collect();
     let total: usize = family_lens.iter().sum();
@@ -1564,85 +1515,39 @@ fn account_families(states: &[FamilyState], stats: &mut DseStats) {
     }
 }
 
-/// Exhaustively explores the design space of `func` on `workload` with the
-/// default [`DseOptions`] (serial, no pruning).
+/// Explores the design space of `func` on `workload` over the knob
+/// [`SweepGrid`] `grid` under `opts` — the one grid sweep entry point.
+///
+/// The [`ConfigSpace`] is decoded chunk by chunk, so a [`SweepGrid::fine`]
+/// or [`SweepGrid::ultra`] grid with 10⁵–10⁶⁺ candidates never
+/// materializes its candidate list. With `opts.prune == false` the
+/// explored points are exactly the enumerated space in enumeration order
+/// (minus failed candidates), bit-identical for every thread count and
+/// chunk size. With pruning, dominated points may be absent, but the
+/// surviving set is still deterministic and [`DseResult::best`] matches
+/// the exhaustive sweep.
+///
+/// `cancel` bounds the sweep: the token is consulted at every chunk-claim
+/// boundary, so an expired deadline or an explicit [`CancelToken::cancel`]
+/// stops it mid-flight (pass `None` for an unbounded sweep). A stopped
+/// sweep discards its incomplete points, so callers can never mistake a
+/// truncated Pareto set for a full one; a sweep that finishes before the
+/// token trips is bit-identical to an unbounded one.
+///
+/// `cache` names the [`AnalysisCache`] the sweep reuses per-family
+/// analyses from and settles new ones into. Pass a fresh cache for a cold
+/// sweep, or hold one across sweeps of the same kernel (a benchmark's
+/// warm repetitions, a server's lifetime) to skip re-profiling. The cache
+/// only changes *where* settled analyses are found — explored points are
+/// bit-identical whichever store is supplied.
 ///
 /// # Errors
 ///
-/// Returns [`FlexclError::Platform`] if the platform description is
-/// invalid. Per-candidate failures do not abort the sweep; they are
-/// recorded in [`DseResult::diagnostics`].
-pub fn explore(
-    func: &Function,
-    platform: &Platform,
-    workload: &Workload,
-) -> Result<DseResult, FlexclError> {
-    explore_with(func, platform, workload, DseOptions::default())
-}
-
-/// Explores the design space of `func` on `workload` under `opts`, over
-/// the [`SweepGrid::standard`] grid.
-///
-/// With `opts.prune == false` the explored points are exactly the
-/// enumerated space in enumeration order (minus failed candidates),
-/// bit-identical for every thread count and chunk size. With pruning,
-/// dominated points may be absent, but the surviving set is still
-/// deterministic and [`DseResult::best`] matches the exhaustive sweep.
-///
-/// # Errors
-///
-/// Returns [`FlexclError::Platform`] if the platform description is
-/// invalid. Per-candidate failures do not abort the sweep; they are
-/// recorded in [`DseResult::diagnostics`].
-pub fn explore_with(
-    func: &Function,
-    platform: &Platform,
-    workload: &Workload,
-    opts: DseOptions,
-) -> Result<DseResult, FlexclError> {
-    explore_space(func, platform, workload, &SweepGrid::standard(), opts)
-}
-
-/// Explores the design space of `func` on `workload` over an explicit
-/// knob [`SweepGrid`] under `opts`.
-///
-/// This is the large-sweep entry point: the [`ConfigSpace`] is decoded
-/// chunk by chunk, so a [`SweepGrid::fine`] or [`SweepGrid::ultra`] grid
-/// with 10⁵–10⁶⁺ candidates never materializes its candidate list. The
-/// determinism guarantees of [`explore_with`] apply unchanged.
-///
-/// # Errors
-///
-/// Returns [`FlexclError::Platform`] if the platform description is
-/// invalid. Per-candidate failures do not abort the sweep; they are
-/// recorded in [`DseResult::diagnostics`].
-pub fn explore_space(
-    func: &Function,
-    platform: &Platform,
-    workload: &Workload,
-    grid: &SweepGrid,
-    opts: DseOptions,
-) -> Result<DseResult, FlexclError> {
-    explore_space_cached(func, platform, workload, grid, opts, None, analysis_cache::global())
-}
-
-/// [`explore_space`] with an explicit cancellation token and analysis
-/// store — the fully-general sweep entry point the others delegate to.
-///
-/// `cancel` bounds the sweep exactly as in [`explore_space_deadline`]
-/// (pass `None` for an unbounded sweep). `cache` names the
-/// [`AnalysisCache`] the sweep reuses per-family analyses from: the
-/// default entry points share one process-wide store, while a serving
-/// deployment passes its own so warm-path reuse is scoped to the server
-/// instance (and dies with it) instead of leaking across tenants of the
-/// process. The cache only changes *where* settled analyses are found —
-/// explored points are bit-identical whichever store is supplied.
-///
-/// # Errors
-///
-/// As [`explore_space_deadline`]: [`FlexclError::Platform`] for an
-/// invalid platform description, [`FlexclError::Deadline`] when a
-/// supplied token trips mid-sweep.
+/// Returns [`FlexclError::Platform`] for an invalid platform description
+/// and [`FlexclError::Deadline`], carrying the partial [`DseStats`], when
+/// the token trips before the sweep covers the space. Per-candidate
+/// failures do not abort the sweep; they are recorded in
+/// [`DseResult::diagnostics`].
 pub fn explore_space_cached(
     func: &Function,
     platform: &Platform,
@@ -1670,36 +1575,10 @@ pub fn explore_space_cached(
     Ok(out.result)
 }
 
-/// Explores a knob grid like [`explore_space`], but bounded by a
-/// [`CancelToken`]: the token is consulted at every chunk-claim boundary,
-/// so an expired deadline or an explicit [`CancelToken::cancel`] stops
-/// the sweep mid-flight instead of letting it run to completion.
+/// Explores an explicit list of candidate configurations under `opts`,
+/// reusing analyses from `cache` like [`explore_space_cached`].
 ///
-/// A stopped sweep returns [`FlexclError::Deadline`] carrying the partial
-/// [`DseStats`] accumulated before the stop; the (incomplete) design
-/// points are discarded so callers can never mistake a truncated Pareto
-/// set for a full one. A sweep that finishes before the token trips is
-/// bit-identical to [`explore_space`] with the same options.
-///
-/// # Errors
-///
-/// Returns [`FlexclError::Platform`] for an invalid platform description
-/// and [`FlexclError::Deadline`] when the token trips before the sweep
-/// covers the space. Per-candidate failures still do not abort the sweep.
-pub fn explore_space_deadline(
-    func: &Function,
-    platform: &Platform,
-    workload: &Workload,
-    grid: &SweepGrid,
-    opts: DseOptions,
-    cancel: &CancelToken,
-) -> Result<DseResult, FlexclError> {
-    explore_space_cached(func, platform, workload, grid, opts, Some(cancel), analysis_cache::global())
-}
-
-/// Explores an explicit list of candidate configurations under `opts`.
-///
-/// This is the fault-injection surface: unlike [`explore_with`], the
+/// This is the fault-injection surface: unlike a grid sweep, the
 /// candidates need not come from [`crate::config::enumerate`] — invalid entries
 /// are diagnosed per candidate ([`ErrorKind::Config`]) and skipped, and
 /// the surviving points are bit-identical to a sweep over only the valid
@@ -1716,6 +1595,7 @@ pub fn explore_configs(
     workload: &Workload,
     configs: &[OptimizationConfig],
     opts: DseOptions,
+    cache: &AnalysisCache,
 ) -> Result<DseResult, FlexclError> {
     let start = Instant::now();
     platform.validate()?;
@@ -1756,7 +1636,7 @@ pub fn explore_configs(
         opts,
         start,
         None,
-        analysis_cache::global(),
+        cache,
     )?;
 
     // The sweep returns points grouped by family; put them back in the
@@ -1786,68 +1666,23 @@ pub fn explore_configs(
 
 /// Test-only fault injection for the DSE panic backstop.
 ///
-/// Hidden from docs and not part of the public API contract: the
-/// fault-injection suite arms a panic for a specific work-group size (the
-/// analysis path) or a specific candidate index (the estimate path) and
-/// asserts the sweep survives, attributes the failure, and leaves every
-/// other point bit-identical. Disarmed state (the default) is a single
-/// relaxed atomic load on the sweep path.
+/// Hidden from docs and not part of the public API contract: a fault is
+/// armed for one sweep through [`DseOptions::inject`](super::DseOptions),
+/// so the fault-injection suite and the serving layer can poison one
+/// sweep while concurrent sweeps in the same process stay clean. Each
+/// test asserts the sweep survives, attributes the failure, and leaves
+/// every other point bit-identical.
 #[doc(hidden)]
 pub mod testhook {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-    /// `0` = disarmed; otherwise the packed work-group to panic on.
-    static ARMED: AtomicU64 = AtomicU64::new(0);
-
-    /// `usize::MAX` = disarmed; otherwise the enumeration index whose
-    /// estimate panics.
-    static ESTIMATE_ARMED: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-    fn pack(wg: (u32, u32)) -> u64 {
-        (u64::from(wg.0) << 32) | u64::from(wg.1)
-    }
-
-    /// Arms an injected panic for analyses of work-group `wg`.
-    pub fn arm_panic(wg: (u32, u32)) {
-        ARMED.store(pack(wg), Ordering::SeqCst);
-    }
-
-    /// Arms an injected panic for the estimate of the candidate at
-    /// enumeration index `index`.
-    pub fn arm_estimate_panic(index: usize) {
-        ESTIMATE_ARMED.store(index, Ordering::SeqCst);
-    }
-
-    /// Disarms all injected panics.
-    pub fn disarm() {
-        ARMED.store(0, Ordering::SeqCst);
-        ESTIMATE_ARMED.store(usize::MAX, Ordering::SeqCst);
-    }
-
-    pub(crate) fn maybe_panic(wg: (u32, u32)) {
-        if pack(wg) != 0 && ARMED.load(Ordering::Relaxed) == pack(wg) {
-            panic!("testhook: injected panic for work-group {}x{}", wg.0, wg.1);
-        }
-    }
-
-    pub(crate) fn maybe_panic_estimate(index: usize) {
-        if ESTIMATE_ARMED.load(Ordering::Relaxed) == index {
-            panic!("testhook: injected panic for candidate {index}");
-        }
-    }
-
-    /// A fault armed for a *single sweep* via
-    /// [`DseOptions::inject`](super::DseOptions), as opposed to the
-    /// process-global `arm_*` hooks above. Per-sweep injection is what the
-    /// serving layer uses to poison one request while concurrent sweeps in
-    /// the same process stay clean — the global hooks would leak across
-    /// requests.
+    /// A fault armed for a single sweep via
+    /// [`DseOptions::inject`](super::DseOptions).
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum InjectedFault {
-        /// Panic inside the family analysis of every work-group in this
-        /// sweep (caught by the per-family backstop; the whole sweep
-        /// degrades to `ErrorKind::Panic` diagnostics).
-        AnalysisPanic,
+        /// Panic inside the family analysis of work-group `Some(wg)`, or
+        /// of every work-group with `None` (caught by the per-family
+        /// backstop; the poisoned families degrade to `ErrorKind::Panic`
+        /// diagnostics).
+        AnalysisPanic(Option<(u32, u32)>),
         /// Panic inside the estimate of the candidate at this enumeration
         /// index (caught by the per-chunk backstop; only that candidate is
         /// skipped).
@@ -1896,6 +1731,12 @@ mod tests {
         (f, w)
     }
 
+    /// A standard-grid sweep with a fresh analysis cache.
+    fn sweep(f: &Function, p: &Platform, w: &Workload, opts: DseOptions) -> DseResult {
+        let grid = SweepGrid::standard();
+        explore_space_cached(f, p, w, &grid, opts, None, &AnalysisCache::new()).expect("dse")
+    }
+
     fn assert_points_identical(a: &DseResult, b: &DseResult) {
         assert_eq!(a.points.len(), b.points.len());
         for (pa, pb) in a.points.iter().zip(&b.points) {
@@ -1907,7 +1748,7 @@ mod tests {
     #[test]
     fn sweep_covers_hundreds_of_points_quickly() {
         let (f, w) = vadd();
-        let result = explore(&f, &Platform::virtex7_adm7v3(), &w).expect("dse");
+        let result = sweep(&f, &Platform::virtex7_adm7v3(), &w, DseOptions::default());
         assert!(result.points.len() >= 100, "{} points", result.points.len());
         assert!(result.feasible_count() > result.points.len() / 2);
         assert!(result.diagnostics.is_clean(), "{:?}", result.diagnostics);
@@ -1921,7 +1762,7 @@ mod tests {
     #[test]
     fn best_point_beats_baseline() {
         let (f, w) = vadd();
-        let result = explore(&f, &Platform::virtex7_adm7v3(), &w).expect("dse");
+        let result = sweep(&f, &Platform::virtex7_adm7v3(), &w, DseOptions::default());
         let speedup = result.speedup_over_baseline().expect("speedup");
         assert!(speedup > 5.0, "speedup {speedup}");
         let best = result.best().expect("best");
@@ -1931,7 +1772,7 @@ mod tests {
     #[test]
     fn barrier_kernel_space_restricted() {
         let (f, w) = barrier_kernel();
-        let result = explore(&f, &Platform::virtex7_adm7v3(), &w).expect("dse");
+        let result = sweep(&f, &Platform::virtex7_adm7v3(), &w, DseOptions::default());
         assert!(result
             .points
             .iter()
@@ -1943,9 +1784,8 @@ mod tests {
         // vadd has no barrier, so its space includes pipeline-mode points.
         let (f, w) = vadd();
         let platform = Platform::virtex7_adm7v3();
-        let serial = explore(&f, &platform, &w).expect("serial");
-        let parallel =
-            explore_with(&f, &platform, &w, DseOptions::parallel(4)).expect("parallel");
+        let serial = sweep(&f, &platform, &w, DseOptions::default());
+        let parallel = sweep(&f, &platform, &w, DseOptions { threads: 4, ..DseOptions::default() });
         assert!(serial
             .points
             .iter()
@@ -1957,9 +1797,8 @@ mod tests {
     fn parallel_sweep_is_bit_identical_for_barrier_kernel() {
         let (f, w) = barrier_kernel();
         let platform = Platform::virtex7_adm7v3();
-        let serial = explore(&f, &platform, &w).expect("serial");
-        let parallel =
-            explore_with(&f, &platform, &w, DseOptions::parallel(3)).expect("parallel");
+        let serial = sweep(&f, &platform, &w, DseOptions::default());
+        let parallel = sweep(&f, &platform, &w, DseOptions { threads: 3, ..DseOptions::default() });
         assert_points_identical(&serial, &parallel);
     }
 
@@ -1969,31 +1808,23 @@ mod tests {
         // switches; the merged result must not care.
         let (f, w) = vadd();
         let platform = Platform::virtex7_adm7v3();
-        let serial = explore(&f, &platform, &w).expect("serial");
-        let chunked = explore_with(
-            &f,
-            &platform,
-            &w,
-            DseOptions { threads: 4, chunk_size: 5, ..DseOptions::default() },
-        )
-        .expect("chunked");
+        let serial = sweep(&f, &platform, &w, DseOptions::default());
+        let opts = DseOptions { threads: 4, chunk_size: 5, ..DseOptions::default() };
+        let chunked = sweep(&f, &platform, &w, opts);
         assert_points_identical(&serial, &chunked);
         assert!(chunked.stats.chunks_processed > serial.stats.chunks_processed);
     }
 
     #[test]
-    fn explore_space_standard_grid_matches_explore_with() {
+    fn standard_grid_matches_enumerated_configs() {
         let (f, w) = vadd();
         let platform = Platform::virtex7_adm7v3();
-        let via_enumerate = explore(&f, &platform, &w).expect("explore");
-        let via_space = explore_space(
-            &f,
-            &platform,
-            &w,
-            &SweepGrid::standard(),
-            DseOptions::default(),
-        )
-        .expect("explore_space");
+        let configs = crate::config::enumerate(&limits_for(&f, &w));
+        let opts = DseOptions::default();
+        let via_enumerate =
+            explore_configs(&f, &platform, &w, &configs, opts, &AnalysisCache::new())
+                .expect("explore_configs");
+        let via_space = sweep(&f, &platform, &w, opts);
         assert_points_identical(&via_enumerate, &via_space);
     }
 
@@ -2001,14 +1832,8 @@ mod tests {
     fn pruned_sweep_finds_the_same_best() {
         let (f, w) = vadd();
         let platform = Platform::virtex7_adm7v3();
-        let full = explore(&f, &platform, &w).expect("exhaustive");
-        let pruned = explore_with(
-            &f,
-            &platform,
-            &w,
-            DseOptions { prune: true, ..DseOptions::default() },
-        )
-        .expect("pruned");
+        let full = sweep(&f, &platform, &w, DseOptions::default());
+        let pruned = sweep(&f, &platform, &w, DseOptions { prune: true, ..DseOptions::default() });
         assert!(pruned.points.len() <= full.points.len());
         let (fb, pb) = (full.best().expect("full best"), pruned.best().expect("pruned best"));
         assert_eq!(fb.config, pb.config);
@@ -2031,21 +1856,10 @@ mod tests {
         // function of the schedule order, not of thread timing.
         let (f, w) = vadd();
         let platform = Platform::virtex7_adm7v3();
-        let reference = explore_with(
-            &f,
-            &platform,
-            &w,
-            DseOptions { prune: true, threads: 1, ..DseOptions::default() },
-        )
-        .expect("reference");
+        let pruned = |threads| DseOptions { prune: true, threads, ..DseOptions::default() };
+        let reference = sweep(&f, &platform, &w, pruned(1));
         for threads in [2, 4, 8] {
-            let parallel = explore_with(
-                &f,
-                &platform,
-                &w,
-                DseOptions { prune: true, threads, ..DseOptions::default() },
-            )
-            .expect("parallel pruned");
+            let parallel = sweep(&f, &platform, &w, pruned(threads));
             assert_points_identical(&reference, &parallel);
         }
     }
@@ -2053,7 +1867,7 @@ mod tests {
     #[test]
     fn tie_breaks_are_deterministic() {
         let (f, w) = vadd();
-        let result = explore(&f, &Platform::virtex7_adm7v3(), &w).expect("dse");
+        let result = sweep(&f, &Platform::virtex7_adm7v3(), &w, DseOptions::default());
         // best() must return the earliest enumerated point among minima.
         let best = result.best().expect("best");
         let min_cycles = best.estimate.cycles;
@@ -2069,7 +1883,9 @@ mod tests {
     fn invalid_platform_is_rejected_up_front() {
         let (f, w) = vadd();
         let bad = Platform { global_ports: 0, ..Platform::virtex7_adm7v3() };
-        let err = explore(&f, &bad, &w).unwrap_err();
+        let (grid, opts) = (SweepGrid::standard(), DseOptions::default());
+        let err = explore_space_cached(&f, &bad, &w, &grid, opts, None, &AnalysisCache::new())
+            .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Platform);
     }
 
@@ -2243,12 +2059,93 @@ mod tests {
         }
     }
 
+    /// FIFO eviction at a small cap passed straight to `insert`, eviction
+    /// counting in a sweep over a full cache, and points that no cache
+    /// state can change.
+    #[test]
+    fn small_cache_caps_evict_fifo_and_account_hit_rates() {
+        let (f, w) = vadd();
+        let platform = Platform::virtex7_adm7v3();
+        let opts = DseOptions::default();
+        let grid = SweepGrid::standard();
+        let run = |cache: &AnalysisCache| {
+            explore_space_cached(&f, &platform, &w, &grid, opts, None, cache).expect("sweep")
+        };
+
+        // Cold: every family misses and settles into the cache.
+        let warm_cache = AnalysisCache::new();
+        let cold = run(&warm_cache);
+        let families = cold.stats.families_analyzed;
+        assert!(families > 2, "need more families ({families}) than the cap");
+        assert_eq!(warm_cache.len(), families);
+        assert_eq!((cold.stats.analysis_cache_hits, cold.stats.analysis_cache_evictions), (0, 0));
+        assert_eq!(cold.stats.analysis_cache_hit_rate(), 0.0);
+
+        // The cold sweep's keys and analyses, in family order.
+        let mut work_groups: Vec<(u32, u32)> = Vec::new();
+        for p in &cold.points {
+            if !work_groups.contains(&p.config.work_group) {
+                work_groups.push(p.config.work_group);
+            }
+        }
+        assert_eq!(work_groups.len(), families);
+        let fingerprint = analysis_cache::fingerprint(&f, &platform, &w);
+        let key = |work_group| analysis_cache::Key { fingerprint, work_group, fuel: opts.fuel };
+        let entries: Vec<_> = work_groups
+            .iter()
+            .map(|&wg| (key(wg), warm_cache.lookup(&key(wg)).expect("settled analysis")))
+            .collect();
+
+        // FIFO at cap 2: the first two inserts fit, every later one evicts
+        // exactly the oldest entry, and a duplicate insert is a no-op.
+        let small = AnalysisCache::new();
+        let evictions: Vec<u64> =
+            entries.iter().map(|(k, a)| small.insert(k.clone(), a, 2)).collect();
+        let mut expected = vec![0, 0];
+        expected.resize(families, 1);
+        assert_eq!(evictions, expected);
+        let (last_key, last) = &entries[families - 1];
+        assert_eq!(small.insert(last_key.clone(), last, 2), 0);
+        assert_eq!(small.len(), 2);
+        let resident: Vec<bool> = entries.iter().map(|(k, _)| small.lookup(k).is_some()).collect();
+        assert_eq!(resident.iter().filter(|&&r| r).count(), 2);
+        assert!(resident[families - 2] && resident[families - 1], "{resident:?}");
+
+        // The two resident families hit; the rest repopulate under the
+        // sweep's own capacity without evicting.
+        let partial = run(&small);
+        assert_eq!(partial.stats.analysis_cache_hits, 2);
+        assert_eq!(partial.stats.analysis_cache_misses, families as u64 - 2);
+        assert_eq!(partial.stats.analysis_cache_evictions, 0);
+
+        // A cache already at capacity evicts once per inserted family.
+        let full = AnalysisCache::new();
+        for i in 0..analysis_cache::CAP as u64 {
+            let junk = analysis_cache::Key { fingerprint: (i, !i), ..key((1, 1)) };
+            full.insert(junk, &entries[0].1, analysis_cache::CAP);
+        }
+        let churned = run(&full);
+        assert_eq!(churned.stats.analysis_cache_misses, families as u64);
+        assert_eq!(churned.stats.analysis_cache_evictions, families as u64);
+        assert_eq!(full.len(), analysis_cache::CAP);
+
+        // Fully warm: every family hits.
+        let warm = run(&warm_cache);
+        assert_eq!(warm.stats.analysis_cache_hits, families as u64);
+        assert_eq!(warm.stats.analysis_cache_hit_rate(), 1.0);
+
+        // Eviction and cache state never touch the modelled result.
+        for other in [&partial, &churned, &warm] {
+            assert_points_identical(&cold, other);
+        }
+    }
+
     #[test]
     fn sweep_reports_merge_time() {
         let (f, w) = vadd();
         let platform = Platform::virtex7_adm7v3();
         let opts = DseOptions { threads: 2, chunk_size: 7, prune: true, ..DseOptions::default() };
-        let r = explore_with(&f, &platform, &w, opts).expect("sweep");
+        let r = sweep(&f, &platform, &w, opts);
         assert!(r.stats.merge_nanos > 0);
         assert!(r.stats.merge_nanos <= r.elapsed.as_nanos() as u64);
         assert!(r.stats.to_string().contains(", merge "));
@@ -2283,7 +2180,8 @@ mod tests {
             OptimizationConfig { work_item_pipeline: true, ..OptimizationConfig::baseline((32, 1)) },
             OptimizationConfig { work_item_pipeline: true, ..OptimizationConfig::baseline((64, 1)) },
         ];
-        let r = explore_configs(&f, &platform, &w, &configs, DseOptions::default())
+        let opts = DseOptions::default();
+        let r = explore_configs(&f, &platform, &w, &configs, opts, &AnalysisCache::new())
             .expect("sweep");
         assert!(r.diagnostics.is_clean());
         let got: Vec<_> = r.points.iter().map(|p| p.config).collect();

@@ -68,9 +68,8 @@ pub use config::{
     OptimizationConfig, SweepGrid, MAX_COARSEN, MAX_TEMPORAL_DEPTH,
 };
 pub use dse::{
-    explore, explore_configs, explore_space, explore_space_cached, explore_space_deadline,
-    explore_with, limits_for, AnalysisCache, CancelToken, DesignPoint, DiagnosticsReport,
-    DseOptions, DseResult, DseStats, FailedPoint,
+    explore_configs, explore_space_cached, limits_for, AnalysisCache, CancelToken, DesignPoint,
+    DiagnosticsReport, DseOptions, DseResult, DseStats, FailedPoint,
 };
 pub use error::{ErrorKind, FlexclError};
 pub use eval::{EvalContext, EvalStats};
@@ -136,7 +135,11 @@ impl FlexCl {
         KernelAnalysis::analyze(&func, &self.platform, workload, work_group)
     }
 
-    /// Exhaustively explores the design space of a kernel.
+    /// Compiles `src` and exhaustively explores kernel `name` over the
+    /// [`SweepGrid::standard`] grid with the default [`DseOptions`] and a
+    /// fresh [`AnalysisCache`]. For other grids, options, a deadline or a
+    /// cache held across sweeps, lower the kernel and call
+    /// [`explore_space_cached`].
     ///
     /// # Errors
     ///
@@ -149,30 +152,14 @@ impl FlexCl {
         name: &str,
         workload: &Workload,
     ) -> Result<DseResult, FlexclError> {
-        self.explore_source_with(src, name, workload, DseOptions::default())
-    }
-
-    /// [`Self::explore_source`] with explicit sweep options (worker
-    /// threads, branch-and-bound pruning, profiling fuel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlexclError`] on frontend, lowering or platform-validation
-    /// failures. Per-candidate failures during the sweep are recorded in
-    /// [`DseResult::diagnostics`] instead of aborting.
-    pub fn explore_source_with(
-        &self,
-        src: &str,
-        name: &str,
-        workload: &Workload,
-        opts: DseOptions,
-    ) -> Result<DseResult, FlexclError> {
         let program = flexcl_frontend::parse_and_check(src)?;
         let kernel = program
             .kernel(name)
             .ok_or_else(|| FlexclError::NoSuchKernel { name: name.to_string() })?;
         let func = flexcl_ir::lower_kernel(kernel)?;
-        dse::explore_with(&func, &self.platform, workload, opts)
+        let (grid, cache) = (SweepGrid::standard(), AnalysisCache::new());
+        let opts = DseOptions::default();
+        explore_space_cached(&func, &self.platform, workload, &grid, opts, None, &cache)
     }
 }
 

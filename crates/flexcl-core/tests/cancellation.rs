@@ -10,14 +10,14 @@
 //!   bounded by the full sweep's totals;
 //! * a fresh uncancelled sweep afterwards is bit-identical to the
 //!   reference, i.e. cancellation cannot corrupt shared state (the
-//!   process-wide analysis cache, interned analyses);
+//!   analysis cache every sweep in this file shares, interned analyses);
 //! * a token tripped *before* the first claim yields zero-point stats.
 
 use flexcl_core::config::SweepGrid;
 use flexcl_core::dse::CancelToken;
 use flexcl_core::{
-    explore_space, explore_space_deadline, DseOptions, DseResult, ErrorKind, FlexclError,
-    Platform, Workload,
+    explore_space_cached, AnalysisCache, DseOptions, DseResult, ErrorKind, FlexclError, Platform,
+    Workload,
 };
 use flexcl_interp::KernelArg;
 use flexcl_ir::Function;
@@ -52,12 +52,19 @@ fn opts(threads: usize) -> DseOptions {
     DseOptions { threads, chunk_size: 8, ..DseOptions::default() }
 }
 
+/// Sweeps the fixture's standard grid through one analysis cache shared
+/// by every sweep in this file, so a cancelled sweep's settled analyses
+/// are what the next sweep reuses.
+fn sweep(threads: usize, cancel: Option<&CancelToken>) -> Result<DseResult, FlexclError> {
+    static CACHE: OnceLock<AnalysisCache> = OnceLock::new();
+    let (f, w, platform) = fixture();
+    let cache = CACHE.get_or_init(AnalysisCache::new);
+    explore_space_cached(f, platform, w, &SweepGrid::standard(), opts(threads), cancel, cache)
+}
+
 fn reference() -> &'static DseResult {
     static R: OnceLock<DseResult> = OnceLock::new();
-    R.get_or_init(|| {
-        let (f, w, platform) = fixture();
-        explore_space(f, platform, w, &SweepGrid::standard(), opts(1)).expect("reference")
-    })
+    R.get_or_init(|| sweep(1, None).expect("reference"))
 }
 
 fn assert_points_identical(a: &DseResult, b: &DseResult) {
@@ -79,10 +86,9 @@ proptest! {
         trip_after in 0u64..60,
         threads in proptest::sample::select(vec![1usize, 2, 4]),
     ) {
-        let (f, w, platform) = fixture();
         let full = reference();
         let token = CancelToken::after_checkpoints(trip_after);
-        let out = explore_space_deadline(f, platform, w, &SweepGrid::standard(), opts(threads), &token);
+        let out = sweep(threads, Some(&token));
         match out {
             Err(FlexclError::Deadline { detail, stats, .. }) => {
                 prop_assert!(token.is_cancelled());
@@ -97,17 +103,15 @@ proptest! {
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
         }
         // Cancellation must not poison shared state for the next caller.
-        let rerun = explore_space(f, platform, w, &SweepGrid::standard(), opts(threads))
-            .expect("uncancelled rerun");
+        let rerun = sweep(threads, None).expect("uncancelled rerun");
         assert_points_identical(full, &rerun);
     }
 }
 
 #[test]
 fn kind_is_deadline_and_error_kind_maps() {
-    let (f, w, platform) = fixture();
     let token = CancelToken::after_checkpoints(0);
-    let err = explore_space_deadline(f, platform, w, &SweepGrid::standard(), opts(1), &token)
+    let err = sweep(1, Some(&token))
         .expect_err("tripped before the first claim");
     assert_eq!(err.kind(), ErrorKind::Deadline);
     let FlexclError::Deadline { stats, .. } = err else { panic!("wrong variant: {err}") };
@@ -117,10 +121,9 @@ fn kind_is_deadline_and_error_kind_maps() {
 
 #[test]
 fn explicit_cancel_stops_a_sweep_and_reports_cancelled() {
-    let (f, w, platform) = fixture();
     let token = CancelToken::new();
     token.cancel();
-    let err = explore_space_deadline(f, platform, w, &SweepGrid::standard(), opts(2), &token)
+    let err = sweep(2, Some(&token))
         .expect_err("pre-cancelled token");
     let FlexclError::Deadline { detail, .. } = &err else { panic!("wrong variant: {err}") };
     assert_eq!(detail, "cancelled");
@@ -128,9 +131,8 @@ fn explicit_cancel_stops_a_sweep_and_reports_cancelled() {
 
 #[test]
 fn elapsed_deadline_reports_deadline_exceeded() {
-    let (f, w, platform) = fixture();
     let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-    let err = explore_space_deadline(f, platform, w, &SweepGrid::standard(), opts(1), &token)
+    let err = sweep(1, Some(&token))
         .expect_err("already-expired deadline");
     let FlexclError::Deadline { detail, .. } = &err else { panic!("wrong variant: {err}") };
     assert_eq!(detail, "deadline exceeded");
@@ -138,9 +140,8 @@ fn elapsed_deadline_reports_deadline_exceeded() {
 
 #[test]
 fn far_future_deadline_completes_identically() {
-    let (f, w, platform) = fixture();
     let token = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
-    let result = explore_space_deadline(f, platform, w, &SweepGrid::standard(), opts(2), &token)
+    let result = sweep(2, Some(&token))
         .expect("sweep under a generous deadline");
     assert_points_identical(reference(), &result);
     assert!(!token.is_cancelled());

@@ -15,7 +15,7 @@
 //!   `ConfigSpace::iter()` order, repaired chunks included.
 
 use flexcl_core::{
-    explore_space, explore_with, limits_for, ConfigSpace, DseOptions, DseResult, Platform,
+    explore_space_cached, limits_for, AnalysisCache, ConfigSpace, DseOptions, DseResult, Platform,
     SweepGrid, Workload,
 };
 use flexcl_interp::KernelArg;
@@ -49,20 +49,31 @@ fn fixture() -> &'static (Function, Workload, Platform) {
     })
 }
 
+/// Sweeps `grid` through one analysis cache shared by every sweep in
+/// this file, which keeps the per-case sweeps cheap.
+fn sweep_grid(
+    f: &Function,
+    platform: &Platform,
+    w: &Workload,
+    grid: &SweepGrid,
+    opts: DseOptions,
+) -> DseResult {
+    static CACHE: OnceLock<AnalysisCache> = OnceLock::new();
+    let cache = CACHE.get_or_init(AnalysisCache::new);
+    explore_space_cached(f, platform, w, grid, opts, None, cache).expect("sweep")
+}
+
 /// The serial exhaustive reference every case compares against. Computed
-/// once; the process-wide analysis cache keeps the per-case sweeps cheap.
+/// once.
 fn serial_exhaustive() -> &'static DseResult {
     static R: OnceLock<DseResult> = OnceLock::new();
-    R.get_or_init(|| {
-        let (f, w, platform) = fixture();
-        explore_with(f, platform, w, DseOptions::default()).expect("serial sweep")
-    })
+    R.get_or_init(|| sweep(1, 0, false))
 }
 
 fn sweep(threads: usize, chunk_size: usize, prune: bool) -> DseResult {
     let (f, w, platform) = fixture();
     let opts = DseOptions { threads, chunk_size, prune, ..DseOptions::default() };
-    explore_with(f, platform, w, opts).expect("sweep")
+    sweep_grid(f, platform, w, &SweepGrid::standard(), opts)
 }
 
 fn assert_points_identical(a: &DseResult, b: &DseResult) {
@@ -122,7 +133,7 @@ fn fine_grid_with_new_axes_is_deterministic_across_threads() {
     let (f, w, platform) = stencil_fixture();
     let run = |threads: usize, prune: bool| {
         let opts = DseOptions { threads, chunk_size: 37, prune, ..DseOptions::default() };
-        explore_space(f, platform, w, &SweepGrid::fine(), opts).expect("fine sweep")
+        sweep_grid(f, platform, w, &SweepGrid::fine(), opts)
     };
     for prune in [false, true] {
         let reference = run(1, prune);
@@ -156,7 +167,7 @@ fn sweeps_return_points_in_enumeration_order() {
             for threads in [2usize, 4, 8] {
                 for prune in [false, true] {
                     let opts = DseOptions { threads, chunk_size, prune, ..DseOptions::default() };
-                    let r = explore_space(f, platform, w, grid, opts).expect("sweep");
+                    let r = sweep_grid(f, platform, w, grid, opts);
                     let ctx =
                         format!("{} chunk={chunk_size} threads={threads} prune={prune}", f.name);
                     if !prune {

@@ -15,8 +15,8 @@
 //! at threads ∈ {1, 3} and chunk sizes ∈ {1, 7, default}.
 
 use flexcl_core::{
-    enumerate, explore_configs, explore_with, limits_for, DseOptions, DseResult, ErrorKind,
-    Estimate, OptimizationConfig, Platform, Workload,
+    enumerate, explore_configs, explore_space_cached, limits_for, AnalysisCache, DseOptions,
+    DseResult, ErrorKind, Estimate, OptimizationConfig, Platform, SweepGrid, Workload,
 };
 use flexcl_interp::KernelArg;
 use flexcl_ir::Function;
@@ -46,12 +46,20 @@ fn fixture() -> &'static (Function, Workload, Platform) {
     })
 }
 
+/// The analysis cache every sweep in this file reuses from.
+fn cache() -> &'static AnalysisCache {
+    static C: OnceLock<AnalysisCache> = OnceLock::new();
+    C.get_or_init(AnalysisCache::new)
+}
+
 /// The enumerated sweep every explicit sweep is compared against.
 fn enumerated() -> &'static DseResult {
     static R: OnceLock<DseResult> = OnceLock::new();
     R.get_or_init(|| {
         let (f, w, platform) = fixture();
-        explore_with(f, platform, w, DseOptions::default()).expect("enumerated sweep")
+        let grid = SweepGrid::standard();
+        explore_space_cached(f, platform, w, &grid, DseOptions::default(), None, cache())
+            .expect("enumerated sweep")
     })
 }
 
@@ -119,7 +127,8 @@ fn shuffled_list_comes_back_in_caller_order() {
     for threads in [1usize, 3] {
         for chunk_size in [1usize, 7, 0] {
             let opts = DseOptions { threads, chunk_size, ..DseOptions::default() };
-            let r = explore_configs(f, platform, w, &configs, opts).expect("explicit sweep");
+            let r =
+                explore_configs(f, platform, w, &configs, opts, cache()).expect("explicit sweep");
             let ctx = format!("threads={threads} chunk_size={chunk_size}");
 
             let got: Vec<OptimizationConfig> = r.points.iter().map(|p| p.config).collect();
@@ -146,7 +155,7 @@ fn pruned_shuffled_list_is_an_in_order_subsequence() {
     let (configs, invalid) = shuffled_with_invalid();
     let run = |threads: usize, chunk_size: usize| {
         let opts = DseOptions { threads, chunk_size, prune: true, ..DseOptions::default() };
-        explore_configs(f, platform, w, &configs, opts).expect("pruned explicit sweep")
+        explore_configs(f, platform, w, &configs, opts, cache()).expect("pruned explicit sweep")
     };
     for chunk_size in [1usize, 7, 0] {
         let serial = run(1, chunk_size);

@@ -20,31 +20,34 @@
 //! survivor set independent of thread timing (see
 //! `tests/chunk_determinism.rs`).
 
-use flexcl_core::dse::testhook;
+use flexcl_core::dse::testhook::InjectedFault;
 use flexcl_core::{
-    enumerate, explore_configs, explore_with, limits_for, DseOptions, DseResult, ErrorKind,
-    OptimizationConfig, Platform, ProfileFuel, Workload,
+    enumerate, explore_configs, explore_space_cached, limits_for, AnalysisCache, DseOptions,
+    DseResult, ErrorKind, FlexclError, OptimizationConfig, Platform, ProfileFuel, SweepGrid,
+    Workload,
 };
 use flexcl_interp::KernelArg;
-use std::sync::Mutex;
 
-/// The testhook's armed state is process-global and an armed panic would
-/// leak into any concurrently running sweep, so every test in this file
-/// serializes on this lock (poison-tolerant: a failed test must not
-/// cascade into the others).
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn serialize() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// A standard-grid sweep over `cache`.
+fn sweep(
+    f: &flexcl_ir::Function,
+    platform: &Platform,
+    w: &Workload,
+    opts: DseOptions,
+    cache: &AnalysisCache,
+) -> Result<DseResult, FlexclError> {
+    explore_space_cached(f, platform, w, &SweepGrid::standard(), opts, None, cache)
 }
 
-/// Disarms the injected panic even if the test itself fails.
-struct Disarm;
-
-impl Drop for Disarm {
-    fn drop(&mut self) {
-        testhook::disarm();
-    }
+/// An explicit-list sweep with a fresh analysis cache.
+fn sweep_configs(
+    f: &flexcl_ir::Function,
+    platform: &Platform,
+    w: &Workload,
+    configs: &[OptimizationConfig],
+) -> DseResult {
+    explore_configs(f, platform, w, configs, DseOptions::default(), &AnalysisCache::new())
+        .expect("clean sweep")
 }
 
 fn compile(src: &str) -> flexcl_ir::Function {
@@ -70,6 +73,14 @@ fn vadd() -> (flexcl_ir::Function, Workload) {
     (f, w)
 }
 
+/// Distinct work-group families among `configs`.
+fn family_count(configs: &[OptimizationConfig]) -> usize {
+    let mut wgs: Vec<(u32, u32)> = configs.iter().map(|c| c.work_group).collect();
+    wgs.sort_unstable();
+    wgs.dedup();
+    wgs.len()
+}
+
 fn assert_points_identical(a: &DseResult, b: &DseResult) {
     assert_eq!(a.points.len(), b.points.len(), "point counts differ");
     for (pa, pb) in a.points.iter().zip(&b.points) {
@@ -80,7 +91,6 @@ fn assert_points_identical(a: &DseResult, b: &DseResult) {
 
 #[test]
 fn poisoned_configs_are_skipped_and_survivors_are_bit_identical() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let platform = Platform::virtex7_adm7v3();
     let valid = enumerate(&limits_for(&f, &w));
@@ -97,14 +107,13 @@ fn poisoned_configs_are_skipped_and_survivors_are_bit_identical() {
         poisoned.insert(at, cfg);
     }
 
-    let clean = explore_configs(&f, &platform, &w, &valid, DseOptions::default())
-        .expect("clean sweep");
+    let clean = sweep_configs(&f, &platform, &w, &valid);
     assert!(clean.diagnostics.is_clean());
 
     for threads in [1, 3] {
         let opts = DseOptions { threads, ..DseOptions::default() };
-        let result =
-            explore_configs(&f, &platform, &w, &poisoned, opts).expect("poisoned sweep");
+        let result = explore_configs(&f, &platform, &w, &poisoned, opts, &AnalysisCache::new())
+            .expect("poisoned sweep");
         assert_eq!(result.diagnostics.skipped_count(), poison.len());
         assert_eq!(result.diagnostics.count_of(ErrorKind::Config), poison.len());
         // Failures are attributed to the exact candidates, in order.
@@ -119,7 +128,6 @@ fn poisoned_configs_are_skipped_and_survivors_are_bit_identical() {
 
 #[test]
 fn runaway_kernel_exhausts_fuel_instead_of_hanging() {
-    let _guard = serialize();
     let f = compile(
         "__kernel void spin(__global float* a) {
             int i = get_global_id(0);
@@ -137,7 +145,8 @@ fn runaway_kernel_exhausts_fuel_instead_of_hanging() {
         ..DseOptions::default()
     };
 
-    let result = explore_with(&f, &platform, &w, opts).expect("sweep completes");
+    let cache = AnalysisCache::new();
+    let result = sweep(&f, &platform, &w, opts, &cache).expect("sweep completes");
     // Every family burns through the budget during profiling: no points,
     // every enumerated candidate attributed as a resource-limit failure.
     assert!(result.points.is_empty());
@@ -146,29 +155,28 @@ fn runaway_kernel_exhausts_fuel_instead_of_hanging() {
     assert_eq!(result.diagnostics.count_of(ErrorKind::ResourceLimit), n);
     assert!(result.diagnostics.failed[0].message.contains("spin"));
     // The same budget parallelized reports the same failures.
-    let par = explore_with(&f, &platform, &w, DseOptions { threads: 3, ..opts })
+    let par = sweep(&f, &platform, &w, DseOptions { threads: 3, ..opts }, &cache)
         .expect("parallel sweep completes");
     assert_eq!(par.diagnostics, result.diagnostics);
 }
 
 #[test]
 fn corrupt_platform_table_is_rejected_up_front() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let no_ports =
         Platform { local_read_ports_per_bank: 0, ..Platform::virtex7_adm7v3() };
-    let err = explore_with(&f, &no_ports, &w, DseOptions::default()).unwrap_err();
+    let cache = AnalysisCache::new();
+    let err = sweep(&f, &no_ports, &w, DseOptions::default(), &cache).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Platform);
     assert!(err.to_string().contains("read port"), "{err}");
 
     let nan_clock = Platform { frequency_mhz: f64::NAN, ..Platform::virtex7_adm7v3() };
-    let err = explore_with(&f, &nan_clock, &w, DseOptions::default()).unwrap_err();
+    let err = sweep(&f, &nan_clock, &w, DseOptions::default(), &cache).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Platform);
 }
 
 #[test]
 fn injected_panic_is_contained_and_attributed() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let platform = Platform::virtex7_adm7v3();
     let all = enumerate(&limits_for(&f, &w));
@@ -176,15 +184,19 @@ fn injected_panic_is_contained_and_attributed() {
         all.iter().copied().filter(|c| c.work_group != (64, 1)).collect();
     assert!(survivors.len() < all.len(), "the (64,1) family must exist");
 
-    let clean = explore_configs(&f, &platform, &w, &survivors, DseOptions::default())
-        .expect("clean sweep");
+    let clean = sweep_configs(&f, &platform, &w, &survivors);
+
+    // Warm the cache with every family, the poisoned one included: the
+    // injected fault must fire before the cache lookup, so a resident
+    // analysis cannot hide it.
+    let cache = AnalysisCache::new();
+    sweep(&f, &platform, &w, DseOptions::default(), &cache).expect("warm-up sweep");
+    assert_eq!(cache.len(), family_count(&all));
 
     for threads in [1, 4] {
-        let _disarm = Disarm;
-        testhook::arm_panic((64, 1));
-        let opts = DseOptions { threads, ..DseOptions::default() };
-        let result = explore_with(&f, &platform, &w, opts).expect("sweep survives the panic");
-        testhook::disarm();
+        let inject = Some(InjectedFault::AnalysisPanic(Some((64, 1))));
+        let opts = DseOptions { threads, inject, ..DseOptions::default() };
+        let result = sweep(&f, &platform, &w, opts, &cache).expect("sweep survives the panic");
 
         let poisoned_family = all.iter().filter(|c| c.work_group == (64, 1)).count();
         assert_eq!(result.diagnostics.skipped_count(), poisoned_family);
@@ -201,7 +213,6 @@ fn injected_panic_is_contained_and_attributed() {
 
 #[test]
 fn estimate_panic_is_isolated_to_one_candidate() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let platform = Platform::virtex7_adm7v3();
     let all = enumerate(&limits_for(&f, &w));
@@ -217,16 +228,14 @@ fn estimate_panic_is_isolated_to_one_candidate() {
         .filter(|&(i, _)| i != victim)
         .map(|(_, c)| c)
         .collect();
-    let clean = explore_configs(&f, &platform, &w, &survivors, DseOptions::default())
-        .expect("clean sweep");
+    let clean = sweep_configs(&f, &platform, &w, &survivors);
 
+    let cache = AnalysisCache::new();
     for threads in [1, 4] {
         // Small chunks so the poisoned family spans many chunks.
-        let opts = DseOptions { threads, chunk_size: 7, ..DseOptions::default() };
-        let _disarm = Disarm;
-        testhook::arm_estimate_panic(victim);
-        let result = explore_with(&f, &platform, &w, opts).expect("sweep survives the panic");
-        testhook::disarm();
+        let inject = Some(InjectedFault::EstimatePanic(victim));
+        let opts = DseOptions { threads, chunk_size: 7, inject, ..DseOptions::default() };
+        let result = sweep(&f, &platform, &w, opts, &cache).expect("sweep survives the panic");
 
         assert_eq!(result.diagnostics.skipped_count(), 1);
         let fp = &result.diagnostics.failed[0];
@@ -242,37 +251,40 @@ fn estimate_panic_is_isolated_to_one_candidate() {
 
 #[test]
 fn per_sweep_injected_faults_poison_only_their_own_sweep() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let platform = Platform::virtex7_adm7v3();
-    let clean = explore_with(&f, &platform, &w, DseOptions::default()).expect("clean sweep");
+    // Every sweep below shares one cache, so the poisoned sweep runs with
+    // every family already resident: the fault must fire before the
+    // cache lookup.
+    let cache = AnalysisCache::new();
+    let clean = sweep(&f, &platform, &w, DseOptions::default(), &cache).expect("clean sweep");
     assert!(clean.diagnostics.is_clean());
+    assert_eq!(cache.len(), family_count(&enumerate(&limits_for(&f, &w))));
 
-    // An analysis panic armed through DseOptions (the serving layer's
-    // per-request fault surface) takes down every family of *that* sweep…
+    // An untargeted analysis panic (the serving layer's per-request
+    // fault) takes down every family of *that* sweep…
     let opts = DseOptions {
-        inject: Some(testhook::InjectedFault::AnalysisPanic),
+        inject: Some(InjectedFault::AnalysisPanic(None)),
         ..DseOptions::default()
     };
-    let poisoned = explore_with(&f, &platform, &w, opts).expect("sweep survives");
+    let poisoned = sweep(&f, &platform, &w, opts, &cache).expect("sweep survives");
     assert!(poisoned.points.is_empty());
     let n = poisoned.diagnostics.skipped_count();
     assert!(n > 0);
     assert_eq!(poisoned.diagnostics.count_of(ErrorKind::Panic), n);
 
-    // …while a concurrent-in-time clean sweep (same process, nothing
-    // armed globally) is untouched — unlike the arm_panic statics, the
-    // per-sweep fault cannot leak.
-    let after = explore_with(&f, &platform, &w, DseOptions::default()).expect("clean rerun");
+    // …while a later clean sweep in the same process is untouched: the
+    // fault lives in one sweep's options, so it cannot leak.
+    let after = sweep(&f, &platform, &w, DseOptions::default(), &cache).expect("clean rerun");
     assert!(after.diagnostics.is_clean());
     assert_points_identical(&clean, &after);
 
     // The estimate-path variant hits exactly one candidate.
     let opts = DseOptions {
-        inject: Some(testhook::InjectedFault::EstimatePanic(5)),
+        inject: Some(InjectedFault::EstimatePanic(5)),
         ..DseOptions::default()
     };
-    let one = explore_with(&f, &platform, &w, opts).expect("sweep survives");
+    let one = sweep(&f, &platform, &w, opts, &cache).expect("sweep survives");
     assert_eq!(one.diagnostics.skipped_count(), 1);
     assert_eq!(one.diagnostics.failed[0].index, 5);
     assert_eq!(one.diagnostics.failed[0].kind, ErrorKind::Panic);
@@ -280,11 +292,11 @@ fn per_sweep_injected_faults_poison_only_their_own_sweep() {
 
 #[test]
 fn disarmed_testhook_costs_nothing_and_changes_nothing() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let platform = Platform::virtex7_adm7v3();
-    let a = explore_with(&f, &platform, &w, DseOptions::default()).expect("sweep");
+    let cache = AnalysisCache::new();
+    let a = sweep(&f, &platform, &w, DseOptions::default(), &cache).expect("sweep");
     assert!(a.diagnostics.is_clean());
-    let b = explore_with(&f, &platform, &w, DseOptions::default()).expect("sweep");
+    let b = sweep(&f, &platform, &w, DseOptions::default(), &cache).expect("sweep");
     assert_points_identical(&a, &b);
 }

@@ -6,7 +6,8 @@
 //! [`DiagnosticsReport`], never as a crash.
 
 use flexcl_core::{
-    explore_configs, CommMode, DseOptions, OptimizationConfig, Platform, ProfileFuel, Workload,
+    explore_configs, AnalysisCache, CommMode, DseOptions, OptimizationConfig, Platform,
+    ProfileFuel, Workload,
 };
 use flexcl_interp::KernelArg;
 use proptest::prelude::*;
@@ -79,23 +80,15 @@ fn arb_opts() -> BoxedStrategy<DseOptions> {
         any::<bool>(),
         proptest::sample::select(vec![0u64, 1, 1_000, 10_000_000]),
         proptest::sample::select(vec![0usize, 1, 1 << 20]),
-        any::<bool>(),
         proptest::sample::select(vec![0usize, 1, 7, 4096]),
-        proptest::sample::select(vec![1usize, 2, 64]),
     )
-        .prop_map(
-            |(threads, prune, step_limit, trace_limit, reuse_analysis, chunk_size, cache_cap)| {
-                DseOptions {
-                    threads,
-                    prune,
-                    fuel: ProfileFuel { step_limit, trace_limit, ..ProfileFuel::default() },
-                    reuse_analysis,
-                    chunk_size,
-                    analysis_cache_cap: cache_cap,
-                    inject: None,
-                }
-            },
-        )
+        .prop_map(|(threads, prune, step_limit, trace_limit, chunk_size)| DseOptions {
+            threads,
+            prune,
+            fuel: ProfileFuel { step_limit, trace_limit, ..ProfileFuel::default() },
+            chunk_size,
+            inject: None,
+        })
         .boxed()
 }
 
@@ -111,7 +104,8 @@ proptest! {
         let platform = Platform::virtex7_adm7v3();
         let w = workload();
         // Ok (possibly with diagnostics) or a typed error — never a panic.
-        if let Ok(result) = explore_configs(&func, &platform, &w, &configs, opts) {
+        let cache = AnalysisCache::new();
+        if let Ok(result) = explore_configs(&func, &platform, &w, &configs, opts, &cache) {
             prop_assert!(
                 result.points.len() + result.diagnostics.skipped_count() <= configs.len()
             );

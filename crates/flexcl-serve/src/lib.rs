@@ -6,7 +6,7 @@
 //! A request is OpenCL source + NDRange + a [`SweepGrid`] preset; the
 //! answer is the sweep digest (point counts, best configuration, best
 //! cycle count) — bit-identical to an offline
-//! [`flexcl_core::explore_space`] call over the same inputs. Around that
+//! [`flexcl_core::explore_space_cached`] call over the same inputs. Around that
 //! core the crate layers the service-robustness mechanisms the engine
 //! itself cannot provide:
 //!

@@ -97,9 +97,6 @@ pub struct ServerConfig {
     pub enable_testhooks: bool,
     /// Clamp on per-request sweep threads.
     pub max_sweep_threads: usize,
-    /// Entry cap of the serve-scoped analysis cache (per-family
-    /// `KernelAnalysis` reuse across requests). 0 disables reuse.
-    pub analysis_cache_entries: usize,
 }
 
 impl Default for ServerConfig {
@@ -114,7 +111,6 @@ impl Default for ServerConfig {
             platform: Platform::virtex7_adm7v3(),
             enable_testhooks: false,
             max_sweep_threads: 4,
-            analysis_cache_entries: 256,
         }
     }
 }
@@ -1056,12 +1052,10 @@ fn serve_job(inner: &Inner, job: &Job) -> Response {
             _ => ProfileFuel::default(),
         },
         inject: match fault {
-            Some(RequestFault::Panic) => Some(InjectedFault::AnalysisPanic),
+            Some(RequestFault::Panic) => Some(InjectedFault::AnalysisPanic(None)),
             Some(RequestFault::EstimatePanic) => Some(InjectedFault::EstimatePanic(0)),
             _ => None,
         },
-        reuse_analysis: inner.cfg.analysis_cache_entries > 0,
-        analysis_cache_cap: inner.cfg.analysis_cache_entries.max(1),
         ..DseOptions::default()
     };
     let cancel = CancelToken::at(job.deadline);

@@ -6,7 +6,7 @@
 //! caller-chosen defaults. Keeping this in one place means the offline
 //! CLI, the server, and the bit-identicality tests all compile a request
 //! to exactly the same [`Workload`] — the precondition for comparing a
-//! served sweep against a direct [`flexcl_core::explore_space`] call.
+//! served sweep against a direct [`flexcl_core::explore_space_cached`] call.
 
 use flexcl_core::{FlexclError, Workload};
 use flexcl_frontend::types::Type;

@@ -4,13 +4,13 @@
 //!
 //! The acceptance scenario from the issue: ≥ 8 concurrent well-formed
 //! requests complete with results bit-identical to a direct
-//! `explore_space` call, while interleaved panicking / fuel-starved /
+//! `explore_space_cached` call, while interleaved panicking / fuel-starved /
 //! over-deadline / malformed / cache-corrupting requests are each
 //! rejected with their typed error kind. Admission control is exercised
 //! separately with a one-slot queue.
 
 use flexcl_core::config::SweepGrid;
-use flexcl_core::{explore_space, DseOptions, Platform};
+use flexcl_core::{explore_space_cached, AnalysisCache, DseOptions, Platform};
 use flexcl_serve::protocol::Response;
 use flexcl_serve::server::ServerConfig;
 use flexcl_serve::{workload, Server};
@@ -33,12 +33,14 @@ fn request(id: &str, src: &str, global: u64, extra: &str) -> String {
 /// grid, computed through the same workload synthesis the server uses.
 fn offline_best_cycles(src: &str, global: u64) -> (u64, f64) {
     let p = workload::prepare(src, None, (global, 1), Default::default()).expect("prepare");
-    let r = explore_space(
+    let r = explore_space_cached(
         &p.func,
         &Platform::virtex7_adm7v3(),
         &p.workload,
         &SweepGrid::standard(),
         DseOptions::default(),
+        None,
+        &AnalysisCache::new(),
     )
     .expect("offline sweep");
     (r.points.len() as u64, r.best().expect("best").estimate.cycles)

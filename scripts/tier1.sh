@@ -5,6 +5,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
+# The benchmark is its own cargo package (not a workspace member), so a
+# public-API break would otherwise only surface when the benchmark runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # Robustness gates: the estimation pipeline must stay panic-free on
 # input-dependent paths, and the DSE sweep must survive injected faults
 # with bit-identical surviving points.

@@ -4,10 +4,21 @@
 
 use flexcl_bench::find_spec;
 use flexcl_core::{
-    estimate, explore, explore_with, DseOptions, KernelAnalysis, OptimizationConfig, Platform,
+    estimate, explore_space_cached, AnalysisCache, DseOptions, DseResult, KernelAnalysis,
+    OptimizationConfig, Platform, SweepGrid,
 };
 use flexcl_kernels::Scale;
 use flexcl_sim::{system_run, SimOptions};
+
+/// A standard-grid sweep of polybench/atax reusing analyses from `cache`.
+fn atax_sweep(opts: DseOptions, cache: &AnalysisCache) -> DseResult {
+    let spec = find_spec("polybench/atax");
+    let func = flexcl_bench::compile(&spec);
+    let workload = spec.workload(Scale::Test, 5);
+    let platform = Platform::virtex7_adm7v3();
+    explore_space_cached(&func, &platform, &workload, &SweepGrid::standard(), opts, None, cache)
+        .expect("sweep")
+}
 
 #[test]
 fn workloads_are_deterministic() {
@@ -41,13 +52,9 @@ fn estimates_are_deterministic() {
 
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
-    let spec = find_spec("polybench/atax");
-    let func = flexcl_bench::compile(&spec);
-    let workload = spec.workload(Scale::Test, 5);
-    let platform = Platform::virtex7_adm7v3();
-    let serial = explore(&func, &platform, &workload).expect("serial sweep");
-    let parallel = explore_with(&func, &platform, &workload, DseOptions::parallel(4))
-        .expect("parallel sweep");
+    let serial = atax_sweep(DseOptions::default(), &AnalysisCache::new());
+    let parallel =
+        atax_sweep(DseOptions { threads: 4, ..DseOptions::default() }, &AnalysisCache::new());
     assert_eq!(serial.points.len(), parallel.points.len());
     for (a, b) in serial.points.iter().zip(&parallel.points) {
         assert_eq!(a.config, b.config);
@@ -58,32 +65,17 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 #[test]
 fn cached_parallel_pruned_sweep_is_bit_identical_to_uncached_serial() {
     // The full optimization stack at once — worker threads, bound-based
-    // pruning off (so the explored sets coincide), the process-wide
-    // analysis cache, and the per-family schedule caches — merged back
-    // together must reproduce the plain serial uncached sweep exactly:
-    // same points in the same order with bit-identical estimates, same
-    // diagnostics.
-    let spec = find_spec("polybench/atax");
-    let func = flexcl_bench::compile(&spec);
-    let workload = spec.workload(Scale::Test, 5);
-    let platform = Platform::virtex7_adm7v3();
-    let uncached = explore_with(
-        &func,
-        &platform,
-        &workload,
-        DseOptions { reuse_analysis: false, ..DseOptions::default() },
-    )
-    .expect("serial uncached sweep");
-    // Run twice so the second parallel sweep is served from a hot
-    // analysis cache in every family.
+    // pruning off (so the explored sets coincide), an analysis cache
+    // shared across sweeps, and the per-family schedule caches — merged
+    // back together must reproduce the plain serial sweep from a fresh
+    // cache exactly: same points in the same order with bit-identical
+    // estimates, same diagnostics.
+    let uncached = atax_sweep(DseOptions::default(), &AnalysisCache::new());
+    // Run twice over one cache so the second parallel sweep is served
+    // from a hot analysis cache in every family.
+    let shared = AnalysisCache::new();
     for pass in 0..2 {
-        let cached = explore_with(
-            &func,
-            &platform,
-            &workload,
-            DseOptions { threads: 4, reuse_analysis: true, ..DseOptions::default() },
-        )
-        .expect("parallel cached sweep");
+        let cached = atax_sweep(DseOptions { threads: 4, ..DseOptions::default() }, &shared);
         assert_eq!(uncached.points.len(), cached.points.len(), "pass {pass}");
         for (a, b) in uncached.points.iter().zip(&cached.points) {
             assert_eq!(a.config, b.config, "pass {pass}");
@@ -107,18 +99,10 @@ fn cached_parallel_pruned_sweep_is_bit_identical_to_uncached_serial() {
 
 #[test]
 fn pruned_sweep_matches_exhaustive_best_on_polybench() {
-    let spec = find_spec("polybench/atax");
-    let func = flexcl_bench::compile(&spec);
-    let workload = spec.workload(Scale::Test, 5);
-    let platform = Platform::virtex7_adm7v3();
-    let full = explore(&func, &platform, &workload).expect("exhaustive sweep");
-    let pruned = explore_with(
-        &func,
-        &platform,
-        &workload,
-        DseOptions { prune: true, threads: 2, ..DseOptions::default() },
-    )
-    .expect("pruned sweep");
+    let cache = AnalysisCache::new();
+    let full = atax_sweep(DseOptions::default(), &cache);
+    let opts = DseOptions { prune: true, threads: 2, ..DseOptions::default() };
+    let pruned = atax_sweep(opts, &cache);
     let fb = full.best().expect("exhaustive best");
     let pb = pruned.best().expect("pruned best");
     assert_eq!(fb.config, pb.config);

@@ -2,7 +2,10 @@
 //! the intermediate artifacts checked along the way — frontend → IR →
 //! interpreter/profiler → kernel analysis → model → System Run.
 
-use flexcl_core::{estimate, CommMode, KernelAnalysis, OptimizationConfig, Platform, Workload};
+use flexcl_core::{
+    estimate, explore_space_cached, AnalysisCache, CommMode, DseOptions, KernelAnalysis,
+    OptimizationConfig, Platform, SweepGrid, Workload,
+};
 use flexcl_interp::{run, KernelArg, NdRange, RunOptions};
 use flexcl_ir::TripCount;
 use flexcl_sim::{system_run, SimOptions};
@@ -110,7 +113,9 @@ fn exploration_is_fast_and_complete() {
         global: (1024, 1),
     };
     let start = std::time::Instant::now();
-    let result = flexcl_core::explore(&func, &Platform::virtex7_adm7v3(), &workload)
+    let (grid, opts, cache) = (SweepGrid::standard(), DseOptions::default(), AnalysisCache::new());
+    let platform = Platform::virtex7_adm7v3();
+    let result = explore_space_cached(&func, &platform, &workload, &grid, opts, None, &cache)
         .expect("explore");
     assert!(result.points.len() > 100);
     assert!(
