@@ -14,50 +14,15 @@
 //! that moved. Regenerate only on an intentional analysis change with
 //! `FLEXCL_REGEN_GOLDEN=1 cargo test -p flexcl-bench --test analysis_golden`.
 
+mod support;
+
 use flexcl_bench::compile;
 use flexcl_core::{ContentionProbe, KernelAnalysis, Platform};
-use flexcl_dram::PatternTable;
 use flexcl_kernels::Scale;
 use std::fmt::Write as _;
+use support::{standard_wg, Fnv};
 
 const GOLDEN: &str = include_str!("data/analysis_golden.txt");
-
-/// 64-bit FNV-1a over little-endian words: specified, so the golden does
-/// not depend on the standard library's hasher.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(mut self, w: u64) -> Self {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self
-    }
-
-    fn f64(self, v: f64) -> Self {
-        self.u64(v.to_bits())
-    }
-
-    fn table(self, t: &PatternTable<f64>) -> Self {
-        t.iter().fold(self, |h, (_, v)| h.f64(v))
-    }
-}
-
-/// The work-group the corpus is analyzed at: the kernel's required size,
-/// else 8×8 for 2-D NDRanges and 64×1 for 1-D ones.
-fn standard_wg(global: (u64, u64), reqd: Option<(u32, u32, u32)>) -> (u32, u32) {
-    match reqd {
-        Some((x, y, _)) => (x, y),
-        None if global.1 > 1 => (8, 8),
-        None => (64, 1),
-    }
-}
 
 fn render_fields(out: &mut String, name: &str, a: &KernelAnalysis) {
     let mut line = |field: &str, h: Fnv| writeln!(out, "{name}|{field}|{:016x}", h.0).unwrap();
