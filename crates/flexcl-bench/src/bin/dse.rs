@@ -56,6 +56,7 @@
 //!   threads=8 throughput to beat threads=1 per kernel — skipped with a
 //!   notice when the rows were measured on a single-core host.
 
+use flexcl_bench::record::{self, flag_value, Row, Value};
 use flexcl_bench::{compile, sweep_kernel, write_csv, SYNTHESIS_HOURS_PER_DESIGN};
 use flexcl_core::{
     explore_space_cached, AnalysisCache, DseOptions, DseResult, KernelAnalysis, Platform,
@@ -254,7 +255,7 @@ fn bench_sweeps(filter: Option<&str>, grid_name: &str, reps: usize, verbose: boo
     rows
 }
 
-/// Every key a BENCH_dse.json row must carry, in emission order.
+/// The keys of a BENCH_dse.json row, in emission order.
 const BENCH_KEYS: [&str; 23] = [
     "kernel",
     "cache",
@@ -281,54 +282,42 @@ const BENCH_KEYS: [&str; 23] = [
     "sched_cache_hit_rate",
 ];
 
-/// Writes the throughput rows to `out` (default: repo-root
-/// `BENCH_dse.json`).
-fn write_bench_json(rows: &[BenchRow], out: Option<&str>) {
-    let mut body = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "  {{\"kernel\": \"{}\", \"cache\": \"{}\", \"points\": {}, \"threads\": {}, \
-             \"grid\": \"{}\", \"reps\": {}, \"chunk_size\": {}, \"chunks\": {}, \
-             \"steals\": {}, \"repaired_chunks\": {}, \"host_cores\": {}, \
-             \"elapsed_ms\": {:.3}, \"configs_per_sec\": {:.1}, \
-             \"analysis_ms\": {:.3}, \"profile_ms\": {:.3}, \"profile_steps\": {}, \
-             \"profile_ns_per_step\": {:.3}, \"group_ms\": {:.3}, \
-             \"replay_ms\": {:.3}, \"estimate_ms\": {:.3}, \"sched_ms\": {:.3}, \
-             \"analysis_cache_hit_rate\": {:.3}, \"sched_cache_hit_rate\": {:.3}}}{}\n",
-            r.kernel,
-            r.cache,
-            r.points,
-            r.threads,
-            r.grid,
-            r.reps,
-            r.chunk_size,
-            r.chunks,
-            r.steals,
-            r.repaired_chunks,
-            r.host_cores,
-            r.elapsed_ms,
-            r.configs_per_sec,
-            r.analysis_ms,
-            r.profile_ms,
-            r.profile_steps,
-            r.profile_ns_per_step,
-            r.group_ms,
-            r.replay_ms,
-            r.estimate_ms,
-            r.sched_ms,
-            r.analysis_cache_hit_rate,
-            r.sched_cache_hit_rate,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+impl BenchRow {
+    /// This row's values, in [`BENCH_KEYS`] order.
+    fn values(&self) -> [Value<'_>; 23] {
+        let int = |n: usize| Value::Int(n as u64);
+        let f3 = |x: f64| Value::Float(x, 3);
+        [
+            Value::Str(&self.kernel),
+            Value::Str(self.cache),
+            int(self.points),
+            int(self.threads),
+            Value::Str(&self.grid),
+            int(self.reps),
+            int(self.chunk_size),
+            int(self.chunks),
+            Value::Int(self.steals),
+            int(self.repaired_chunks),
+            int(self.host_cores),
+            f3(self.elapsed_ms),
+            Value::Float(self.configs_per_sec, 1),
+            f3(self.analysis_ms),
+            f3(self.profile_ms),
+            Value::Int(self.profile_steps),
+            f3(self.profile_ns_per_step),
+            f3(self.group_ms),
+            f3(self.replay_ms),
+            f3(self.estimate_ms),
+            f3(self.sched_ms),
+            f3(self.analysis_cache_hit_rate),
+            f3(self.sched_cache_hit_rate),
+        ]
     }
-    body.push_str("]\n");
-    let path = match out {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_dse.json"),
-    };
-    std::fs::write(&path, body).expect("write BENCH_dse.json");
+}
+
+/// Prints the throughput rows and writes them to `out` (default:
+/// repo-root `BENCH_dse.json`).
+fn write_rows(rows: &[BenchRow], out: Option<&str>) {
     println!("\nSweep throughput (model only):");
     for r in rows {
         println!(
@@ -359,155 +348,101 @@ fn write_bench_json(rows: &[BenchRow], out: Option<&str>) {
             );
         }
     }
-    println!("wrote {}", path.display());
+    let values: Vec<_> = rows.iter().map(BenchRow::values).collect();
+    record::write("BENCH_dse.json", out, &BENCH_KEYS, &values);
 }
 
-/// Numeric value of `key` in a one-line JSON object, if present.
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    obj.split(&format!("\"{key}\":"))
-        .nth(1)?
-        .trim_start()
-        .split(|c: char| c == ',' || c == '}')
-        .next()?
-        .trim()
-        .parse::<f64>()
-        .ok()
-}
-
-/// String value of `key` in a one-line JSON object, if present.
-fn str_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    obj.split(&format!("\"{key}\":")).nth(1)?.trim_start().strip_prefix('"')?.split('"').next()
-}
-
-/// Validates a BENCH_dse.json produced by [`write_bench_json`]: at least
-/// one row, every schema key in every row, a finite positive
-/// `configs_per_sec`, and a cold row that missed the analysis cache,
-/// profiled at least one instruction (`profile_steps`), and whose
-/// analysis stages (`profile_ms + group_ms + replay_ms`) sum to no more
-/// than its `elapsed_ms`. With `require_scaling`, additionally
-/// demands that per kernel the warm threads=8 throughput beats threads=1
-/// — skipped with a notice when the rows report a single-core measuring
-/// host, where a parallel speedup is physically impossible. Exits
-/// non-zero with a message on the first problem.
-fn check_bench_json(path: &str, require_scaling: bool) {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("BENCH check: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let fail = |msg: String| -> ! {
-        eprintln!("BENCH check: {path}: {msg}");
-        std::process::exit(1);
-    };
-    // The emitter writes one object per line; validate each line that
-    // holds an object.
-    let objects: Vec<&str> =
-        body.lines().filter(|l| l.trim_start().starts_with('{')).collect();
-    if objects.is_empty() {
-        fail("no benchmark rows".to_string());
-    }
-    for (i, obj) in objects.iter().enumerate() {
-        for key in BENCH_KEYS {
-            if !obj.contains(&format!("\"{key}\":")) {
-                fail(format!("row {i} is missing key \"{key}\""));
-            }
-        }
-        let cps = num_field(obj, "configs_per_sec")
-            .unwrap_or_else(|| fail(format!("row {i}: configs_per_sec is not a number")));
+/// The BENCH_dse.json gates: a finite positive `configs_per_sec` on
+/// every row, and a cold row that missed the analysis cache, profiled
+/// at least one instruction (`profile_steps`), and whose analysis
+/// stages (`profile_ms + group_ms + replay_ms`) sum to no more than its
+/// `elapsed_ms`. With `require_scaling`, additionally demands that per
+/// kernel the warm threads=8 throughput beats threads=1 — skipped with
+/// a notice when the rows report a single-core measuring host, where a
+/// parallel speedup is physically impossible.
+fn gate(rows: &[Row], require_scaling: bool) -> Result<(), String> {
+    for (i, row) in rows.iter().enumerate() {
+        let cps = row.num("configs_per_sec")?;
         if !cps.is_finite() || cps <= 0.0 {
-            fail(format!("row {i}: configs_per_sec = {cps} (must be finite and positive)"));
+            return Err(format!("row {i}: configs_per_sec = {cps} (must be finite and positive)"));
         }
     }
-    let cold: Vec<&&str> =
-        objects.iter().filter(|obj| str_field(obj, "cache") == Some("cold")).collect();
+    let cold: Vec<&Row> = rows.iter().filter(|r| r.str("cache") == "cold").collect();
     if cold.is_empty() {
-        fail("no cold row (first exploration with a fresh analysis cache)".to_string());
+        return Err("no cold row (first exploration with a fresh analysis cache)".to_string());
     }
-    for obj in cold {
-        let field = |key: &str| {
-            num_field(obj, key).unwrap_or_else(|| fail(format!("cold row: {key} is not a number")))
-        };
-        let stages = field("profile_ms") + field("group_ms") + field("replay_ms");
-        let elapsed = field("elapsed_ms");
+    for row in cold {
+        let stages = row.num("profile_ms")? + row.num("group_ms")? + row.num("replay_ms")?;
+        let elapsed = row.num("elapsed_ms")?;
         if !(stages > 0.0 && stages <= elapsed) {
-            fail(format!(
+            return Err(format!(
                 "cold row: analysis stages sum to {stages:.3} ms against {elapsed:.3} ms \
                  elapsed (must be positive and no more than elapsed)"
             ));
         }
-        if field("analysis_cache_hit_rate") != 0.0 {
-            fail("cold row hit the analysis cache".to_string());
+        if row.num("analysis_cache_hit_rate")? != 0.0 {
+            return Err("cold row hit the analysis cache".to_string());
         }
-        let steps = field("profile_steps");
-        if steps.is_nan() || steps <= 0.0 {
-            fail(format!("cold row: profile_steps = {steps} (profiling interpreted nothing)"));
+        let steps = row.num("profile_steps")?;
+        if steps <= 0.0 {
+            return Err(format!(
+                "cold row: profile_steps = {steps} (profiling interpreted nothing)"
+            ));
         }
         println!(
             "BENCH check: cold row ok (stages {stages:.2} ms of {elapsed:.2} ms elapsed, \
              {steps} profiled steps at {:.2} ns/step)",
-            field("profile_ns_per_step")
+            row.num("profile_ns_per_step")?
         );
     }
-    if require_scaling {
-        // kernel → (threads=1 cps, threads=8 cps, host_cores).
-        let mut per_kernel: Vec<(String, Option<f64>, Option<f64>, usize)> = Vec::new();
-        for obj in objects.iter().filter(|obj| str_field(obj, "cache") == Some("warm")) {
-            let kernel = str_field(obj, "kernel").unwrap_or("?").to_string();
-            let threads = num_field(obj, "threads").unwrap_or(0.0) as usize;
-            let cps = num_field(obj, "configs_per_sec");
-            let cores = num_field(obj, "host_cores").unwrap_or(1.0) as usize;
-            let entry = match per_kernel.iter_mut().find(|(k, ..)| *k == kernel) {
-                Some(e) => e,
-                None => {
-                    per_kernel.push((kernel, None, None, cores));
-                    per_kernel.last_mut().expect("just pushed")
-                }
-            };
-            match threads {
-                1 => entry.1 = cps,
-                8 => entry.2 = cps,
-                _ => {}
-            }
-        }
-        for (kernel, t1, t8, cores) in &per_kernel {
-            let (Some(t1), Some(t8)) = (t1, t8) else {
-                fail(format!("{kernel}: need threads=1 and threads=8 rows for the scaling gate"));
-            };
-            if *cores < 2 {
-                println!(
-                    "BENCH check: {kernel}: scaling gate skipped \
-                     (rows measured on a {cores}-core host; t1={t1:.0}, t8={t8:.0} configs/s)"
-                );
-            } else if t8 <= t1 {
-                fail(format!(
-                    "{kernel}: threads=8 ({t8:.0} configs/s) does not beat \
-                     threads=1 ({t1:.0} configs/s) on a {cores}-core host"
-                ));
-            } else {
-                println!(
-                    "BENCH check: {kernel}: scaling ok ({:.2}x at 8 threads)",
-                    t8 / t1
-                );
-            }
+    if !require_scaling {
+        return Ok(());
+    }
+    let warm: Vec<&Row> = rows.iter().filter(|r| r.str("cache") == "warm").collect();
+    let mut kernels: Vec<&str> = Vec::new();
+    for row in &warm {
+        if !kernels.contains(&row.str("kernel")) {
+            kernels.push(row.str("kernel"));
         }
     }
-    println!("BENCH check: {path}: {} rows ok", objects.len());
-}
-
-/// Value of a `--flag VALUE` pair in `args`, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+    for kernel in kernels {
+        let mine: Vec<&Row> = warm.iter().copied().filter(|r| r.str("kernel") == kernel).collect();
+        let cps_at = |threads: f64| -> Result<Option<f64>, String> {
+            for row in &mine {
+                if row.num("threads")? == threads {
+                    return row.num("configs_per_sec").map(Some);
+                }
+            }
+            Ok(None)
+        };
+        let (Some(t1), Some(t8)) = (cps_at(1.0)?, cps_at(8.0)?) else {
+            return Err(format!(
+                "{kernel}: need threads=1 and threads=8 rows for the scaling gate"
+            ));
+        };
+        let cores = mine[0].num("host_cores")?;
+        if cores < 2.0 {
+            println!(
+                "BENCH check: {kernel}: scaling gate skipped \
+                 (rows measured on a {cores}-core host; t1={t1:.0}, t8={t8:.0} configs/s)"
+            );
+        } else if t8 <= t1 {
+            return Err(format!(
+                "{kernel}: threads=8 ({t8:.0} configs/s) does not beat \
+                 threads=1 ({t1:.0} configs/s) on a {cores}-core host"
+            ));
+        } else {
+            println!("BENCH check: {kernel}: scaling ok ({:.2}x at 8 threads)", t8 / t1);
+        }
+    }
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(path) = flag_value(&args, "--check") {
-        check_bench_json(path, args.iter().any(|a| a == "--require-scaling"));
+        let require_scaling = args.iter().any(|a| a == "--require-scaling");
+        record::run_check(path, &BENCH_KEYS, |rows| gate(rows, require_scaling));
         return;
     }
     let kernels = flag_value(&args, "--kernels");
@@ -528,7 +463,7 @@ fn main() {
         None => false,
     };
     if args.iter().any(|a| a == "--bench-only") {
-        write_bench_json(&bench_sweeps(kernels, grid, reps, verbose), out);
+        write_rows(&bench_sweeps(kernels, grid, reps, verbose), out);
         if traced {
             flexcl_obs::trace::shutdown();
         }
@@ -673,8 +608,70 @@ fn main() {
          synthesis_seconds_extrapolated,exploration_speedup,stepwise_optimal",
         &rows,
     );
-    write_bench_json(&bench_sweeps(kernels, grid, reps, verbose), out);
+    write_rows(&bench_sweeps(kernels, grid, reps, verbose), out);
     if traced {
         flexcl_obs::trace::shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The cold row of the committed BENCH_dse.json.
+    fn cold_row() -> BenchRow {
+        BenchRow {
+            kernel: "vadd".to_string(),
+            cache: "cold",
+            points: 364_800,
+            threads: 1,
+            grid: "fine".to_string(),
+            reps: 5,
+            chunk_size: 2048,
+            chunks: 183,
+            steals: 15,
+            repaired_chunks: 0,
+            host_cores: 2,
+            elapsed_ms: 48.535,
+            configs_per_sec: 7_516_168.4,
+            analysis_ms: 4.999,
+            profile_ms: 0.963,
+            profile_steps: 193_688,
+            profile_ns_per_step: 4.97,
+            group_ms: 3.451,
+            replay_ms: 0.567,
+            estimate_ms: 27.327,
+            sched_ms: 0.159,
+            analysis_cache_hit_rate: 0.0,
+            sched_cache_hit_rate: 1.0,
+        }
+    }
+
+    #[test]
+    fn bench_rows_render_like_the_committed_file() {
+        assert_eq!(
+            record::render_row(&BENCH_KEYS, &cold_row().values()),
+            r#"{"kernel": "vadd", "cache": "cold", "points": 364800, "threads": 1, "grid": "fine", "reps": 5, "chunk_size": 2048, "chunks": 183, "steals": 15, "repaired_chunks": 0, "host_cores": 2, "elapsed_ms": 48.535, "configs_per_sec": 7516168.4, "analysis_ms": 4.999, "profile_ms": 0.963, "profile_steps": 193688, "profile_ns_per_step": 4.970, "group_ms": 3.451, "replay_ms": 0.567, "estimate_ms": 27.327, "sched_ms": 0.159, "analysis_cache_hit_rate": 0.000, "sched_cache_hit_rate": 1.000}"#
+        );
+    }
+
+    #[test]
+    fn the_committed_file_passes_the_check() {
+        let rows = record::parse_rows(include_str!("../../../../BENCH_dse.json"), &BENCH_KEYS)
+            .expect("committed BENCH_dse.json parses");
+        gate(&rows, false).expect("committed BENCH_dse.json passes its gates");
+    }
+
+    #[test]
+    fn a_cold_row_that_profiled_nothing_fails_the_gate() {
+        let gate_of = |row: BenchRow| {
+            let rows =
+                record::parse_rows(&record::render(&BENCH_KEYS, &[row.values()]), &BENCH_KEYS)
+                    .expect("a rendered file parses");
+            gate(&rows, false)
+        };
+        assert_eq!(gate_of(cold_row()), Ok(()));
+        let starved = BenchRow { profile_steps: 0, ..cold_row() };
+        assert!(gate_of(starved).unwrap_err().contains("profiling interpreted nothing"));
     }
 }

@@ -29,6 +29,7 @@
 //! `sweep_trace.overhead_pct` (default ceiling 5%) and the derived
 //! `sweep_off.overhead_pct` (default ceiling 1%).
 
+use flexcl_bench::record::{self, flag_value, Row, Value};
 use flexcl_core::{explore_space_cached, AnalysisCache, DseOptions, Platform, SweepGrid, Workload};
 use flexcl_interp::KernelArg;
 use flexcl_serve::server::ServerConfig;
@@ -230,7 +231,7 @@ fn bench_serve(total: usize) -> (f64, f64, f64) {
     out
 }
 
-/// Every key a BENCH_obs.json row must carry.
+/// The keys of a BENCH_obs.json row, in emission order.
 const BENCH_KEYS: [&str; 15] = [
     "mode",
     "kernel",
@@ -249,41 +250,33 @@ const BENCH_KEYS: [&str; 15] = [
     "host_cores",
 ];
 
-fn write_bench_json(rows: &[ObsRow], out: Option<&str>) {
-    let mut body = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "  {{\"mode\": \"{}\", \"kernel\": \"{}\", \"grid\": \"{}\", \"points\": {}, \
-             \"threads\": {}, \"reps\": {}, \"configs_per_sec\": {:.1}, \
-             \"overhead_pct\": {:.3}, \"span_ns\": {:.2}, \"spans_emitted\": {}, \
-             \"trace_dropped\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"requests_per_sec\": {:.1}, \"host_cores\": {}}}{}\n",
-            r.mode,
-            r.kernel,
-            r.grid,
-            r.points,
-            r.threads,
-            r.reps,
-            r.configs_per_sec,
-            r.overhead_pct,
-            r.span_ns,
-            r.spans_emitted,
-            r.trace_dropped,
-            r.p50_ms,
-            r.p99_ms,
-            r.requests_per_sec,
-            r.host_cores,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+impl ObsRow {
+    /// This row's values, in [`BENCH_KEYS`] order.
+    fn values(&self) -> [Value<'_>; 15] {
+        let int = |n: usize| Value::Int(n as u64);
+        [
+            Value::Str(self.mode),
+            Value::Str(self.kernel),
+            Value::Str(self.grid),
+            Value::Int(self.points),
+            int(self.threads),
+            int(self.reps),
+            Value::Float(self.configs_per_sec, 1),
+            Value::Float(self.overhead_pct, 3),
+            Value::Float(self.span_ns, 2),
+            Value::Int(self.spans_emitted),
+            Value::Int(self.trace_dropped),
+            Value::Float(self.p50_ms, 3),
+            Value::Float(self.p99_ms, 3),
+            Value::Float(self.requests_per_sec, 1),
+            int(self.host_cores),
+        ]
     }
-    body.push_str("]\n");
-    let path = match out {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_obs.json"),
-    };
-    std::fs::write(&path, body).expect("write BENCH_obs.json");
+}
+
+/// Prints the rows and writes them to `out` (default: repo-root
+/// `BENCH_obs.json`).
+fn write_rows(rows: &[ObsRow], out: Option<&str>) {
     for r in rows {
         match r.mode {
             "span_disabled" => println!("  span_disabled  {:.2} ns/op", r.span_ns),
@@ -297,96 +290,55 @@ fn write_bench_json(rows: &[ObsRow], out: Option<&str>) {
             ),
         }
     }
-    println!("wrote {}", path.display());
+    let values: Vec<_> = rows.iter().map(ObsRow::values).collect();
+    record::write("BENCH_obs.json", out, &BENCH_KEYS, &values);
 }
 
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    obj.split(&format!("\"{key}\":"))
-        .nth(1)?
-        .trim_start()
-        .split([',', '}'])
-        .next()?
-        .trim()
-        .parse::<f64>()
-        .ok()
-}
-
-fn str_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    obj.split(&format!("\"{key}\":")).nth(1)?.trim_start().strip_prefix('"')?.split('"').next()
-}
-
-/// Validates a BENCH_obs.json: schema keys on every row, the four modes
-/// present, traced-sweep overhead under `max_pct`, derived disabled-path
-/// overhead under `max_disabled_pct`, and a live serve row. Exits
-/// non-zero on the first problem.
-fn check_bench_json(path: &str, max_pct: f64, max_disabled_pct: f64) {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("BENCH check: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let fail = |msg: String| -> ! {
-        eprintln!("BENCH check: {path}: {msg}");
-        std::process::exit(1);
-    };
-    let objects: Vec<&str> = body.lines().filter(|l| l.trim_start().starts_with('{')).collect();
-    if objects.is_empty() {
-        fail("no benchmark rows".to_string());
-    }
-    let mut seen = Vec::new();
-    for (i, obj) in objects.iter().enumerate() {
-        for key in BENCH_KEYS {
-            if !obj.contains(&format!("\"{key}\":")) {
-                fail(format!("row {i} is missing key \"{key}\""));
-            }
-        }
-        let mode = str_field(obj, "mode").unwrap_or("?").to_string();
-        match mode.as_str() {
+/// The BENCH_obs.json gates: the four modes present, traced-sweep
+/// overhead at most `max_pct` with a positive throughput, derived
+/// disabled-path overhead at most `max_disabled_pct`, and a live serve
+/// row.
+fn gate(rows: &[Row], max_pct: f64, max_disabled_pct: f64) -> Result<(), String> {
+    for row in rows {
+        match row.str("mode") {
             "sweep_off" => {
-                let pct = num_field(obj, "overhead_pct").unwrap_or(f64::NAN);
+                let pct = row.num("overhead_pct")?;
                 if !pct.is_finite() || pct > max_disabled_pct {
-                    fail(format!(
+                    return Err(format!(
                         "sweep_off: derived disabled-path overhead {pct:.3}% exceeds \
                          the {max_disabled_pct}% ceiling"
                     ));
                 }
             }
             "sweep_trace" => {
-                let pct = num_field(obj, "overhead_pct").unwrap_or(f64::NAN);
+                let pct = row.num("overhead_pct")?;
                 if !pct.is_finite() || pct > max_pct {
-                    fail(format!(
+                    return Err(format!(
                         "sweep_trace: traced-sweep overhead {pct:.2}% exceeds the \
                          {max_pct}% ceiling"
                     ));
                 }
-                let cps = num_field(obj, "configs_per_sec").unwrap_or(0.0);
+                let cps = row.num("configs_per_sec")?;
                 if !cps.is_finite() || cps <= 0.0 {
-                    fail(format!("sweep_trace: configs_per_sec = {cps}"));
+                    return Err(format!("sweep_trace: configs_per_sec = {cps}"));
                 }
             }
             "serve_trace" => {
-                let p99 = num_field(obj, "p99_ms").unwrap_or(f64::NAN);
-                let rps = num_field(obj, "requests_per_sec").unwrap_or(0.0);
+                let p99 = row.num("p99_ms")?;
+                let rps = row.num("requests_per_sec")?;
                 if !p99.is_finite() || p99 <= 0.0 || !rps.is_finite() || rps <= 0.0 {
-                    fail(format!("serve_trace: p99_ms = {p99}, requests_per_sec = {rps}"));
+                    return Err(format!("serve_trace: p99_ms = {p99}, requests_per_sec = {rps}"));
                 }
             }
             _ => {}
         }
-        seen.push(mode);
     }
     for required in ["span_disabled", "sweep_off", "sweep_trace", "serve_trace"] {
-        if !seen.iter().any(|m| m == required) {
-            fail(format!("missing the `{required}` row"));
+        if !rows.iter().any(|r| r.str("mode") == required) {
+            return Err(format!("missing the `{required}` row"));
         }
     }
-    println!("BENCH check: {path}: {} rows ok", objects.len());
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+    Ok(())
 }
 
 fn main() {
@@ -396,7 +348,7 @@ fn main() {
             .map_or(5.0, |v| v.parse().expect("bad --max-overhead-pct"));
         let max_disabled = flag_value(&args, "--max-disabled-pct")
             .map_or(1.0, |v| v.parse().expect("bad --max-disabled-pct"));
-        check_bench_json(path, max_pct, max_disabled);
+        record::run_check(path, &BENCH_KEYS, |rows| gate(rows, max_pct, max_disabled));
         return;
     }
     let parse = |flag: &str, default: usize| -> usize {
@@ -490,5 +442,38 @@ fn main() {
     r_off.overhead_pct = span_ns * spans_per_point / ns_per_point_off * 100.0;
     r_off.span_ns = span_ns;
 
-    write_bench_json(&[r_span, r_off, r_trace, r_serve], flag_value(&args, "--out"));
+    write_rows(&[r_span, r_off, r_trace, r_serve], flag_value(&args, "--out"));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn obs_rows_render_like_the_committed_file() {
+        let row = ObsRow {
+            kernel: "vadd",
+            grid: "fine",
+            points: 121_600,
+            threads: 1,
+            reps: 5,
+            configs_per_sec: 2_037_308.0,
+            overhead_pct: -10.308,
+            spans_emitted: 1100,
+            host_cores: 1,
+            ..ObsRow::blank("sweep_trace")
+        };
+        assert_eq!(
+            record::render_row(&BENCH_KEYS, &row.values()),
+            r#"{"mode": "sweep_trace", "kernel": "vadd", "grid": "fine", "points": 121600, "threads": 1, "reps": 5, "configs_per_sec": 2037308.0, "overhead_pct": -10.308, "span_ns": 0.00, "spans_emitted": 1100, "trace_dropped": 0, "p50_ms": 0.000, "p99_ms": 0.000, "requests_per_sec": 0.0, "host_cores": 1}"#
+        );
+    }
+
+    #[test]
+    fn the_committed_file_passes_the_check() {
+        let body = include_str!("../../../../BENCH_obs.json");
+        let rows = record::parse_rows(body, &BENCH_KEYS).expect("committed file parses");
+        assert_eq!(gate(&rows, 5.0, 1.0), Ok(()));
+        assert_eq!(gate(&rows[..3], 5.0, 1.0), Err("missing the `serve_trace` row".to_string()));
+    }
 }

@@ -33,6 +33,7 @@
 //! row, finite positive throughput, optional steady rps floor, and the
 //! nonzero overload / coalesce / warm-hit acceptance gates.
 
+use flexcl_bench::record::{self, flag_value, Row, Value};
 use flexcl_serve::server::ServerConfig;
 use flexcl_serve::{CounterSnapshot, Server};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,6 +71,7 @@ struct PhaseRow {
     shed_p99_ms: f64,
     requests_per_sec: f64,
     elapsed_ms: f64,
+    host_cores: usize,
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -235,6 +237,7 @@ fn row(
         shed_p99_ms: percentile(&lat.shed, 0.99),
         requests_per_sec: lat.all.len() as f64 / elapsed,
         elapsed_ms: elapsed * 1000.0,
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 
@@ -413,10 +416,9 @@ fn overload_phase(workers: usize, clients: usize, backoff: bool) -> PhaseRow {
     let frames = Arc::new(frames);
 
     let (lat, elapsed) = fire(&server, &frames, clients, total, backoff);
-    // The storm's deadline-0 requests race admission control and may all
-    // be shed; this post-storm probe lands in an empty queue, so it is
-    // always admitted and always rejected at claim time — the
-    // deadline_expired counter is deterministic, not a race artifact.
+    // A deadline-0 request is answered `deadline` at admission, before
+    // it could be shed, so the storm's share moves deadline_expired
+    // whatever the queue holds; this probe pins that answer.
     let probe = request("probe", &steady_kernel(0), 1024, r#","deadline_ms":0"#);
     assert_eq!(server.handle_frame(&probe).kind(), "deadline");
     let r = row(
@@ -434,7 +436,7 @@ fn overload_phase(workers: usize, clients: usize, backoff: bool) -> PhaseRow {
     r
 }
 
-/// Every key a BENCH_serve.json row must carry.
+/// The keys of a BENCH_serve.json row, in emission order.
 const BENCH_KEYS: [&str; 26] = [
     "phase",
     "transport",
@@ -464,58 +466,45 @@ const BENCH_KEYS: [&str; 26] = [
     "listeners",
 ];
 
-fn write_bench_json(rows: &[PhaseRow], out: Option<&str>) {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut body = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let c = &r.counters;
-        let listeners = if r.transport == "epoll" { 2 } else { 0 };
-        body.push_str(&format!(
-            "  {{\"phase\": \"{}\", \"transport\": \"{}\", \"workers\": {}, \"clients\": {}, \
-             \"queue_cap\": {}, \"requests\": {}, \"completed\": {}, \"shed\": {}, \
-             \"degraded\": {}, \"deadline_expired\": {}, \"malformed\": {}, \"failed\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"coalesced\": {}, \"backoff\": {}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"completed_p50_ms\": {:.3}, \
-             \"completed_p99_ms\": {:.3}, \"shed_p50_ms\": {:.4}, \"shed_p99_ms\": {:.4}, \
-             \"requests_per_sec\": {:.1}, \"elapsed_ms\": {:.1}, \"host_cores\": {}, \
-             \"listeners\": {}}}{}\n",
-            r.phase,
-            r.transport,
-            r.workers,
-            r.clients,
-            r.queue_cap,
-            r.requests,
-            c.completed,
-            c.shed,
-            c.degraded,
-            c.deadline_expired,
-            c.malformed,
-            c.failed,
-            c.cache_hits,
-            c.cache_misses,
-            c.coalesced,
-            r.backoff,
-            r.p50_ms,
-            r.p99_ms,
-            r.completed_p50_ms,
-            r.completed_p99_ms,
-            r.shed_p50_ms,
-            r.shed_p99_ms,
-            r.requests_per_sec,
-            r.elapsed_ms,
-            cores,
-            listeners,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+impl PhaseRow {
+    /// This row's values, in [`BENCH_KEYS`] order.
+    fn values(&self) -> [Value<'_>; 26] {
+        let int = |n: usize| Value::Int(n as u64);
+        let c = &self.counters;
+        [
+            Value::Str(self.phase),
+            Value::Str(self.transport),
+            int(self.workers),
+            int(self.clients),
+            int(self.queue_cap),
+            Value::Int(self.requests),
+            Value::Int(c.completed),
+            Value::Int(c.shed),
+            Value::Int(c.degraded),
+            Value::Int(c.deadline_expired),
+            Value::Int(c.malformed),
+            Value::Int(c.failed),
+            Value::Int(c.cache_hits),
+            Value::Int(c.cache_misses),
+            Value::Int(c.coalesced),
+            Value::Bool(self.backoff),
+            Value::Float(self.p50_ms, 3),
+            Value::Float(self.p99_ms, 3),
+            Value::Float(self.completed_p50_ms, 3),
+            Value::Float(self.completed_p99_ms, 3),
+            Value::Float(self.shed_p50_ms, 4),
+            Value::Float(self.shed_p99_ms, 4),
+            Value::Float(self.requests_per_sec, 1),
+            Value::Float(self.elapsed_ms, 1),
+            int(self.host_cores),
+            Value::Int(if self.transport == "epoll" { 2 } else { 0 }),
+        ]
     }
-    body.push_str("]\n");
-    let path = match out {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_serve.json"),
-    };
-    std::fs::write(&path, body).expect("write BENCH_serve.json");
+}
+
+/// Prints the phase rows and writes them to `out` (default: repo-root
+/// `BENCH_serve.json`).
+fn write_rows(rows: &[PhaseRow], out: Option<&str>) {
     for r in rows {
         let c = &r.counters;
         println!(
@@ -535,132 +524,96 @@ fn write_bench_json(rows: &[PhaseRow], out: Option<&str>) {
             c.coalesced,
         );
     }
-    println!("wrote {}", path.display());
+    let values: Vec<_> = rows.iter().map(PhaseRow::values).collect();
+    record::write("BENCH_serve.json", out, &BENCH_KEYS, &values);
 }
 
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    obj.split(&format!("\"{key}\":"))
-        .nth(1)?
-        .trim_start()
-        .split(|c: char| c == ',' || c == '}')
-        .next()?
-        .trim()
-        .parse::<f64>()
-        .ok()
+/// The rows of `phase`; an error when `required` and there are none.
+fn phase_rows<'r>(rows: &'r [Row], phase: &str, required: bool) -> Result<Vec<&'r Row>, String> {
+    let found: Vec<&Row> = rows.iter().filter(|r| r.str("phase") == phase).collect();
+    if required && found.is_empty() {
+        return Err(format!("no {phase} row to gate on"));
+    }
+    Ok(found)
 }
 
-fn str_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    obj.split(&format!("\"{key}\":")).nth(1)?.trim_start().strip_prefix('"')?.split('"').next()
-}
-
-/// Validates a BENCH_serve.json: schema keys on every row, finite
-/// positive throughput, optional steady-phase rps floor, and the
-/// overload / coalesce / warm-hit acceptance gates. Exits non-zero on
-/// the first problem.
-fn check_bench_json(
-    path: &str,
+/// The BENCH_serve.json acceptance gates, each enabled by its `--check`
+/// flag.
+struct Gates {
     require_overload: bool,
     require_coalesce: bool,
     require_warm_hits: bool,
     min_rps: Option<f64>,
-) {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("BENCH check: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let fail = |msg: String| -> ! {
-        eprintln!("BENCH check: {path}: {msg}");
-        std::process::exit(1);
-    };
-    let objects: Vec<&str> = body.lines().filter(|l| l.trim_start().starts_with('{')).collect();
-    if objects.is_empty() {
-        fail("no benchmark rows".to_string());
-    }
-    let mut saw_overload_gate = false;
-    let mut saw_coalesce_gate = false;
-    let mut saw_warm_gate = false;
-    for (i, obj) in objects.iter().enumerate() {
-        for key in BENCH_KEYS {
-            if !obj.contains(&format!("\"{key}\":")) {
-                fail(format!("row {i} is missing key \"{key}\""));
-            }
-        }
-        let rps = num_field(obj, "requests_per_sec")
-            .unwrap_or_else(|| fail(format!("row {i}: requests_per_sec is not a number")));
-        if !rps.is_finite() || rps <= 0.0 {
-            fail(format!("row {i}: requests_per_sec = {rps} (must be finite and positive)"));
-        }
-        let phase = str_field(obj, "phase").unwrap_or("?");
-        if phase == "steady" {
-            if let Some(floor) = min_rps {
-                if rps < floor {
-                    fail(format!("steady phase sustained {rps:.0} req/s < the {floor:.0} floor"));
-                }
-            }
-            if require_warm_hits {
-                let hits = num_field(obj, "cache_hits").unwrap_or(0.0);
-                if hits <= 0.0 {
-                    fail("steady row: cache_hits = 0 — the warm cache is not being hit"
-                        .to_string());
-                }
-                saw_warm_gate = true;
-            }
-        }
-        if phase == "coalesce" && require_coalesce {
-            let coalesced = num_field(obj, "coalesced").unwrap_or(0.0);
-            if coalesced <= 0.0 {
-                fail("coalesce row: coalesced = 0 — identical in-flight requests did not share"
-                    .to_string());
-            }
-            saw_coalesce_gate = true;
-        }
-        if phase == "overload" && require_overload {
-            let shed = num_field(obj, "shed").unwrap_or(0.0);
-            let degraded = num_field(obj, "degraded").unwrap_or(0.0);
-            let deadline = num_field(obj, "deadline_expired").unwrap_or(0.0);
-            let completed = num_field(obj, "completed").unwrap_or(0.0);
-            if shed <= 0.0 || degraded <= 0.0 || deadline <= 0.0 {
-                fail(format!(
-                    "overload row: shed={shed} degraded={degraded} \
-                     deadline_expired={deadline} — all must be nonzero"
-                ));
-            }
-            if completed <= 0.0 {
-                fail("overload row: server completed nothing under pressure".to_string());
-            }
-            saw_overload_gate = true;
-        }
-    }
-    if require_overload && !saw_overload_gate {
-        fail("no overload row to gate on".to_string());
-    }
-    if require_coalesce && !saw_coalesce_gate {
-        fail("no coalesce row to gate on".to_string());
-    }
-    if require_warm_hits && !saw_warm_gate {
-        fail("no steady row to gate warm hits on".to_string());
-    }
-    println!("BENCH check: {path}: {} rows ok", objects.len());
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+impl Gates {
+    /// Finite positive throughput on every row, then each enabled gate:
+    /// the steady-phase rps floor, real warm-cache hits in the steady
+    /// row, shared sweeps in the coalesce row, and nonzero shed,
+    /// degraded, deadline and completed counts in the overload row.
+    fn check(&self, rows: &[Row]) -> Result<(), String> {
+        for (i, row) in rows.iter().enumerate() {
+            let rps = row.num("requests_per_sec")?;
+            if !rps.is_finite() || rps <= 0.0 {
+                return Err(format!(
+                    "row {i}: requests_per_sec = {rps} (must be finite and positive)"
+                ));
+            }
+        }
+        for steady in phase_rows(rows, "steady", self.require_warm_hits)? {
+            if let Some(floor) = self.min_rps {
+                let rps = steady.num("requests_per_sec")?;
+                if rps < floor {
+                    return Err(format!(
+                        "steady phase sustained {rps:.0} req/s < the {floor:.0} floor"
+                    ));
+                }
+            }
+            if self.require_warm_hits && steady.num("cache_hits")? <= 0.0 {
+                return Err(
+                    "steady row: cache_hits = 0 — the warm cache is not being hit".to_string()
+                );
+            }
+        }
+        if self.require_coalesce {
+            for row in phase_rows(rows, "coalesce", true)? {
+                if row.num("coalesced")? <= 0.0 {
+                    return Err("coalesce row: coalesced = 0 — identical in-flight requests \
+                                did not share"
+                        .to_string());
+                }
+            }
+        }
+        if self.require_overload {
+            for row in phase_rows(rows, "overload", true)? {
+                let shed = row.num("shed")?;
+                let degraded = row.num("degraded")?;
+                let deadline = row.num("deadline_expired")?;
+                if shed <= 0.0 || degraded <= 0.0 || deadline <= 0.0 {
+                    return Err(format!(
+                        "overload row: shed={shed} degraded={degraded} \
+                         deadline_expired={deadline} — all must be nonzero"
+                    ));
+                }
+                if row.num("completed")? <= 0.0 {
+                    return Err("overload row: server completed nothing under pressure".to_string());
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(path) = flag_value(&args, "--check") {
-        let min_rps = flag_value(&args, "--min-rps").map(|v| v.parse().expect("bad --min-rps"));
-        check_bench_json(
-            path,
-            args.iter().any(|a| a == "--require-overload"),
-            args.iter().any(|a| a == "--require-coalesce"),
-            args.iter().any(|a| a == "--require-warm-hits"),
-            min_rps,
-        );
+        let gates = Gates {
+            require_overload: args.iter().any(|a| a == "--require-overload"),
+            require_coalesce: args.iter().any(|a| a == "--require-coalesce"),
+            require_warm_hits: args.iter().any(|a| a == "--require-warm-hits"),
+            min_rps: flag_value(&args, "--min-rps").map(|v| v.parse().expect("bad --min-rps")),
+        };
+        record::run_check(path, &BENCH_KEYS, |rows| gates.check(rows));
         return;
     }
     let parse = |flag: &str, default: usize| -> usize {
@@ -689,5 +642,62 @@ fn main() {
         overload_clients / 2
     );
     rows.push(overload_phase(workers, overload_clients, backoff));
-    write_bench_json(&rows, flag_value(&args, "--out"));
+    write_rows(&rows, flag_value(&args, "--out"));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn phase_rows_render_like_the_committed_file() {
+        let row = PhaseRow {
+            phase: "overload",
+            transport: "in-process",
+            workers: 1,
+            clients: 16,
+            queue_cap: 8,
+            requests: 256,
+            counters: CounterSnapshot {
+                completed: 8,
+                shed: 247,
+                degraded: 255,
+                deadline_expired: 2,
+                cache_misses: 8,
+                ..CounterSnapshot::default()
+            },
+            backoff: true,
+            p50_ms: 0.009,
+            p99_ms: 92.67,
+            completed_p50_ms: 92.67,
+            completed_p99_ms: 102.182,
+            shed_p50_ms: 0.0086,
+            shed_p99_ms: 0.0761,
+            requests_per_sec: 2464.8,
+            elapsed_ms: 103.9,
+            host_cores: 1,
+        };
+        assert_eq!(
+            record::render_row(&BENCH_KEYS, &row.values()),
+            r#"{"phase": "overload", "transport": "in-process", "workers": 1, "clients": 16, "queue_cap": 8, "requests": 256, "completed": 8, "shed": 247, "degraded": 255, "deadline_expired": 2, "malformed": 0, "failed": 0, "cache_hits": 0, "cache_misses": 8, "coalesced": 0, "backoff": true, "p50_ms": 0.009, "p99_ms": 92.670, "completed_p50_ms": 92.670, "completed_p99_ms": 102.182, "shed_p50_ms": 0.0086, "shed_p99_ms": 0.0761, "requests_per_sec": 2464.8, "elapsed_ms": 103.9, "host_cores": 1, "listeners": 0}"#
+        );
+    }
+
+    #[test]
+    fn the_committed_file_passes_every_gate() {
+        let body = include_str!("../../../../BENCH_serve.json");
+        let rows = record::parse_rows(body, &BENCH_KEYS).expect("committed file parses");
+        let gates = Gates {
+            require_overload: true,
+            require_coalesce: true,
+            require_warm_hits: true,
+            min_rps: Some(5000.0),
+        };
+        assert_eq!(gates.check(&rows), Ok(()));
+        let no_rows_of_phase = Gates { min_rps: None, ..gates };
+        assert_eq!(
+            no_rows_of_phase.check(&rows[..1]),
+            Err("no coalesce row to gate on".to_string())
+        );
+    }
 }

@@ -34,6 +34,7 @@
 //! * `--no-csv` — skip the `results/` CSVs (so a filtered smoke run does
 //!   not overwrite the committed full-suite artifacts).
 
+use flexcl_bench::record::{self, flag_value, Row, Value};
 use flexcl_bench::{compile, write_csv};
 use flexcl_core::{
     estimate, explore_space_cached, is_iterative_stencil, AnalysisCache, DseOptions,
@@ -213,7 +214,7 @@ fn kernel_rows(points: &[PointRow]) -> Vec<KernelRow> {
     rows
 }
 
-/// Every key a BENCH_accuracy.json row must carry, in emission order.
+/// The keys of a BENCH_accuracy.json row, in emission order.
 const BENCH_KEYS: [&str; 10] = [
     "kernel",
     "suite",
@@ -227,100 +228,43 @@ const BENCH_KEYS: [&str; 10] = [
     "worst_err_overhead_pct",
 ];
 
-/// Writes the per-kernel rows to `out` (default: repo-root
-/// `BENCH_accuracy.json`), one object per line like BENCH_dse.json.
-fn write_bench_json(rows: &[KernelRow], out: Option<&str>) {
-    let mut body = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "  {{\"kernel\": \"{}\", \"suite\": \"{}\", \"points\": {}, \
-             \"mean_abs_err_pct\": {:.3}, \"max_abs_err_pct\": {:.3}, \
-             \"worst_config\": \"{}\", \"worst_err_pct\": {:.3}, \
-             \"worst_err_comp_pct\": {:.3}, \"worst_err_mem_pct\": {:.3}, \
-             \"worst_err_overhead_pct\": {:.3}}}{}\n",
-            r.kernel,
-            r.suite,
-            r.points,
-            r.mean_abs_err_pct,
-            r.max_abs_err_pct,
-            r.worst_config,
-            r.worst_err_pct,
-            r.worst_err_comp_pct,
-            r.worst_err_mem_pct,
-            r.worst_err_overhead_pct,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+impl KernelRow {
+    /// This row's values, in [`BENCH_KEYS`] order.
+    fn values(&self) -> [Value<'_>; 10] {
+        let pct = |x: f64| Value::Float(x, 3);
+        [
+            Value::Str(&self.kernel),
+            Value::Str(self.suite),
+            Value::Int(self.points as u64),
+            pct(self.mean_abs_err_pct),
+            pct(self.max_abs_err_pct),
+            Value::Str(&self.worst_config),
+            pct(self.worst_err_pct),
+            pct(self.worst_err_comp_pct),
+            pct(self.worst_err_mem_pct),
+            pct(self.worst_err_overhead_pct),
+        ]
     }
-    body.push_str("]\n");
-    let path = match out {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_accuracy.json"),
-    };
-    std::fs::write(&path, body).expect("write BENCH_accuracy.json");
-    println!("wrote {}", path.display());
 }
 
-/// Validates a BENCH_accuracy.json produced by [`write_bench_json`]: at
-/// least one row, every schema key in every row, and finite non-negative
-/// `mean_abs_err_pct`. Exits non-zero with a message on the first problem.
-fn check_bench_json(path: &str) {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("BENCH check: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let fail = |msg: String| -> ! {
-        eprintln!("BENCH check: {path}: {msg}");
-        std::process::exit(1);
-    };
-    let objects: Vec<&str> =
-        body.lines().filter(|l| l.trim_start().starts_with('{')).collect();
-    if objects.is_empty() {
-        fail("no accuracy rows".to_string());
-    }
-    for (i, obj) in objects.iter().enumerate() {
-        for key in BENCH_KEYS {
-            if !obj.contains(&format!("\"{key}\":")) {
-                fail(format!("row {i} is missing key \"{key}\""));
-            }
-        }
-        let mean = obj
-            .split("\"mean_abs_err_pct\":")
-            .nth(1)
-            .and_then(|rest| {
-                rest.trim_start()
-                    .split(|c: char| c == ',' || c == '}')
-                    .next()?
-                    .trim()
-                    .parse::<f64>()
-                    .ok()
-            })
-            .unwrap_or_else(|| fail(format!("row {i}: mean_abs_err_pct is not a number")));
+/// The BENCH_accuracy.json gate: a finite non-negative
+/// `mean_abs_err_pct` on every row.
+fn gate(rows: &[Row]) -> Result<(), String> {
+    for (i, row) in rows.iter().enumerate() {
+        let mean = row.num("mean_abs_err_pct")?;
         if !mean.is_finite() || mean < 0.0 {
-            fail(format!(
+            return Err(format!(
                 "row {i}: mean_abs_err_pct = {mean} (must be finite and non-negative)"
             ));
         }
     }
-    println!("BENCH check: {path}: {} rows ok", objects.len());
-}
-
-/// Value of a `--flag VALUE` pair in `args`, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(path) = flag_value(&args, "--check") {
-        check_bench_json(path);
+        record::run_check(path, &BENCH_KEYS, gate);
         return;
     }
     let filter = flag_value(&args, "--kernels");
@@ -454,7 +398,8 @@ fn main() {
             );
         }
     }
-    write_bench_json(&rows, out);
+    let values: Vec<_> = rows.iter().map(KernelRow::values).collect();
+    record::write("BENCH_accuracy.json", out, &BENCH_KEYS, &values);
 
     if let Some(limit) = max_mean_err {
         for r in &rows {
@@ -467,5 +412,37 @@ fn main() {
             }
         }
         println!("accuracy smoke ok: all kernels within {limit}% mean |error|");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kernel_rows_render_like_the_committed_file() {
+        let row = KernelRow {
+            kernel: "bfs/bfs_1".to_string(),
+            suite: "rodinia",
+            points: 332,
+            mean_abs_err_pct: 5.679,
+            max_abs_err_pct: 16.033,
+            worst_config: "wg=32x1 pipe=1 P=1 C=4 V=1 mode=pipeline".to_string(),
+            worst_err_pct: -16.033,
+            worst_err_comp_pct: -1.317,
+            worst_err_mem_pct: -14.53,
+            worst_err_overhead_pct: -0.186,
+        };
+        assert_eq!(
+            record::render_row(&BENCH_KEYS, &row.values()),
+            r#"{"kernel": "bfs/bfs_1", "suite": "rodinia", "points": 332, "mean_abs_err_pct": 5.679, "max_abs_err_pct": 16.033, "worst_config": "wg=32x1 pipe=1 P=1 C=4 V=1 mode=pipeline", "worst_err_pct": -16.033, "worst_err_comp_pct": -1.317, "worst_err_mem_pct": -14.530, "worst_err_overhead_pct": -0.186}"#
+        );
+    }
+
+    #[test]
+    fn the_committed_file_passes_the_check() {
+        let body = include_str!("../../../../BENCH_accuracy.json");
+        let rows = record::parse_rows(body, &BENCH_KEYS).expect("committed file parses");
+        assert_eq!(gate(&rows), Ok(()));
     }
 }

@@ -21,6 +21,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+pub mod record;
+
 /// Per-configuration record of one sweep.
 #[derive(Debug, Clone)]
 pub struct ConfigRecord {

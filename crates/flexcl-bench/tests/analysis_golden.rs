@@ -6,8 +6,8 @@
 //! configurations never take) can slip past it. This test pins the
 //! analysis itself: pattern counts in both burst orders and the latency
 //! table, transfer beats, burst owners and group maxima, every coarsening
-//! level, the contention curve and channel probe, loop trips and
-//! recurrences — plus the profiled trace and weights they are derived from.
+//! level, the contention curve, loop trips and recurrences — plus the
+//! profiled trace and weights they are derived from.
 //!
 //! Each line is `kernel|field|hash` with a stable FNV-1a hash over the
 //! fields' `f64::to_bits` / integer words, so a mismatch names the field
@@ -17,7 +17,7 @@
 mod support;
 
 use flexcl_bench::compile;
-use flexcl_core::{ContentionProbe, KernelAnalysis, Platform};
+use flexcl_core::{KernelAnalysis, Platform};
 use flexcl_kernels::Scale;
 use std::fmt::Write as _;
 use support::{standard_wg, Fnv};
@@ -56,12 +56,6 @@ fn render_fields(out: &mut String, name: &str, a: &KernelAnalysis) {
         h = h.u64(u64::from(c)).f64(p).f64(b);
     }
     line("contention_curve", h);
-    let probe = match a.contention_probe {
-        ContentionProbe::PairedGroups { pair } => Fnv::new().u64(1).u64(pair),
-        ContentionProbe::SelfOffset => Fnv::new().u64(2),
-        ContentionProbe::NoTraffic => Fnv::new().u64(3),
-    };
-    line("channel_probe", probe.f64(a.channel_contention));
     let mut trips: Vec<_> = a.profile.trips.raw.iter().collect();
     trips.sort_by_key(|(id, _)| **id);
     let h =

@@ -53,10 +53,10 @@ pub struct OwnedBurst {
 /// A design-space sweep re-runs [`KernelAnalysis::analyze_interned`] once
 /// per work-group size; the intermediate allocations (trace staging, the
 /// coalescing element buffer, the coarsening dedup table and the DRAM
-/// replay simulator) are identical in shape each time, so a sweep holds
+/// replay simulators) are identical in shape each time, so a sweep holds
 /// one scratch per worker and reuses it instead of reallocating. A fresh
 /// `AnalysisScratch::default()` gives bit-identical results to a reused
-/// one: every buffer is cleared (and the simulator fully
+/// one: every buffer is cleared (and each simulator fully
 /// [`DramSim::reset`]) before use.
 #[derive(Debug, Default)]
 pub struct AnalysisScratch {
@@ -68,10 +68,8 @@ pub struct AnalysisScratch {
     seen: AccessSet,
     /// The merged trace of the coarsening level being analyzed.
     merged: Vec<MemAccess>,
-    /// DRAM replay simulator, reset between uses.
-    replay: Option<DramSim>,
-    /// Pool of replay simulators for the multi-stream contention replays,
-    /// reset between uses.
+    /// Pool of DRAM replay simulators, one per replayed stream, reset
+    /// between uses.
     replay_pool: Vec<DramSim>,
     /// Time spent per analysis sub-stage, summed over every analysis run
     /// through this scratch.
@@ -94,7 +92,7 @@ pub struct AnalysisStages {
     /// Burst grouping, coarsening dedup and burst-owner counting.
     pub group_nanos: u64,
     /// Every DRAM replay: pattern counts in both orders, each coarsening
-    /// level, the contention curve and the channel probe.
+    /// level and the contention curve.
     pub replay_nanos: u64,
 }
 
@@ -131,22 +129,9 @@ impl AnalysisScratch {
         self.stages
     }
 
-    /// A freshly-reset simulator for `config`, reusing the held one when
-    /// the configuration matches ([`DramSim::reset`] restores the exact
-    /// initial state, so reuse is bit-identical to construction).
-    fn dram(&mut self, config: DramConfig) -> &mut DramSim {
-        let reusable = matches!(&self.replay, Some(sim) if *sim.config() == config);
-        if reusable {
-            let sim = self.replay.as_mut().expect("checked above");
-            sim.reset();
-            sim
-        } else {
-            self.replay.insert(DramSim::new(config))
-        }
-    }
-
-    /// `n` freshly-reset simulators for `config`, reused like
-    /// [`AnalysisScratch::dram`].
+    /// `n` freshly-reset simulators for `config`, reusing the held ones
+    /// when the configuration matches ([`DramSim::reset`] restores the
+    /// exact initial state, so reuse is bit-identical to construction).
     fn dram_pool(&mut self, config: DramConfig, n: usize) -> &mut [DramSim] {
         let reusable = self.replay_pool.len() >= n
             && self.replay_pool.iter().take(n).all(|s| *s.config() == config);
@@ -402,28 +387,6 @@ impl Default for ProfileFuel {
             group_budget: 12,
         }
     }
-}
-
-/// How the scalar [`KernelAnalysis::channel_contention`] diagnostic was
-/// obtained — surfaced so callers can tell a measured pairing from a
-/// synthetic fallback instead of silently trusting the wrong one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContentionProbe {
-    /// The true co-running pair was profiled: group 0's stream replayed
-    /// against group `pair`'s (the group dispatched onto the CU that
-    /// shares channel 0).
-    PairedGroups {
-        /// Linear id of the co-running group.
-        pair: u64,
-    },
-    /// The intended co-runner was not among the profiled groups
-    /// (`dram_channels >=` profiled groups, or stratified sampling skipped
-    /// it); group 0's stream was replayed against itself offset by one
-    /// full row sweep.
-    SelfOffset,
-    /// The kernel issues no global-memory traffic; contention is
-    /// vacuously 1.
-    NoTraffic,
 }
 
 /// Per-CU-count memory contention factors, measured by replaying the
@@ -701,15 +664,6 @@ pub struct KernelAnalysis {
     pub local_bytes: u64,
     /// Inter-work-item recurrences with cycle latencies.
     pub recurrences: Vec<ResolvedRecurrence>,
-    /// Measured per-CU memory slowdown when two CUs share a DDR channel
-    /// (1.0 = streams interleave without conflict, 2.0 = full
-    /// serialization). Obtained by replaying two profiled group streams
-    /// concurrently against the banked DRAM — the same profiling
-    /// methodology §3.4 uses for the ΔT table. A diagnostic scalar; the
-    /// model applies [`KernelAnalysis::contention`] instead.
-    pub channel_contention: f64,
-    /// How [`KernelAnalysis::channel_contention`] was measured.
-    pub contention_probe: ContentionProbe,
     /// Per-CU-count contention curve applied to `L_mem^wi` in the Eq. 9/11
     /// integration.
     pub contention: ContentionCurve,
@@ -928,8 +882,6 @@ impl KernelAnalysis {
             curve_points.push((c, fp, fb));
         }
         let contention = ContentionCurve { points: curve_points };
-        let (channel_contention, contention_probe) =
-            measure_channel_contention(&platform, &group_bursts, scratch);
         scratch.stages.replay_nanos += lap(&mut clock);
 
         // ---- static analysis with trip-count weighting.
@@ -989,8 +941,6 @@ impl KernelAnalysis {
             dsp_op_instances,
             local_bytes,
             recurrences,
-            channel_contention,
-            contention_probe,
             contention,
             mem_group_max,
             mem_group_max_phased,
@@ -1534,86 +1484,6 @@ fn serve_burst(sim: &mut DramSim, ob: &OwnedBurst, t: u64) -> u64 {
         arrival: t,
     })
     .finish
-}
-
-/// Replays one profiled group's burst stream alone and two streams
-/// concurrently, returning the per-stream slowdown caused by sharing the
-/// channel's banks (clamped to [1, 2]) and how the pairing was obtained.
-fn measure_channel_contention(
-    platform: &Platform,
-    group_bursts: &[(u64, Vec<OwnedBurst>)],
-    scratch: &mut AnalysisScratch,
-) -> (f64, ContentionProbe) {
-    let Some((_, g0)) = group_bursts.first() else {
-        return (1.0, ContentionProbe::NoTraffic);
-    };
-    if g0.is_empty() {
-        return (1.0, ContentionProbe::NoTraffic);
-    }
-    // With C CUs on `channels` channels the dispatcher pairs CU 0 with
-    // CU `channels` on channel 0, so the streams that actually co-run are
-    // those of group 0 and group `channels` — measure exactly that pair,
-    // looked up by *group id* (the profiled subset is not contiguous, so
-    // positional indexing would pick an arbitrary stratum).
-    let pair_id = u64::from(platform.dram_channels.max(1));
-    let paired = group_bursts
-        .iter()
-        .find(|(g, b)| *g == pair_id && !b.is_empty());
-    let (g1, offset, probe) = match paired {
-        Some((g, b)) => (b.as_slice(), 0u64, ContentionProbe::PairedGroups { pair: *g }),
-        // Co-runner not profiled (single-group kernels, or the pair id not
-        // among the strata): replay the same stream one row-sweep away.
-        None => (
-            g0.as_slice(),
-            platform.dram.row_bytes * u64::from(platform.dram.num_banks),
-            ContentionProbe::SelfOffset,
-        ),
-    };
-
-    // Solo replay.
-    let dram = scratch.dram(platform.dram);
-    let mut t = 0u64;
-    for ob in g0 {
-        let info = dram.access(Request {
-            addr: ob.burst.addr,
-            bytes: ob.burst.bytes,
-            kind: ob.burst.kind,
-            arrival: t,
-        });
-        t = info.finish;
-    }
-    let t1 = t.max(1);
-
-    // Concurrent replay: two serial engines, shared banks.
-    let dram = scratch.dram(platform.dram);
-    let (mut a_free, mut b_free) = (0u64, 0u64);
-    let (mut ai, mut bi) = (0usize, 0usize);
-    while ai < g0.len() || bi < g1.len() {
-        let take_a = bi >= g1.len() || (ai < g0.len() && a_free <= b_free);
-        if take_a {
-            let ob = &g0[ai];
-            let info = dram.access(Request {
-                addr: ob.burst.addr,
-                bytes: ob.burst.bytes,
-                kind: ob.burst.kind,
-                arrival: a_free,
-            });
-            a_free = info.finish;
-            ai += 1;
-        } else {
-            let ob = &g1[bi];
-            let info = dram.access(Request {
-                addr: ob.burst.addr + offset,
-                bytes: ob.burst.bytes,
-                kind: ob.burst.kind,
-                arrival: b_free,
-            });
-            b_free = info.finish;
-            bi += 1;
-        }
-    }
-    let t2 = a_free.max(b_free).max(1);
-    ((t2 as f64 / t1 as f64).clamp(1.0, 2.0), probe)
 }
 
 /// Computes per-instruction execution multipliers from the region tree and

@@ -400,8 +400,7 @@ pub struct DseStats {
     /// coarsening ([`AnalysisStages::group_nanos`]).
     pub group_nanos: u64,
     /// Part of `analysis_nanos` spent in DRAM replays, the contention
-    /// curve and channel probe included
-    /// ([`AnalysisStages::replay_nanos`]).
+    /// curve included ([`AnalysisStages::replay_nanos`]).
     pub replay_nanos: u64,
     /// Wall-clock nanoseconds in the candidate-evaluation loops.
     pub estimate_nanos: u64,

@@ -38,7 +38,7 @@ pub use exec::{
     run, run_refs, ArgRef, GeometryError, GroupSampling, InterpError, NdRange, RunOptions,
 };
 pub use profile::{EdgeCounts, GroupObservation, GroupWeight, LoopTrips, MemAccess, Profile};
-pub use value::{KernelArg, RtVal};
+pub use value::KernelArg;
 
 #[cfg(test)]
 mod tests {
@@ -352,19 +352,26 @@ mod tests {
 
     #[test]
     fn conversions_truncate_to_the_target_width() {
-        let mut args = vec![KernelArg::IntBuf(vec![300, 0, 0, 0])];
+        let mut args = vec![KernelArg::IntBuf(vec![300, 0, 0, 0, 0])];
         exec(
             "__kernel void k(__global long* a) {
                 a[1] = (uchar)(a[0]);
                 a[2] = (short)(a[0] * 1000);
                 a[3] = (uint)(-a[0]);
+                a[4] = (uint)(-1);
             }",
             &mut args,
             NdRange::new_1d(1, 1),
         );
         assert_eq!(
             args[0],
-            KernelArg::IntBuf(vec![300, 44, i64::from(300_000_i32 as i16), 4_294_966_996])
+            KernelArg::IntBuf(vec![
+                300,
+                44,
+                i64::from(300_000_i32 as i16),
+                4_294_966_996,
+                0xFFFF_FFFF
+            ])
         );
     }
 

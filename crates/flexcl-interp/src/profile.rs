@@ -34,11 +34,6 @@ impl EdgeCounts {
         EdgeCounts::default()
     }
 
-    /// Records one traversal of `from → to`.
-    pub fn record(&mut self, from: BlockId, to: BlockId) {
-        self.record_n(from, to, 1);
-    }
-
     /// Records `n` traversals of `from → to` (none when `n` is 0).
     pub(crate) fn record_n(&mut self, from: BlockId, to: BlockId, n: u64) {
         if n == 0 {
@@ -173,8 +168,7 @@ pub struct Profile {
     /// `profile_groups` limits profiling).
     pub work_items: u64,
     /// Stratum weights of the profiled groups, ascending by group id.
-    /// Empty means "unweighted" (every observation counts once) — the
-    /// state of a profile assembled through [`Profile::from_parts`].
+    /// Empty means "unweighted" (every observation counts once).
     pub groups: Vec<GroupWeight>,
     /// Instructions interpreted over all executed work-items (0 for a
     /// profile assembled from parts). A property of the kernel and its
@@ -183,27 +177,10 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Assembles an *unweighted* profile from the machine's aggregate
-    /// observations (every profiled group counts once).
-    pub fn from_parts(
-        func: &Function,
-        edges: EdgeCounts,
-        trace: Vec<MemAccess>,
-        work_items: u64,
-    ) -> Profile {
-        let mut raw = RawTrips::default();
-        collect_loop_trips(func, &func.region, &edges, &mut raw);
-        let mut trips = LoopTrips::default();
-        for (id, (entries, iters)) in raw.raw {
-            trips.raw.insert(id, (entries as f64, iters as f64));
-        }
-        Profile { trips, trace, work_items, groups: Vec::new(), steps: 0 }
-    }
-
     /// Assembles a stratum-weighted profile from per-group observations:
     /// each group's loop-trip statistics enter the mixture multiplied by
-    /// its weight. With all weights at 1 this is bit-identical to
-    /// [`Profile::from_parts`] over the merged observations.
+    /// its weight. With all weights at 1 every observation counts once,
+    /// as if the groups' edge counts were merged.
     pub fn from_group_parts(
         func: &Function,
         observations: Vec<GroupObservation>,
@@ -443,13 +420,13 @@ mod tests {
         /// by `(from, to)`, whatever order the edges arrive in.
         #[test]
         fn edge_counts_match_a_map(
-            edges in proptest::collection::vec((0u32..6, 0u32..6), 0..200),
+            edges in proptest::collection::vec((0u32..6, 0u32..6, 0u64..3), 0..200),
         ) {
             let mut dense = EdgeCounts::new();
             let mut map: HashMap<(u32, u32), u64> = HashMap::new();
-            for &(f, t) in &edges {
-                dense.record(BlockId(f), BlockId(t));
-                *map.entry((f, t)).or_insert(0) += 1;
+            for &(f, t, n) in &edges {
+                dense.record_n(BlockId(f), BlockId(t), n);
+                *map.entry((f, t)).or_insert(0) += n;
             }
             let count = |f: u32, t: u32| map.get(&(f, t)).copied().unwrap_or(0);
             for t in 0..7 {

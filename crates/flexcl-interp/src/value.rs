@@ -1,89 +1,6 @@
-//! Runtime values and kernel arguments for the IR interpreter.
+//! Kernel arguments and integer truncation for the IR interpreter.
 
-use flexcl_frontend::types::{Scalar, Type};
-use std::fmt;
-
-/// A dynamically typed runtime value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RtVal {
-    /// Integer (covers bool as 0/1).
-    Int(i64),
-    /// Float.
-    Float(f64),
-    /// Integer vector.
-    IntVec(Vec<i64>),
-    /// Float vector.
-    FloatVec(Vec<f64>),
-}
-
-impl RtVal {
-    /// Zero value for a type.
-    pub fn zero(ty: &Type) -> RtVal {
-        match ty {
-            Type::Vector(s, n) if s.is_float() => RtVal::FloatVec(vec![0.0; *n as usize]),
-            Type::Vector(_, n) => RtVal::IntVec(vec![0; *n as usize]),
-            Type::Scalar(s) if s.is_float() => RtVal::Float(0.0),
-            _ => RtVal::Int(0),
-        }
-    }
-
-    /// Interprets the value as a boolean.
-    pub fn as_bool(&self) -> bool {
-        match self {
-            RtVal::Int(v) => *v != 0,
-            RtVal::Float(v) => *v != 0.0,
-            RtVal::IntVec(v) => v.iter().any(|x| *x != 0),
-            RtVal::FloatVec(v) => v.iter().any(|x| *x != 0.0),
-        }
-    }
-
-    /// Interprets the value as an integer (floats truncate).
-    pub fn as_int(&self) -> i64 {
-        match self {
-            RtVal::Int(v) => *v,
-            RtVal::Float(v) => *v as i64,
-            RtVal::IntVec(v) => v.first().copied().unwrap_or(0),
-            RtVal::FloatVec(v) => v.first().copied().unwrap_or(0.0) as i64,
-        }
-    }
-
-    /// Interprets the value as a float.
-    pub fn as_float(&self) -> f64 {
-        match self {
-            RtVal::Int(v) => *v as f64,
-            RtVal::Float(v) => *v,
-            RtVal::IntVec(v) => v.first().copied().unwrap_or(0) as f64,
-            RtVal::FloatVec(v) => v.first().copied().unwrap_or(0.0),
-        }
-    }
-
-    /// Converts to the representation required by `ty`.
-    pub fn convert_to(&self, ty: &Type) -> RtVal {
-        match ty {
-            Type::Scalar(s) if s.is_float() => RtVal::Float(self.as_float()),
-            Type::Scalar(s) => RtVal::Int(truncate_int(self.as_int(), *s)),
-            Type::Vector(s, n) => {
-                let n = *n as usize;
-                let lanes_f: Vec<f64> = match self {
-                    RtVal::FloatVec(v) => v.clone(),
-                    RtVal::IntVec(v) => v.iter().map(|x| *x as f64).collect(),
-                    RtVal::Float(v) => vec![*v; n],
-                    RtVal::Int(v) => vec![*v as f64; n],
-                };
-                let mut lanes_f = lanes_f;
-                lanes_f.resize(n, 0.0);
-                if s.is_float() {
-                    RtVal::FloatVec(lanes_f)
-                } else {
-                    RtVal::IntVec(
-                        lanes_f.iter().map(|x| truncate_int(*x as i64, *s)).collect(),
-                    )
-                }
-            }
-            _ => self.clone(),
-        }
-    }
-}
+use flexcl_frontend::types::Scalar;
 
 /// Truncates/wraps an i64 to the width and signedness of `s`.
 pub fn truncate_int(v: i64, s: Scalar) -> i64 {
@@ -97,17 +14,6 @@ pub fn truncate_int(v: i64, s: Scalar) -> i64 {
         Scalar::U32 => v as u32 as i64,
         Scalar::I64 | Scalar::U64 => v,
         Scalar::F32 | Scalar::F64 => v,
-    }
-}
-
-impl fmt::Display for RtVal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RtVal::Int(v) => write!(f, "{v}"),
-            RtVal::Float(v) => write!(f, "{v}"),
-            RtVal::IntVec(v) => write!(f, "{v:?}"),
-            RtVal::FloatVec(v) => write!(f, "{v:?}"),
-        }
     }
 }
 
@@ -137,73 +43,5 @@ impl KernelArg {
     /// Whether this is an empty buffer (scalars count as empty).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Reads buffer element `i` (scalar lanes for vector types are handled
-    /// by the interpreter's lane arithmetic).
-    pub fn read(&self, i: usize) -> Option<RtVal> {
-        match self {
-            KernelArg::IntBuf(v) => v.get(i).map(|x| RtVal::Int(*x)),
-            KernelArg::FloatBuf(v) => v.get(i).map(|x| RtVal::Float(*x)),
-            _ => None,
-        }
-    }
-
-    /// Writes buffer element `i`.
-    pub fn write(&mut self, i: usize, val: &RtVal) -> bool {
-        match self {
-            KernelArg::IntBuf(v) => {
-                if let Some(slot) = v.get_mut(i) {
-                    *slot = val.as_int();
-                    return true;
-                }
-                false
-            }
-            KernelArg::FloatBuf(v) => {
-                if let Some(slot) = v.get_mut(i) {
-                    *slot = val.as_float();
-                    return true;
-                }
-                false
-            }
-            _ => false,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn conversions_round_trip() {
-        assert_eq!(RtVal::Int(3).convert_to(&Type::float()), RtVal::Float(3.0));
-        assert_eq!(RtVal::Float(3.9).convert_to(&Type::int()), RtVal::Int(3));
-        assert_eq!(RtVal::Int(300).convert_to(&Type::Scalar(Scalar::U8)), RtVal::Int(44));
-        assert_eq!(RtVal::Int(-1).convert_to(&Type::Scalar(Scalar::U32)), RtVal::Int(0xFFFF_FFFF));
-    }
-
-    #[test]
-    fn splat_to_vector() {
-        assert_eq!(
-            RtVal::Float(2.0).convert_to(&Type::Vector(Scalar::F32, 4)),
-            RtVal::FloatVec(vec![2.0; 4])
-        );
-    }
-
-    #[test]
-    fn bool_semantics() {
-        assert!(RtVal::Int(5).as_bool());
-        assert!(!RtVal::Int(0).as_bool());
-        assert!(RtVal::Float(0.5).as_bool());
-    }
-
-    #[test]
-    fn kernel_arg_rw() {
-        let mut a = KernelArg::FloatBuf(vec![0.0; 4]);
-        assert!(a.write(2, &RtVal::Float(7.0)));
-        assert_eq!(a.read(2), Some(RtVal::Float(7.0)));
-        assert!(!a.write(9, &RtVal::Float(1.0)));
-        assert_eq!(a.len(), 4);
     }
 }

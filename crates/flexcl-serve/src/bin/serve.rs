@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serve --stdin [options]            # jsonl on stdin/stdout (CI, pipelines)
-//! serve --listen 127.0.0.1:7143 [options]   # length-prefixed TCP frames
+//! serve --listen 127.0.0.1:7143 [options]   # length-prefixed TCP frames (epoll on Linux)
 //!
 //! OPTIONS:
 //!   --workers N          worker threads / queue shards (default 2)
@@ -21,8 +21,6 @@
 //!   --idle-timeout-ms N  close idle connections after N ms (default
 //!                        30000; 0 disables reaping so idle connections
 //!                        stay open; Linux --listen only)
-//!   --blocking-tcp       use the thread-per-connection transport
-//!                        instead of epoll
 //! ```
 //!
 //! A `{"metrics":"json"}` (or `"text"`) frame on either transport
@@ -55,7 +53,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut trace_sample: u64 = 1;
     let mut listeners: usize = 1;
     let mut idle_timeout_ms: u64 = 30_000;
-    let mut blocking_tcp = false;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -77,7 +74,6 @@ fn run(args: &[String]) -> Result<(), String> {
             "--trace-sample" => trace_sample = parse(&value("--trace-sample")?)?,
             "--listeners" => listeners = parse(&value("--listeners")?)?,
             "--idle-timeout-ms" => idle_timeout_ms = parse(&value("--idle-timeout-ms")?)?,
-            "--blocking-tcp" => blocking_tcp = true,
             "--platform" => {
                 cfg.platform = match value("--platform")?.as_str() {
                     "7v3" => flexcl_core::Platform::virtex7_adm7v3(),
@@ -112,29 +108,7 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(addr) = listen {
-        #[cfg(target_os = "linux")]
-        if !blocking_tcp {
-            let opts = net::epoll::EpollOptions {
-                listeners,
-                idle_timeout: std::time::Duration::from_millis(idle_timeout_ms),
-                ..net::epoll::EpollOptions::default()
-            };
-            let transport = net::epoll::EpollTransport::bind(Arc::new(server), &addr, opts)
-                .map_err(|e| format!("bind {addr}: {e}"))?;
-            eprintln!(
-                "listening on {} (epoll, {} listener{})",
-                transport.local_addr(),
-                listeners.max(1),
-                if listeners.max(1) == 1 { "" } else { "s" }
-            );
-            return transport.join().map_err(|e| format!("event loop: {e}"));
-        }
-        #[cfg(not(target_os = "linux"))]
-        let _ = (listeners, idle_timeout_ms, blocking_tcp);
-        let listener =
-            std::net::TcpListener::bind(&addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        eprintln!("listening on {addr} (blocking tcp)");
-        net::serve_tcp(Arc::new(server), listener).map_err(|e| format!("accept: {e}"))
+        listen_tcp(server, &addr, listeners, idle_timeout_ms)
     } else {
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
@@ -158,6 +132,45 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Ok(())
     }
+}
+
+/// Serves length-prefixed TCP frames on `addr` through the epoll event
+/// loops.
+#[cfg(target_os = "linux")]
+fn listen_tcp(
+    server: Server,
+    addr: &str,
+    listeners: usize,
+    idle_timeout_ms: u64,
+) -> Result<(), String> {
+    let opts = net::epoll::EpollOptions {
+        listeners,
+        idle_timeout: std::time::Duration::from_millis(idle_timeout_ms),
+        ..net::epoll::EpollOptions::default()
+    };
+    let transport = net::epoll::EpollTransport::bind(Arc::new(server), addr, opts)
+        .map_err(|e| format!("bind {addr}: {e}"))?;
+    eprintln!(
+        "listening on {} (epoll, {} listener{})",
+        transport.local_addr(),
+        listeners.max(1),
+        if listeners.max(1) == 1 { "" } else { "s" }
+    );
+    transport.join().map_err(|e| format!("event loop: {e}"))
+}
+
+/// Serves length-prefixed TCP frames on `addr`, one thread per
+/// connection (`--listeners` and `--idle-timeout-ms` need epoll).
+#[cfg(not(target_os = "linux"))]
+fn listen_tcp(
+    server: Server,
+    addr: &str,
+    _listeners: usize,
+    _idle_timeout_ms: u64,
+) -> Result<(), String> {
+    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+    eprintln!("listening on {addr} (blocking tcp)");
+    net::serve_tcp(Arc::new(server), listener).map_err(|e| format!("accept: {e}"))
 }
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {

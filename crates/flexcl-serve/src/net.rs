@@ -1,18 +1,14 @@
-//! Transport loops: stdin-jsonl, blocking length-prefixed TCP, and the
-//! non-blocking epoll event loop.
+//! Transport loops: stdin-jsonl and one length-prefixed TCP transport.
 //!
-//! The jsonl loop is the CI/pipeline surface; the blocking TCP loop
-//! (one thread per connection) is the portable fallback; the epoll
-//! transport ([`epoll::EpollTransport`], Linux only) is the serving hot
-//! path — edge-triggered readiness, per-connection read/write state
-//! machines over the same 4-byte length-prefixed framing, idle-timeout
-//! reaping, and optional `SO_REUSEPORT` listener sharding.
+//! The jsonl loop is the CI/pipeline surface. On Linux the only TCP
+//! transport is the epoll event loop ([`epoll::EpollTransport`]) —
+//! edge-triggered readiness, per-connection read/write state machines
+//! over the 4-byte length-prefixed framing, idle-timeout reaping, and
+//! optional `SO_REUSEPORT` listener sharding. Elsewhere it is a blocking
+//! loop with one thread per connection (`serve_tcp`).
 
-use crate::protocol::{read_frame, write_frame};
 use crate::server::Server;
 use std::io::{self, BufRead, Write};
-use std::net::TcpListener;
-use std::sync::Arc;
 
 /// Serves newline-delimited JSON requests from `input`, writing one
 /// response line per request to `output`. Returns the number of frames
@@ -45,21 +41,27 @@ pub fn serve_jsonl(
     }
 }
 
-/// Accept loop for the length-prefixed TCP transport: one handler thread
-/// per connection, each serving frames sequentially until the peer
-/// closes. Runs until the listener errors (or forever). Nagle's
-/// algorithm is off on every accepted socket, as in the epoll transport.
+/// Accept loop for the length-prefixed TCP transport where epoll is not
+/// available: one handler thread per connection, each serving frames
+/// sequentially until the peer closes. Runs until the listener errors
+/// (or forever). Nagle's algorithm is off on every accepted socket, as
+/// in the epoll transport.
 ///
 /// # Errors
 ///
 /// Fatal accept errors; per-connection failures only end that
 /// connection.
-pub fn serve_tcp(server: Arc<Server>, listener: TcpListener) -> io::Result<()> {
+#[cfg(not(target_os = "linux"))]
+pub fn serve_tcp(
+    server: std::sync::Arc<Server>,
+    listener: std::net::TcpListener,
+) -> io::Result<()> {
+    use crate::protocol::{read_frame, write_frame};
     loop {
         let (stream, _) = listener.accept()?;
         // Best effort: a socket that refuses the option still serves.
         let _ = stream.set_nodelay(true);
-        let server = Arc::clone(&server);
+        let server = std::sync::Arc::clone(&server);
         std::thread::spawn(move || {
             let mut reader = stream.try_clone().expect("clone stream");
             let mut writer = stream;
@@ -74,8 +76,7 @@ pub fn serve_tcp(server: Arc<Server>, listener: TcpListener) -> io::Result<()> {
 
 /// Non-blocking epoll transport (Linux only): edge-triggered event
 /// loops over raw syscalls, one per `SO_REUSEPORT` listener, serving
-/// the same 4-byte length-prefixed framing as [`serve_tcp`] without a
-/// thread per connection.
+/// the 4-byte length-prefixed framing without a thread per connection.
 #[cfg(target_os = "linux")]
 pub mod epoll {
     use crate::protocol::MAX_FRAME_LEN;

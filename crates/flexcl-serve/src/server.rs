@@ -16,8 +16,9 @@
 //!    default). The sweep runs under a [`CancelToken`]; an expired
 //!    deadline stops work at the next chunk-claim boundary and the
 //!    client gets a typed `deadline` rejection carrying how far the
-//!    sweep got. Requests that expire while still queued are rejected
-//!    without doing any work at all.
+//!    sweep got. A request that arrives already expired is answered at
+//!    admission (it never queues, leads or parks), and one that expires
+//!    while still queued is rejected without doing any work at all.
 //! 4. **Isolation** — panics, fuel exhaustion and cache corruption armed
 //!    per-request (testhook deployments) or arising naturally are
 //!    contained by the engine's typed-error backstops; one poisoned
@@ -69,7 +70,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// A continuation invoked exactly once with the finished [`Response`].
-/// May run on the submitting thread (shed, malformed, coalesced-expired)
+/// May run on the submitting thread (shed, malformed, already expired)
 /// or on a worker thread (everything else).
 pub type Completion = Box<dyn FnOnce(Response) + Send + 'static>;
 
@@ -562,7 +563,8 @@ impl Server {
 
     /// Non-blocking [`Server::submit`]: coalesce-or-admit, degrade,
     /// shard and enqueue `req`; `complete` receives the response when it
-    /// is ready. Shed and coalesce decisions happen before returning.
+    /// is ready. Expired, shed and coalesce decisions happen before
+    /// returning.
     pub fn submit_async(&self, mut req: Request, complete: Completion) {
         let inner = &self.inner;
         // Ignored faults must not fragment the fingerprint space: clear
@@ -570,6 +572,27 @@ impl Server {
         // (and caches, and coalesces) exactly like the clean request.
         if !inner.cfg.enable_testhooks {
             req.fault = None;
+        }
+
+        let now = Instant::now();
+        let deadline_ms = req.deadline_ms.unwrap_or(inner.cfg.default_deadline_ms);
+        let deadline = now + Duration::from_millis(deadline_ms);
+        // Already expired: answer now. Queued, it could lead a sweep that
+        // identical live requests park on, and its `deadline` would reach
+        // them as a spurious `overloaded`.
+        if deadline <= now {
+            trace::event("serve.deadline");
+            let response = Response::from_error(
+                &req.id,
+                &FlexclError::Deadline {
+                    elapsed_ms: 0,
+                    detail: "deadline expired before admission".to_string(),
+                    stats: Default::default(),
+                },
+            );
+            account(inner, &response, now);
+            complete(response);
+            return;
         }
 
         // Degradation ladder: one rung per `degrade_at` of queue depth
@@ -595,9 +618,6 @@ impl Server {
             d.attr_str("grid_used", &grid_used);
         }
 
-        let now = Instant::now();
-        let deadline_ms = req.deadline_ms.unwrap_or(inner.cfg.default_deadline_ms);
-        let deadline = now + Duration::from_millis(deadline_ms);
         let key = request_fingerprint(&req, &grid_used, inner.platform_tag());
         let family = request_family_fingerprint(&req, inner.platform_tag());
 

@@ -128,6 +128,45 @@ fn poisoned_requests_are_isolated_while_concurrent_clean_ones_complete() {
 }
 
 #[test]
+fn an_expired_request_never_leads_its_live_twin() {
+    let (server, _) = Server::start(ServerConfig {
+        workers: 1,
+        degrade_at: usize::MAX,
+        default_deadline_ms: 60_000,
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let submit = |frame: String| {
+        let tx = tx.clone();
+        let req = flexcl_serve::Request::parse(&frame).expect("well-formed");
+        server.submit_async(req, Box::new(move |r: Response| drop(tx.send(r))));
+    };
+    // The only worker takes an unrelated fine-grid sweep first, so the
+    // expired request and its clean twin both arrive while it is busy:
+    // queued, the expired one would lead a sweep the twin parks on.
+    submit(request("busy", SCALE, 2048, r#","grid":"fine""#));
+    submit(request("expired", VADD, 4096, r#","deadline_ms":0"#));
+    submit(request("twin", VADD, 4096, ""));
+    let mut answers: Vec<Response> = (0..3).map(|_| rx.recv().expect("answer")).collect();
+    answers.sort_by_key(|r| r.id().to_string());
+
+    let [busy, expired, twin] = &answers[..] else { unreachable!() };
+    assert_eq!(busy.kind(), "ok", "{}", busy.to_json());
+    assert_eq!(expired.kind(), "deadline", "{}", expired.to_json());
+    let Response::Ok { summary, coalesced, .. } = twin else {
+        panic!("the live twin must not inherit the expired answer: {}", twin.to_json());
+    };
+    assert!(!coalesced);
+    let (points, cycles) = offline_best_cycles(VADD, 4096);
+    assert_eq!(summary.points, points);
+    assert_eq!(summary.best_cycles.expect("best").to_bits(), cycles.to_bits());
+
+    let c = server.shutdown();
+    assert_eq!((c.completed, c.deadline_expired, c.shed), (2, 1, 0));
+}
+
+#[test]
 fn served_results_are_bit_identical_to_offline_followups_hit_cache() {
     let dir = std::env::temp_dir()
         .join(format!("flexcl-serve-bitident-{}", std::process::id()));

@@ -13,6 +13,9 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # with bit-identical surviving points.
 cargo clippy -p flexcl-core -p flexcl-interp -- -D warnings -W clippy::unwrap_used
 cargo test -q -p flexcl-core --test fault_injection
+# Every smoke file below lives in one temporary directory, removed on exit.
+SMOKE="$(mktemp -d -t tier1_smoke.XXXXXX)"
+trap 'rm -rf "$SMOKE"' EXIT
 # Sweep-throughput smoke and scaling gate: a model-only vadd sweep over
 # the fine grid (≥10⁵ points) must complete, its BENCH_dse.json must
 # carry the full schema (chunk size, steal count, repetitions, host
@@ -23,8 +26,7 @@ cargo test -q -p flexcl-core --test fault_injection
 # row (fresh analysis cache per repetition); --check fails when that row
 # is missing, hit the cache, or its analysis stages (profile + group +
 # replay) sum to more than its elapsed time.
-BENCH_SMOKE="$(mktemp -t bench_dse_smoke.XXXXXX.json)"
-trap 'rm -f "$BENCH_SMOKE"' EXIT
+BENCH_SMOKE="$SMOKE/bench_dse.json"
 cargo run --release -q -p flexcl-bench --bin dse -- \
   --bench-only --grid fine --kernels vadd --reps 3 --out "$BENCH_SMOKE"
 cargo run --release -q -p flexcl-bench --bin dse -- \
@@ -33,8 +35,7 @@ cargo run --release -q -p flexcl-bench --bin dse -- \
 # memory-silent groups, exercising the heaviest-group floor and the
 # stratified profile). Fails if the kernel's mean |error| drifts past 10%
 # (steady-state ≈ 4%); --check validates the BENCH_accuracy.json schema.
-BENCH_ACC="$(mktemp -t bench_accuracy_smoke.XXXXXX.json)"
-trap 'rm -f "$BENCH_SMOKE" "$BENCH_ACC"' EXIT
+BENCH_ACC="$SMOKE/bench_accuracy.json"
 cargo run --release -q -p flexcl-bench --bin triage -- \
   --kernels nw --out "$BENCH_ACC" --max-mean-err 10 --no-csv
 cargo run --release -q -p flexcl-bench --bin triage -- --check "$BENCH_ACC"
@@ -45,9 +46,8 @@ cargo run --release -q -p flexcl-bench --bin triage -- --check "$BENCH_ACC"
 # ≈ 0.8%). The identity half of the contract (cf=1/tb=1 bit-identical
 # to the pre-axis model) and the enlarged-grid determinism run in
 # `cargo test` above (identity_golden, new_axes, chunk_determinism).
-BENCH_AXES="$(mktemp -t bench_axes_smoke.XXXXXX.json)"
-AXES_OUT="$(mktemp -t bench_axes_smoke_out.XXXXXX.txt)"
-trap 'rm -f "$BENCH_SMOKE" "$BENCH_ACC" "$BENCH_AXES" "$AXES_OUT"' EXIT
+BENCH_AXES="$SMOKE/bench_axes.json"
+AXES_OUT="$SMOKE/bench_axes_out.txt"
 cargo run --release -q -p flexcl-bench --bin triage -- \
   --kernels jacobi2d --out "$BENCH_AXES" --max-mean-err 10 --no-csv \
   > "$AXES_OUT"
@@ -62,12 +62,12 @@ cargo run --release -q -p flexcl-bench --bin triage -- --check "$BENCH_AXES"
 # is not counted as traffic), every data-plane response must carry a
 # server-assigned request_id, and the request must leave a single rooted
 # trace tree in the --trace-out sink.
-SERVE_CACHE="$(mktemp -d -t serve_smoke_cache.XXXXXX)"
-SERVE_OUT="$(mktemp -t serve_smoke_out.XXXXXX.jsonl)"
-SERVE_TRACE="$(mktemp -t serve_smoke_trace.XXXXXX.jsonl)"
-BENCH_SERVE="$(mktemp -t bench_serve_smoke.XXXXXX.json)"
-BENCH_OBS="$(mktemp -t bench_obs_smoke.XXXXXX.json)"
-trap 'rm -f "$BENCH_SMOKE" "$BENCH_ACC" "$SERVE_OUT" "$SERVE_TRACE" "$BENCH_SERVE" "$BENCH_OBS"; rm -rf "$SERVE_CACHE"' EXIT
+SERVE_CACHE="$SMOKE/serve_cache"
+mkdir "$SERVE_CACHE"
+SERVE_OUT="$SMOKE/serve_out.jsonl"
+SERVE_TRACE="$SMOKE/serve_trace.jsonl"
+BENCH_SERVE="$SMOKE/bench_serve.json"
+BENCH_OBS="$SMOKE/bench_obs.json"
 printf '%s\n' \
   '{"id":"good","src":"__kernel void vadd(__global float* a, __global float* b, __global float* c) { int i = get_global_id(0); c[i] = a[i] + b[i]; }","global":4096}' \
   '{"id":"bad"' \
