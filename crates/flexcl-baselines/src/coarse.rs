@@ -34,9 +34,9 @@ pub fn estimate(analysis: &KernelAnalysis, config: &OptimizationConfig) -> f64 {
     let comp_per_wi = if config.work_item_pipeline { ASSUMED_II } else { ops_per_wi };
 
     // Memory: flat latency × access count (no coalescing model either).
-    let mem_per_wi = analysis.global_accesses_per_wi.max(
-        analysis.func.global_accesses().len() as f64,
-    ) * FLAT_MEM_LATENCY;
+    let mem_per_wi =
+        analysis.global_accesses_per_wi.max(analysis.func.global_accesses().len() as f64)
+            * FLAT_MEM_LATENCY;
 
     let per_wi = match config.comm_mode {
         CommMode::Barrier => comp_per_wi + mem_per_wi,
@@ -77,8 +77,7 @@ pub fn stepwise_search(
     space: &[OptimizationConfig],
 ) -> Option<OptimizationConfig> {
     let mut current = *space.first()?;
-    for knob in [Knob::WorkGroup, Knob::Pipeline, Knob::Pes, Knob::Cus, Knob::Vector, Knob::Mode]
-    {
+    for knob in [Knob::WorkGroup, Knob::Pipeline, Knob::Pes, Knob::Cus, Knob::Vector, Knob::Mode] {
         let best = space
             .iter()
             .filter(|cand| same_except(cand, &current, knob))
@@ -153,10 +152,8 @@ mod tests {
         let e = estimate(&a, &cfg);
         // Flat latency: reconstructible from the count.
         let n = 4096.0;
-        let accesses =
-            a.global_accesses_per_wi.max(a.func.global_accesses().len() as f64);
-        let expected =
-            (a.func.insts.len() as f64 + accesses * FLAT_MEM_LATENCY) * n;
+        let accesses = a.global_accesses_per_wi.max(a.func.global_accesses().len() as f64);
+        let expected = (a.func.insts.len() as f64 + accesses * FLAT_MEM_LATENCY) * n;
         assert!((e - expected).abs() < 1e-6);
     }
 
@@ -187,9 +184,6 @@ mod tests {
             .expect("best");
         let chosen_cycles = flexcl_core::estimate(&a, &chosen).expect("estimate").cycles;
         let best_cycles = flexcl_core::estimate(&a, flexcl_best).expect("estimate").cycles;
-        assert!(
-            chosen_cycles >= best_cycles,
-            "stepwise cannot beat the exhaustive optimum"
-        );
+        assert!(chosen_cycles >= best_cycles, "stepwise cannot beat the exhaustive optimum");
     }
 }

@@ -146,12 +146,10 @@ fn conservative_region_latency(
                 flexcl_ir::TripCount::Profiled => DEFAULT_TRIP,
             };
             let header_l = conservative_region_latency(analysis, &Region::Block(*header), budget);
-            let latch_l = latch.map_or(0.0, |l| {
-                conservative_region_latency(analysis, &Region::Block(l), budget)
-            });
-            header_l + trip * (conservative_region_latency(analysis, body, budget)
-                + latch_l
-                + header_l)
+            let latch_l = latch
+                .map_or(0.0, |l| conservative_region_latency(analysis, &Region::Block(l), budget));
+            header_l
+                + trip * (conservative_region_latency(analysis, body, budget) + latch_l + header_l)
         }
     }
 }
@@ -194,10 +192,7 @@ mod tests {
         };
         let sda = estimate(&a, &cfg).expect("estimate");
         let flexcl = flexcl_core::estimate(&a, &cfg).expect("estimate").cycles;
-        assert!(
-            sda < flexcl * 0.7,
-            "SDAccel ({sda}) must underestimate vs FlexCL ({flexcl})"
-        );
+        assert!(sda < flexcl * 0.7, "SDAccel ({sda}) must underestimate vs FlexCL ({flexcl})");
     }
 
     #[test]

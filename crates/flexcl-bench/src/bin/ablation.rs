@@ -47,11 +47,7 @@ fn ablation_mode_aware_patterns() {
     }
     println!("{:-<66}", "");
     println!("(phased ≤ wi-order wherever reads and writes interleave)\n");
-    write_csv(
-        "ablation_mode_patterns.csv",
-        "kernel,l_mem_wi_order,l_mem_phased",
-        &rows,
-    );
+    write_csv("ablation_mode_patterns.csv", "kernel,l_mem_wi_order,l_mem_phased", &rows);
 }
 
 /// Ablation 1: flat average memory latency instead of the pattern table.
@@ -78,19 +74,14 @@ fn ablation_flat_memory() {
         let mut analyses: std::collections::HashMap<(u32, u32), Option<KernelAnalysis>> =
             std::collections::HashMap::new();
         for r in &sweep.records {
-            let analysis = match analyses
-                .entry(r.config.work_group)
-                .or_insert_with(|| {
-                    KernelAnalysis::analyze(&func, &platform, &workload, r.config.work_group).ok()
-                }) {
+            let analysis = match analyses.entry(r.config.work_group).or_insert_with(|| {
+                KernelAnalysis::analyze(&func, &platform, &workload, r.config.work_group).ok()
+            }) {
                 Some(a) => a,
                 None => continue,
             };
-            let avg_dt: f64 = Pattern::all()
-                .iter()
-                .map(|p| analysis.pattern_latencies[*p])
-                .sum::<f64>()
-                / 8.0;
+            let avg_dt: f64 =
+                Pattern::all().iter().map(|p| analysis.pattern_latencies[*p]).sum::<f64>() / 8.0;
             let total_accesses: f64 =
                 Pattern::all().iter().map(|p| analysis.pattern_counts[*p]).sum();
             let flat_l_mem = avg_dt * total_accesses;
@@ -119,11 +110,7 @@ fn ablation_flat_memory() {
     }
     println!("{:-<64}", "");
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    println!(
-        "average: pattern-aware {:.1}% vs flat {:.1}%\n",
-        avg(&pattern_errs),
-        avg(&flat_errs)
-    );
+    println!("average: pattern-aware {:.1}% vs flat {:.1}%\n", avg(&pattern_errs), avg(&flat_errs));
     write_csv("ablation_flat_memory.csv", "kernel,pattern_err_pct,flat_err_pct", &rows);
 }
 
@@ -175,10 +162,7 @@ fn ablation_coalescing() {
     let platform = Platform::virtex7_adm7v3();
     println!("Ablation 3: global-memory transactions per work-item, with coalescing");
     println!("{:-<66}", "");
-    println!(
-        "{:<28} {:>10} {:>12} {:>8}",
-        "Kernel", "raw/wi", "coalesced/wi", "factor"
-    );
+    println!("{:<28} {:>10} {:>12} {:>8}", "Kernel", "raw/wi", "coalesced/wi", "factor");
     println!("{:-<66}", "");
     let mut rows = Vec::new();
     for spec in polybench().into_iter().take(8) {
@@ -191,22 +175,12 @@ fn ablation_coalescing() {
         let raw = analysis.profile.accesses_per_work_item();
         let coalesced = analysis.global_accesses_per_wi;
         let factor = raw / coalesced.max(1e-9);
-        println!(
-            "{:<28} {:>10.2} {:>12.3} {:>7.1}x",
-            spec.full_name(),
-            raw,
-            coalesced,
-            factor
-        );
+        println!("{:<28} {:>10.2} {:>12.3} {:>7.1}x", spec.full_name(), raw, coalesced, factor);
         rows.push(format!("{},{raw:.3},{coalesced:.4},{factor:.2}", spec.full_name()));
     }
     println!("{:-<66}", "");
     println!("(512-bit access unit / 32-bit float gives an upper bound of 16x)\n");
-    write_csv(
-        "ablation_coalescing.csv",
-        "kernel,raw_per_wi,coalesced_per_wi,factor",
-        &rows,
-    );
+    write_csv("ablation_coalescing.csv", "kernel,raw_per_wi,coalesced_per_wi,factor", &rows);
     let _ = platform;
     // Silence unused warning if system_run is not exercised here.
     let _ = system_run as fn(_, _, _, _, SimOptions) -> _;

@@ -204,7 +204,12 @@ fn vadd() -> (flexcl_ir::Function, Workload) {
 /// threads over vadd and a few PolyBench kernels. `filter` restricts the
 /// kernels to names containing the given substring; each row is the
 /// median of `reps` timed sweeps after one warm-up.
-fn bench_sweeps(filter: Option<&str>, grid_name: &str, reps: usize, verbose: bool) -> Vec<BenchRow> {
+fn bench_sweeps(
+    filter: Option<&str>,
+    grid_name: &str,
+    reps: usize,
+    verbose: bool,
+) -> Vec<BenchRow> {
     let platform = Platform::virtex7_adm7v3();
     let grid = SweepGrid::by_name(grid_name)
         .unwrap_or_else(|| panic!("unknown grid {grid_name:?} (standard|fine|ultra)"));
@@ -504,8 +509,7 @@ fn main() {
             .iter()
             .min_by(|a, b| a.flexcl_cycles.total_cmp(&b.flexcl_cycles))
             .expect("non-empty");
-        let gap =
-            (flexcl_pick.system_cycles - sim_best.system_cycles) / sim_best.system_cycles;
+        let gap = (flexcl_pick.system_cycles - sim_best.system_cycles) / sim_best.system_cycles;
         gaps.push(gap);
         // "Optimal" within the System Run's synthesis-variance noise floor
         // (per-op implementation factors move a measurement by a few
@@ -537,8 +541,8 @@ fn main() {
         let analysis = KernelAnalysis::analyze(&func, &platform, &workload, (64, 1))
             .or_else(|_| KernelAnalysis::analyze(&func, &platform, &workload, (8, 8)))
             .expect("analysis");
-        let stepwise_pick = flexcl_baselines::coarse::stepwise_search(&analysis, &space)
-            .expect("stepwise");
+        let stepwise_pick =
+            flexcl_baselines::coarse::stepwise_search(&analysis, &space).expect("stepwise");
         let stepwise_sim = sweep
             .records
             .iter()

@@ -61,11 +61,8 @@ fn ascii_plot(records: &[flexcl_bench::ConfigRecord]) {
     if records.is_empty() {
         return;
     }
-    let max = records
-        .iter()
-        .map(|r| r.system_cycles.max(r.flexcl_cycles))
-        .fold(0f64, f64::max)
-        .ln();
+    let max =
+        records.iter().map(|r| r.system_cycles.max(r.flexcl_cycles)).fold(0f64, f64::max).ln();
     let min = records
         .iter()
         .map(|r| r.system_cycles.min(r.flexcl_cycles))

@@ -75,8 +75,7 @@ fn install_tracer(args: &[String]) -> Result<bool, String> {
         Some(v) => v.parse().map_err(|_| "bad --trace-sample")?,
         None => 1,
     };
-    let file =
-        std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
     Ok(flexcl_obs::trace::install(Box::new(file), sample))
 }
 
@@ -162,10 +161,7 @@ struct Loaded {
 }
 
 fn load(flags: &Flags) -> Result<Loaded, String> {
-    let path = flags
-        .positional
-        .first()
-        .ok_or("missing kernel file argument")?;
+    let path = flags.positional.first().ok_or("missing kernel file argument")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let program = flexcl_frontend::parse_and_check(&src).map_err(|e| e.to_string())?;
     let name = match flags.values.get("kernel") {
@@ -174,27 +170,14 @@ fn load(flags: &Flags) -> Result<Loaded, String> {
         None => {
             return Err(format!(
                 "--kernel required; file defines: {}",
-                program
-                    .kernels
-                    .iter()
-                    .map(|k| k.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                program.kernels.iter().map(|k| k.name.as_str()).collect::<Vec<_>>().join(", ")
             ))
         }
     };
-    let kernel = program
-        .kernel(&name)
-        .ok_or_else(|| format!("no kernel named `{name}`"))?;
+    let kernel = program.kernel(&name).ok_or_else(|| format!("no kernel named `{name}`"))?;
     let func = flexcl_ir::lower_kernel(kernel).map_err(|e| e.to_string())?;
 
-    let global = parse_dims(
-        flags
-            .values
-            .get("global")
-            .map(String::as_str)
-            .unwrap_or("1024"),
-    )?;
+    let global = parse_dims(flags.values.get("global").map(String::as_str).unwrap_or("1024"))?;
     let total = global.0 * global.1;
     let buf_elems: u64 = match flags.values.get("buf-elems") {
         Some(v) => v.parse().map_err(|_| "bad --buf-elems")?,
@@ -235,11 +218,7 @@ fn config_for(flags: &Flags, global: (u64, u64)) -> Result<OptimizationConfig, S
     let default_wg = if global.1 > 1 { "8x8" } else { "64" };
     let wg = parse_dims(flags.values.get("wg").map(String::as_str).unwrap_or(default_wg))?;
     let get_u32 = |key: &str, default: u32| -> Result<u32, String> {
-        flags
-            .values
-            .get(key)
-            .map_or(Ok(default), |v| v.parse())
-            .map_err(|_| format!("bad --{key}"))
+        flags.values.get(key).map_or(Ok(default), |v| v.parse()).map_err(|_| format!("bad --{key}"))
     };
     let mode = match flags.values.get("mode").map(String::as_str) {
         None | Some("barrier") => CommMode::Barrier,
@@ -293,11 +272,8 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args);
     let platform = platform_for(&flags)?;
     let loaded = load(&flags)?;
-    let top: usize = flags
-        .values
-        .get("top")
-        .map_or(Ok(10), |v| v.parse())
-        .map_err(|_| "bad --top")?;
+    let top: usize =
+        flags.values.get("top").map_or(Ok(10), |v| v.parse()).map_err(|_| "bad --top")?;
 
     let (grid, opts, cache) = (SweepGrid::standard(), DseOptions::default(), AnalysisCache::new());
     let (func, workload) = (&loaded.func, &loaded.workload);
@@ -334,9 +310,8 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     }
     if flags.switches.contains("pareto") {
         let wg = ranked.first().map(|p| p.config.work_group).unwrap_or((64, 1));
-        let analysis =
-            KernelAnalysis::analyze(&loaded.func, &platform, &loaded.workload, wg)
-                .map_err(|e| e.to_string())?;
+        let analysis = KernelAnalysis::analyze(&loaded.func, &platform, &loaded.workload, wg)
+            .map_err(|e| e.to_string())?;
         println!("\nperformance/area Pareto frontier:");
         for p in result.pareto(&analysis) {
             println!("  {:<44} {:>10.0} cycles  {}", p.config.to_string(), p.cycles, p.area);

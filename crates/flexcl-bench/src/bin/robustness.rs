@@ -17,27 +17,14 @@ fn main() {
     let mut rows = Vec::new();
     println!("Robustness: FlexCL accuracy on the KU060 platform");
     println!("{:-<64}", "");
-    println!(
-        "{:<26} {:>12} {:>12}",
-        "Kernel", "7V3 err", "KU060 err"
-    );
+    println!("{:<26} {:>12} {:>12}", "Kernel", "7V3 err", "KU060 err");
     println!("{:-<64}", "");
     for name in ["hotspot/hotspot", "pathfinder/dynproc"] {
         let spec = find_spec(name);
         let v7 = sweep_kernel(&spec, &Platform::virtex7_adm7v3(), Scale::Test);
         let ku = sweep_kernel(&spec, &Platform::ku060_nas120a(), Scale::Test);
-        println!(
-            "{:<26} {:>11.1}% {:>11.1}%",
-            name,
-            v7.flexcl_error_pct(),
-            ku.flexcl_error_pct()
-        );
-        rows.push(format!(
-            "{},{:.2},{:.2}",
-            name,
-            v7.flexcl_error_pct(),
-            ku.flexcl_error_pct()
-        ));
+        println!("{:<26} {:>11.1}% {:>11.1}%", name, v7.flexcl_error_pct(), ku.flexcl_error_pct());
+        rows.push(format!("{},{:.2},{:.2}", name, v7.flexcl_error_pct(), ku.flexcl_error_pct()));
     }
     println!("{:-<64}", "");
     println!("(paper: HotSpot 9.7%, pathfinder 13.6% on KU060)");

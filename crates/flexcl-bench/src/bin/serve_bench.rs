@@ -193,8 +193,7 @@ fn fire_tcp(
                     write_frame(&mut stream, &frames[i % frames.len()]).expect("write");
                     let reply = read_frame(&mut stream).expect("read").expect("frame");
                     let ms = t.elapsed().as_secs_f64() * 1000.0;
-                    let kind =
-                        if reply.contains("\"status\":\"ok\"") { "ok" } else { "error" };
+                    let kind = if reply.contains("\"status\":\"ok\"") { "ok" } else { "error" };
                     record(&mut lat, kind, ms, None, false);
                 }
             })
@@ -376,7 +375,8 @@ fn coalesce_phase(workers: usize, clients: usize) -> PhaseRow {
         counters.coalesced > 0,
         "identical concurrent requests coalesced zero times in {total} attempts"
     );
-    let r = row("coalesce", "in-process", workers, clients, queue_cap, counters, false, &lat, elapsed);
+    let r =
+        row("coalesce", "in-process", workers, clients, queue_cap, counters, false, &lat, elapsed);
     Arc::into_inner(server).expect("sole handle").shutdown();
     r
 }
@@ -404,11 +404,8 @@ fn overload_phase(workers: usize, clients: usize, backoff: bool) -> PhaseRow {
                 "__kernel void o{i}(__global float* a) {{ \
                    int i = get_global_id(0); a[i] = a[i] + {i}.0f; }}"
             );
-            let extra = if i % 7 == 3 {
-                r#","grid":"fine","deadline_ms":0"#
-            } else {
-                r#","grid":"fine""#
-            };
+            let extra =
+                if i % 7 == 3 { r#","grid":"fine","deadline_ms":0"# } else { r#","grid":"fine""# };
             request(&format!("o{i}"), &src, 1024, extra)
         })
         .collect();

@@ -12,10 +12,7 @@ fn main() {
 
     println!("Table 1: Global Memory Access Patterns And Parameters");
     println!("{:-<66}", "");
-    println!(
-        "{:<32} {:>14} {:>14}",
-        "Pattern", "dT (7V3) [cyc]", "dT (KU060) [cyc]"
-    );
+    println!("{:<32} {:>14} {:>14}", "Pattern", "dT (7V3) [cyc]", "dT (KU060) [cyc]");
     println!("{:-<66}", "");
     let mut rows = Vec::new();
     for p in Pattern::all() {

@@ -26,8 +26,14 @@ fn main() {
     println!("{:-<104}", "");
     println!(
         "{:<24} {:>8} {:>12} {:>12} {:>7} | {:>14} {:>10} {:>10}",
-        "Kernel", "#Designs", "SDAccel err", "FlexCL err", "SDfail",
-        "SystemRun(est)", "SDAccel t", "FlexCL t"
+        "Kernel",
+        "#Designs",
+        "SDAccel err",
+        "FlexCL err",
+        "SDfail",
+        "SystemRun(est)",
+        "SDAccel t",
+        "FlexCL t"
     );
     println!("{:-<104}", "");
 

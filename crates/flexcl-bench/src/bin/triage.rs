@@ -104,17 +104,13 @@ fn triage_sweep(filter: Option<&str>) -> Vec<PointRow> {
             if !point.estimate.feasible {
                 continue;
             }
-            let sim = match system_run(
-                &func,
-                &platform,
-                &workload,
-                &point.config,
-                SimOptions::default(),
-            ) {
-                Ok(r) => r,
-                Err(SimError::Infeasible(_)) => continue,
-                Err(e) => panic!("system run failed for {name}: {e}"),
-            };
+            let sim =
+                match system_run(&func, &platform, &workload, &point.config, SimOptions::default())
+                {
+                    Ok(r) => r,
+                    Err(SimError::Infeasible(_)) => continue,
+                    Err(e) => panic!("system run failed for {name}: {e}"),
+                };
             let est = &point.estimate;
             let denom = sim.cycles.max(1.0);
             points.push(PointRow {
@@ -155,15 +151,13 @@ fn triage_sweep(filter: Option<&str>) -> Vec<PointRow> {
             }
         }
         for cfg in probes {
-            let analysis =
-                KernelAnalysis::analyze(&func, &platform, &workload, cfg.work_group)
-                    .expect("analysis");
+            let analysis = KernelAnalysis::analyze(&func, &platform, &workload, cfg.work_group)
+                .expect("analysis");
             let est = match estimate(&analysis, &cfg) {
                 Ok(e) if e.feasible => e,
                 _ => continue,
             };
-            let sim = match system_run(&func, &platform, &workload, &cfg, SimOptions::default())
-            {
+            let sim = match system_run(&func, &platform, &workload, &cfg, SimOptions::default()) {
                 Ok(r) => r,
                 Err(SimError::Infeasible(_)) => continue,
                 Err(e) => panic!("system run failed for {name} probe {cfg}: {e}"),
@@ -190,12 +184,9 @@ fn kernel_rows(points: &[PointRow]) -> Vec<KernelRow> {
     let mut rows: Vec<KernelRow> = Vec::new();
     for p in points {
         if !rows.iter().any(|r| r.kernel == p.kernel) {
-            let mine: Vec<&PointRow> =
-                points.iter().filter(|q| q.kernel == p.kernel).collect();
-            let worst = mine
-                .iter()
-                .max_by(|a, b| a.err.abs().total_cmp(&b.err.abs()))
-                .expect("non-empty");
+            let mine: Vec<&PointRow> = points.iter().filter(|q| q.kernel == p.kernel).collect();
+            let worst =
+                mine.iter().max_by(|a, b| a.err.abs().total_cmp(&b.err.abs())).expect("non-empty");
             rows.push(KernelRow {
                 kernel: p.kernel.clone(),
                 suite: p.suite,
@@ -353,11 +344,8 @@ fn main() {
     }
     println!("{:-<100}", "");
     let suite_mean = |s: &str| {
-        let v: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.suite == s)
-            .map(|r| r.mean_abs_err_pct)
-            .collect();
+        let v: Vec<f64> =
+            rows.iter().filter(|r| r.suite == s).map(|r| r.mean_abs_err_pct).collect();
         v.iter().sum::<f64>() / v.len().max(1) as f64
     };
     println!(

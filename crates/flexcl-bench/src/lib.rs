@@ -44,8 +44,7 @@ impl ConfigRecord {
 
     /// SDAccel's relative error, if it returned a result.
     pub fn sdaccel_err(&self) -> Option<f64> {
-        self.sdaccel_cycles
-            .map(|c| (c - self.system_cycles).abs() / self.system_cycles)
+        self.sdaccel_cycles.map(|c| (c - self.system_cycles).abs() / self.system_cycles)
     }
 }
 

@@ -54,10 +54,8 @@ fn render_current() -> String {
             .unwrap_or_else(|e| panic!("{}: {e}", spec.full_name()));
         let func = flexcl_ir::lower_kernel(program.kernel(spec.kernel).expect("kernel"))
             .unwrap_or_else(|e| panic!("{}: {e}", spec.full_name()));
-        let wg = (
-            pick_dim(workload.global.0, &[16, 8, 4, 2]),
-            pick_dim(workload.global.1, &[4, 2]),
-        );
+        let wg =
+            (pick_dim(workload.global.0, &[16, 8, 4, 2]), pick_dim(workload.global.1, &[4, 2]));
         let analysis = match KernelAnalysis::analyze(&func, &platform, &workload, wg) {
             Ok(a) => a,
             Err(e) => {
@@ -77,9 +75,7 @@ fn render_current() -> String {
                     est.overhead_cycles.to_bits()
                 )
                 .unwrap(),
-                Err(e) => {
-                    writeln!(out, "{}|{config}|err:{}", spec.full_name(), e.kind()).unwrap()
-                }
+                Err(e) => writeln!(out, "{}|{config}|err:{}", spec.full_name(), e.kind()).unwrap(),
             }
         }
     }

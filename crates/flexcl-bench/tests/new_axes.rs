@@ -76,7 +76,9 @@ fn temporal_blocking_wins_for_hotspot_in_model_and_sim() {
 
 #[test]
 fn coarsened_estimates_track_the_simulator() {
-    for (name, cf) in [("polybench/jacobi2d", 2u32), ("polybench/jacobi2d", 4), ("hotspot/hotspot", 4)] {
+    for (name, cf) in
+        [("polybench/jacobi2d", 2u32), ("polybench/jacobi2d", 4), ("hotspot/hotspot", 4)]
+    {
         let cfg = OptimizationConfig { coarsen_factor: cf, ..piped(WG) };
         let (m, s) = model_and_sim(name, &cfg);
         assert!(

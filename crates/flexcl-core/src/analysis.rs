@@ -12,13 +12,18 @@
 
 use crate::error::FlexclError;
 use crate::platform::Platform;
-use flexcl_dram::{coalesce, microbench, AccessKind, Burst, DramConfig, DramSim, ElementAccess,
-    PatternTable, Request};
+use flexcl_dram::{
+    coalesce, microbench, AccessKind, Burst, DramConfig, DramSim, ElementAccess, PatternTable,
+    Request,
+};
 use flexcl_frontend::types::AddressSpace;
-use flexcl_interp::{run_refs, ArgRef, GroupSampling, InterpError, KernelArg, MemAccess, NdRange,
-    Profile, RunOptions};
-use flexcl_ir::{build_deps, find_recurrences, DepEdge, Function, InstId, MemRoot, Op, Region,
-    Value};
+use flexcl_interp::{
+    run_refs, ArgRef, GroupSampling, InterpError, KernelArg, MemAccess, NdRange, Profile,
+    RunOptions,
+};
+use flexcl_ir::{
+    build_deps, find_recurrences, DepEdge, Function, InstId, MemRoot, Op, Region, Value,
+};
 use flexcl_sched::{list, sms, NodeId, ResourceBudget, ResourceClass, SchedGraph, SchedScratch};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -437,10 +442,7 @@ impl ContentionCurve {
     /// The smallest factor on the curve for a mode — interpolation never
     /// goes below it, so scaling a lower bound by this keeps it sound.
     pub fn min_factor(&self, pipeline: bool) -> f64 {
-        self.points
-            .iter()
-            .map(|p| if pipeline { p.1 } else { p.2 })
-            .fold(1.0f64, f64::min)
+        self.points.iter().map(|p| if pipeline { p.1 } else { p.2 }).fold(1.0f64, f64::min)
     }
 }
 
@@ -485,8 +487,7 @@ impl CoarsenLevel {
     /// `L_mem` per original work-item at this coarsening level (Eq. 9 over
     /// the merged trace), pipeline-order bursts.
     pub fn l_mem_wi(&self, latencies: &PatternTable<f64>) -> f64 {
-        latencies.iter().map(|(p, dt)| dt * self.pattern_counts[p]).sum::<f64>()
-            + self.mem_extra_wi
+        latencies.iter().map(|(p, dt)| dt * self.pattern_counts[p]).sum::<f64>() + self.mem_extra_wi
     }
 
     /// Phased (barrier-mode) variant of [`Self::l_mem_wi`].
@@ -756,18 +757,14 @@ impl KernelAnalysis {
             trace_limit: fuel.trace_limit,
         };
         let profile = args.run(&func, nd, opts).map_err(|e| match e {
-            InterpError::StepLimit(_) | InterpError::TraceLimit(_) => {
-                FlexclError::ResourceLimit {
-                    kernel: func.name.clone(),
-                    work_group,
-                    detail: e.to_string(),
-                }
-            }
-            other => FlexclError::Profiling {
+            InterpError::StepLimit(_) | InterpError::TraceLimit(_) => FlexclError::ResourceLimit {
                 kernel: func.name.clone(),
                 work_group,
-                source: other,
+                detail: e.to_string(),
             },
+            other => {
+                FlexclError::Profiling { kernel: func.name.clone(), work_group, source: other }
+            }
         })?;
         scratch.stages.profile_nanos += lap(&mut clock);
         scratch.stages.profile_steps += profile.steps;
@@ -959,19 +956,13 @@ impl KernelAnalysis {
     /// Per-work-item global-memory latency `L_mem^wi` (Eq. 9), with
     /// bursts in the pipeline-mode (work-item) order.
     pub fn l_mem_wi(&self) -> f64 {
-        self.pattern_latencies
-            .iter()
-            .map(|(p, dt)| dt * self.pattern_counts[p])
-            .sum::<f64>()
+        self.pattern_latencies.iter().map(|(p, dt)| dt * self.pattern_counts[p]).sum::<f64>()
             + self.mem_extra_wi
     }
 
     /// `L_mem^wi` with barrier-mode phasing (reads first, then writes).
     pub fn l_mem_wi_phased(&self) -> f64 {
-        self.pattern_latencies
-            .iter()
-            .map(|(p, dt)| dt * self.pattern_counts_phased[p])
-            .sum::<f64>()
+        self.pattern_latencies.iter().map(|(p, dt)| dt * self.pattern_counts_phased[p]).sum::<f64>()
             + self.mem_extra_wi
     }
 
@@ -980,9 +971,7 @@ impl KernelAnalysis {
     pub fn rec_mii(&self) -> u32 {
         self.recurrences
             .iter()
-            .map(|r| {
-                (r.cycle_latency as f64 / f64::from(r.distance.max(1))).ceil() as u32
-            })
+            .map(|r| (r.cycle_latency as f64 / f64::from(r.distance.max(1))).ceil() as u32)
             .max()
             .unwrap_or(1)
             .max(1)
@@ -1085,9 +1074,11 @@ impl KernelAnalysis {
                 // Independent branches execute in parallel circuits (§3.2);
                 // the merged node costs the longer branch.
                 Ok(self.block_latency(*cond_block, budget, scratch)?
-                    + self
-                        .region_latency(then_region, budget, scratch)?
-                        .max(self.region_latency(else_region, budget, scratch)?))
+                    + self.region_latency(then_region, budget, scratch)?.max(self.region_latency(
+                        else_region,
+                        budget,
+                        scratch,
+                    )?))
             }
             Region::Loop { id, header, body, latch } => {
                 let meta = &self.func.loops[id.0 as usize];
@@ -1097,11 +1088,11 @@ impl KernelAnalysis {
                     Some(l) => self.block_latency(*l, budget, scratch)?,
                     None => 0.0,
                 };
-                let body_lat =
-                    self.region_latency(body, budget, scratch)? + latch_lat + header_lat;
+                let body_lat = self.region_latency(body, budget, scratch)? + latch_lat + header_lat;
                 if meta.pipeline {
-                    return Ok(self
-                        .pipelined_loop_latency(*header, body, *latch, trip, budget, scratch));
+                    return Ok(
+                        self.pipelined_loop_latency(*header, body, *latch, trip, budget, scratch)
+                    );
                 }
                 let unroll = match meta.unroll {
                     Some(0) => trip.max(1.0) as u32, // full unroll
@@ -1162,8 +1153,7 @@ impl KernelAnalysis {
         }
         // Loop-carried dependences: a store in iteration k feeds loads that
         // appear *earlier* in iteration k+1 through the same root.
-        let pos: HashMap<InstId, usize> =
-            seq.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+        let pos: HashMap<InstId, usize> = seq.iter().enumerate().map(|(i, id)| (*id, i)).collect();
         for &sid in &seq {
             let s = self.func.inst(sid);
             let Op::Store { root: s_root, .. } = &s.op else { continue };
@@ -1190,12 +1180,7 @@ impl KernelAnalysis {
 
     /// Lower bound on the latency of `unroll` merged loop bodies given the
     /// resource budget (issue-rate bound).
-    fn unroll_resource_floor(
-        &self,
-        body: &Region,
-        budget: &ResourceBudget,
-        unroll: u32,
-    ) -> f64 {
+    fn unroll_resource_floor(&self, body: &Region, budget: &ResourceBudget, unroll: u32) -> f64 {
         let mut uses: HashMap<ResourceClass, u32> = HashMap::new();
         for b in body.blocks() {
             for inst in self.func.block_insts(b) {
@@ -1272,9 +1257,8 @@ impl KernelAnalysis {
                     }
                 }
                 region => {
-                    let lat = self
-                        .region_latency(region, budget, scratch)?
-                        .min(f64::from(u32::MAX / 4));
+                    let lat =
+                        self.region_latency(region, budget, scratch)?.min(f64::from(u32::MAX / 4));
                     let node = g.add_node(lat.round() as u32, ResourceClass::Fabric);
                     for b in region.blocks() {
                         for inst in self.func.block_insts(b) {
@@ -1288,8 +1272,7 @@ impl KernelAnalysis {
         // Dependence edges mapped onto nodes.
         let mut seen = std::collections::HashSet::new();
         for e in deps {
-            let (Some(from), Some(to)) =
-                (inst_node[e.from.0 as usize], inst_node[e.to.0 as usize])
+            let (Some(from), Some(to)) = (inst_node[e.from.0 as usize], inst_node[e.to.0 as usize])
             else {
                 continue;
             };
@@ -1367,10 +1350,7 @@ impl KernelAnalysis {
             sum_depth += f64::from(s.depth);
         }
         let k = f64::from(SYNTH_ENSEMBLE);
-        Ok((
-            (sum_ii / k).round().max(1.0) as u32,
-            (sum_depth / k).round().max(1.0) as u32,
-        ))
+        Ok(((sum_ii / k).round().max(1.0) as u32, (sum_depth / k).round().max(1.0) as u32))
     }
 
     /// Execution multiplier of an instruction (product of enclosing loop
@@ -1533,12 +1513,7 @@ fn fill_multipliers(
 
 /// Longest def-use path latency from `from` to `to` (inclusive of both),
 /// used as the recurrence cycle latency.
-fn dep_path_latency(
-    func: &Function,
-    platform: &Platform,
-    from: InstId,
-    to: InstId,
-) -> u64 {
+fn dep_path_latency(func: &Function, platform: &Platform, from: InstId, to: InstId) -> u64 {
     let n = func.insts.len();
     let mut dist = vec![i64::MIN; n];
     let lat = |id: InstId| {
@@ -1711,7 +1686,12 @@ mod trace_pass_equivalence {
 mod tests {
     use super::*;
 
-    fn analyze(src: &str, args: Vec<KernelArg>, global: (u64, u64), wg: (u32, u32)) -> KernelAnalysis {
+    fn analyze(
+        src: &str,
+        args: Vec<KernelArg>,
+        global: (u64, u64),
+        wg: (u32, u32),
+    ) -> KernelAnalysis {
         let p = flexcl_frontend::parse_and_check(src).expect("frontend");
         let f = flexcl_ir::lower_kernel(&p.kernels[0]).expect("lowering");
         let platform = Platform::virtex7_adm7v3();
@@ -1940,10 +1920,7 @@ mod tests {
         let budget = ResourceBudget::unconstrained();
         let ls = serial.work_item_latency(&budget).expect("latency");
         let lp = piped.work_item_latency(&budget).expect("latency");
-        assert!(
-            lp < ls * 0.7,
-            "pipelined loop {lp} should beat serial {ls}"
-        );
+        assert!(lp < ls * 0.7, "pipelined loop {lp} should beat serial {ls}");
         // The accumulation `acc += ...` is a loop-carried recurrence: the
         // loop II cannot be 1 (fadd latency is 4 cycles), so the pipelined
         // latency must stay above trip × 4.
@@ -1980,8 +1957,7 @@ mod tests {
         .expect("frontend");
         let f = flexcl_ir::lower_kernel(&p.kernels[0]).expect("lowering");
         let platform = Platform::virtex7_adm7v3();
-        let workload =
-            Workload { args: vec![KernelArg::IntBuf(vec![0; 100])], global: (100, 1) };
+        let workload = Workload { args: vec![KernelArg::IntBuf(vec![0; 100])], global: (100, 1) };
         let err = KernelAnalysis::analyze(&f, &platform, &workload, (64, 1)).unwrap_err();
         assert_eq!(err.kind(), crate::error::ErrorKind::Geometry);
         assert!(matches!(err, FlexclError::Geometry { work_group: (64, 1), .. }));
@@ -2001,10 +1977,8 @@ mod tests {
         .expect("frontend");
         let f = flexcl_ir::lower_kernel(&p.kernels[0]).expect("lowering");
         let platform = Platform::virtex7_adm7v3();
-        let workload =
-            Workload { args: vec![KernelArg::IntBuf(vec![0; 64])], global: (64, 1) };
-        let fuel =
-            ProfileFuel { step_limit: 1000, trace_limit: 1 << 20, ..ProfileFuel::default() };
+        let workload = Workload { args: vec![KernelArg::IntBuf(vec![0; 64])], global: (64, 1) };
+        let fuel = ProfileFuel { step_limit: 1000, trace_limit: 1 << 20, ..ProfileFuel::default() };
         let err = KernelAnalysis::analyze_interned(
             Arc::new(f),
             Arc::new(platform),

@@ -32,8 +32,7 @@ pub struct AreaEstimate {
 impl AreaEstimate {
     /// Whether this estimate fits the platform's capacity.
     pub fn fits(&self, platform: &crate::platform::Platform) -> bool {
-        self.dsps <= u64::from(platform.total_dsps)
-            && self.bram_bytes <= platform.total_bram_bytes
+        self.dsps <= u64::from(platform.total_dsps) && self.bram_bytes <= platform.total_bram_bytes
     }
 
     /// A scalar cost for ranking (normalised resource shares summed).
@@ -201,12 +200,7 @@ mod tests {
     fn area_scales_with_replication() {
         let a = analysis();
         let base = OptimizationConfig::baseline((64, 1));
-        let wide = OptimizationConfig {
-            work_item_pipeline: true,
-            num_pes: 4,
-            num_cus: 2,
-            ..base
-        };
+        let wide = OptimizationConfig { work_item_pipeline: true, num_pes: 4, num_cus: 2, ..base };
         let small = estimate_area(&a, &base);
         let big = estimate_area(&a, &wide);
         assert_eq!(big.dsps, small.dsps * 8);
@@ -256,8 +250,8 @@ mod tests {
         // No frontier point is dominated by any other point.
         for f in &frontier {
             for p in &pts {
-                let dominates = p.cycles < f.cycles
-                    && p.area.cost(&platform) < f.area.cost(&platform);
+                let dominates =
+                    p.cycles < f.cycles && p.area.cost(&platform) < f.area.cost(&platform);
                 assert!(!dominates, "{} dominated by {}", f.config, p.config);
             }
         }

@@ -427,18 +427,13 @@ impl ConfigSpace {
                 }
             }
         };
-        let vecs: Vec<u32> =
-            if limits.vectorizable { grid.vector_widths.clone() } else { vec![1] };
+        let vecs: Vec<u32> = if limits.vectorizable { grid.vector_widths.clone() } else { vec![1] };
         let modes_pipe: Vec<CommMode> = if limits.has_barrier {
             vec![CommMode::Barrier]
         } else {
             vec![CommMode::Barrier, CommMode::Pipeline]
         };
-        let tbs: Vec<u32> = if limits.iterative {
-            grid.temporal_depths.clone()
-        } else {
-            vec![1]
-        };
+        let tbs: Vec<u32> = if limits.iterative { grid.temporal_depths.clone() } else { vec![1] };
 
         let mut families = Vec::new();
         let mut total = 0usize;
@@ -485,13 +480,7 @@ impl ConfigSpace {
             if fam_len == 0 {
                 continue;
             }
-            families.push(FamilySpace {
-                work_group: wg,
-                offset: total,
-                len: fam_len,
-                blocks,
-                cfs,
-            });
+            families.push(FamilySpace { work_group: wg, offset: total, len: fam_len, blocks, cfs });
             total += fam_len;
         }
         ConfigSpace { families, cus: grid.cus.clone(), vecs, modes_pipe, tbs, total }
@@ -619,9 +608,9 @@ impl ConfigSpace {
 
     /// Iterates the whole space in enumeration order.
     pub fn iter(&self) -> impl Iterator<Item = OptimizationConfig> + '_ {
-        self.families.iter().flat_map(move |fam| {
-            (0..fam.len).map(move |local| self.decode(fam, local))
-        })
+        self.families
+            .iter()
+            .flat_map(move |fam| (0..fam.len).map(move |local| self.decode(fam, local)))
     }
 }
 
@@ -666,20 +655,13 @@ mod tests {
 
     #[test]
     fn reqd_work_group_pins_wg() {
-        let space = enumerate(&DesignSpaceLimits {
-            reqd_work_group: Some((64, 1)),
-            ..limits_1d()
-        });
+        let space = enumerate(&DesignSpaceLimits { reqd_work_group: Some((64, 1)), ..limits_1d() });
         assert!(space.iter().all(|c| c.work_group == (64, 1)));
     }
 
     #[test]
     fn two_dimensional_kernels_get_2d_groups() {
-        let space = enumerate(&DesignSpaceLimits {
-            global_x: 256,
-            global_y: 256,
-            ..limits_1d()
-        });
+        let space = enumerate(&DesignSpaceLimits { global_x: 256, global_y: 256, ..limits_1d() });
         assert!(space.iter().all(|c| c.work_group.1 > 1));
     }
 
@@ -723,10 +705,7 @@ mod tests {
         for f in 0..space.family_count() {
             assert_eq!(space.family_offset(f), next_offset);
             for local in 0..space.family_len(f) {
-                assert_eq!(
-                    listed[next_offset + local].work_group,
-                    space.family_work_group(f)
-                );
+                assert_eq!(listed[next_offset + local].work_group, space.family_work_group(f));
             }
             next_offset += space.family_len(f);
         }
@@ -755,8 +734,7 @@ mod tests {
     /// and chunk boundaries and with every axis live (iterative kernel).
     #[test]
     fn chunked_fill_matches_the_division_decode() {
-        fn reference(space: &ConfigSpace, fam: &FamilySpace, local: usize) -> OptimizationConfig
-        {
+        fn reference(space: &ConfigSpace, fam: &FamilySpace, local: usize) -> OptimizationConfig {
             let b = fam.blocks.partition_point(|b| b.offset + b.len <= local);
             let block = &fam.blocks[b];
             let rem = local - block.offset;
@@ -824,11 +802,7 @@ mod tests {
             &DesignSpaceLimits { global_x: 256, global_y: 256, ..limits_1d() },
             &SweepGrid::ultra(),
         );
-        assert!(
-            space_2d.len() >= 1_000_000,
-            "ultra 2-D grid has {} points",
-            space_2d.len()
-        );
+        assert!(space_2d.len() >= 1_000_000, "ultra 2-D grid has {} points", space_2d.len());
         for cfg in [space.get(0), space.get(space.len() / 2), space.get(space.len() - 1)] {
             cfg.validate().expect("generated configs are valid");
         }
@@ -855,10 +829,7 @@ mod tests {
         grid.coarsen_factors = vec![1, 3, 4];
         let space = ConfigSpace::new(&limits_1d(), &grid);
         for cfg in space.iter() {
-            assert!(
-                cfg.work_group_size().is_multiple_of(u64::from(cfg.coarsen_factor)),
-                "{cfg}"
-            );
+            assert!(cfg.work_group_size().is_multiple_of(u64::from(cfg.coarsen_factor)), "{cfg}");
             assert_ne!(cfg.coarsen_factor, 3, "3 divides neither 16 nor 64: {cfg}");
         }
         assert!(space.iter().any(|c| c.coarsen_factor == 4));
@@ -950,11 +921,8 @@ mod tests {
         let zero_pes = OptimizationConfig { num_pes: 0, ..Default::default() };
         assert_eq!(zero_pes.validate().unwrap_err().kind(), ErrorKind::Config);
 
-        let overflow = OptimizationConfig {
-            num_pes: u32::MAX,
-            vector_width: u32::MAX,
-            ..Default::default()
-        };
+        let overflow =
+            OptimizationConfig { num_pes: u32::MAX, vector_width: u32::MAX, ..Default::default() };
         assert!(overflow.validate().is_err());
     }
 }

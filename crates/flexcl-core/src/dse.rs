@@ -338,11 +338,7 @@ impl DiagnosticsReport {
     /// Human-readable one-line breakdown, e.g. `config x3, panic x1`;
     /// empty string when the report is clean.
     pub fn summary(&self) -> String {
-        self.kind_counts()
-            .iter()
-            .map(|(k, n)| format!("{k} x{n}"))
-            .collect::<Vec<_>>()
-            .join(", ")
+        self.kind_counts().iter().map(|(k, n)| format!("{k} x{n}")).collect::<Vec<_>>().join(", ")
     }
 }
 
@@ -572,8 +568,7 @@ impl DseResult {
             .enumerate()
             .filter(|(_, p)| p.estimate.feasible && p.estimate.cycles <= max_cycles)
             .map(|(i, p)| {
-                let cost =
-                    crate::area::estimate_area(analysis, &p.config).cost(&analysis.platform);
+                let cost = crate::area::estimate_area(analysis, &p.config).cost(&analysis.platform);
                 (i, p, cost)
             })
             .min_by(|(ia, _, ca), (ib, _, cb)| ca.total_cmp(cb).then(ia.cmp(ib)))
@@ -582,13 +577,12 @@ impl DseResult {
 
     /// The performance/area Pareto frontier of the explored space.
     pub fn pareto(&self, analysis: &KernelAnalysis) -> Vec<crate::area::ParetoPoint> {
-        let pts = self.points.iter().filter(|p| p.estimate.feasible).map(|p| {
-            crate::area::ParetoPoint {
+        let pts =
+            self.points.iter().filter(|p| p.estimate.feasible).map(|p| crate::area::ParetoPoint {
                 config: p.config,
                 cycles: p.estimate.cycles,
                 area: crate::area::estimate_area(analysis, &p.config),
-            }
-        });
+            });
         crate::area::pareto_frontier(&analysis.platform, pts)
     }
 
@@ -1171,8 +1165,7 @@ fn process_chunk(
 ) -> ChunkOutcome {
     let mut out = ChunkOutcome::default();
     let state = &states[chunk.family];
-    let fam =
-        state.analysis.get_or_init(|| analyze_family(sweep, state.work_group, args, scratch));
+    let fam = state.analysis.get_or_init(|| analyze_family(sweep, state.work_group, args, scratch));
     match fam {
         FamilyAnalysis::Geometry { .. } => {}
         FamilyAnalysis::Failed { kind, message, .. } => {
@@ -1194,10 +1187,8 @@ fn process_chunk(
             // survives (its bound is ≤ that minimum ≤ the incumbent at
             // all times); replay audits the rest.
             let inc = incumbent.get();
-            let keep = [
-                !sweep.opts.prune || bounds[0] <= inc,
-                !sweep.opts.prune || bounds[1] <= inc,
-            ];
+            let keep =
+                [!sweep.opts.prune || bounds[0] <= inc, !sweep.opts.prune || bounds[1] <= inc];
             out.skipped = [!keep[0], !keep[1]];
             let pruned = u64::from(out.skipped[0]) + u64::from(out.skipped[1]);
             if pruned > 0 {
@@ -1253,7 +1244,15 @@ fn worker_loop(
             chunk_span.attr_u64("stole", u64::from(stole));
         }
         let mut out = process_chunk(
-            sweep, set, states, chunk, incumbent, &mut ctxs, &mut args, &mut scratch, &mut buf,
+            sweep,
+            set,
+            states,
+            chunk,
+            incumbent,
+            &mut ctxs,
+            &mut args,
+            &mut scratch,
+            &mut buf,
         );
         out.stole = stole;
         drop(chunk_span);
@@ -1333,8 +1332,7 @@ fn run_sweep(
 
     let incumbent = Incumbent::new();
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ChunkOutcome>>> =
-        sched.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<ChunkOutcome>>> = sched.iter().map(|_| Mutex::new(None)).collect();
 
     let workers = opts.threads.max(1).min(sched.len().max(1));
     if workers <= 1 {
@@ -1398,10 +1396,8 @@ fn run_sweep(
         if let Some(FamilyAnalysis::Ready { analysis, bounds, .. }) =
             states[chunk.family].analysis.get()
         {
-            keep = [
-                !opts.prune || bounds[0] <= prefix_best,
-                !opts.prune || bounds[1] <= prefix_best,
-            ];
+            keep =
+                [!opts.prune || bounds[0] <= prefix_best, !opts.prune || bounds[1] <= prefix_best];
             // Drop what the racy hint under-pruned...
             if keep != [true, true] {
                 out.points.retain(|p| keep[mode_idx(p.config.comm_mode)]);
@@ -1635,8 +1631,7 @@ pub fn explore_configs(
         }
         match families.iter_mut().find(|f| f.work_group == cfg.work_group) {
             Some(f) => f.entries.push((idx, cfg)),
-            None => families
-                .push(Family { work_group: cfg.work_group, entries: vec![(idx, cfg)] }),
+            None => families.push(Family { work_group: cfg.work_group, entries: vec![(idx, cfg)] }),
         }
     }
 
@@ -1799,10 +1794,7 @@ mod tests {
         let platform = Platform::virtex7_adm7v3();
         let serial = sweep(&f, &platform, &w, DseOptions::default());
         let parallel = sweep(&f, &platform, &w, DseOptions { threads: 4, ..DseOptions::default() });
-        assert!(serial
-            .points
-            .iter()
-            .any(|p| p.config.comm_mode == CommMode::Pipeline));
+        assert!(serial.points.iter().any(|p| p.config.comm_mode == CommMode::Pipeline));
         assert_points_identical(&serial, &parallel);
     }
 
@@ -2194,8 +2186,14 @@ mod tests {
         let platform = Platform::virtex7_adm7v3();
         let configs = vec![
             OptimizationConfig::baseline((64, 1)),
-            OptimizationConfig { work_item_pipeline: true, ..OptimizationConfig::baseline((32, 1)) },
-            OptimizationConfig { work_item_pipeline: true, ..OptimizationConfig::baseline((64, 1)) },
+            OptimizationConfig {
+                work_item_pipeline: true,
+                ..OptimizationConfig::baseline((32, 1))
+            },
+            OptimizationConfig {
+                work_item_pipeline: true,
+                ..OptimizationConfig::baseline((64, 1))
+            },
         ];
         let opts = DseOptions::default();
         let r = explore_configs(&f, &platform, &w, &configs, opts, &AnalysisCache::new())

@@ -31,9 +31,7 @@
 use crate::analysis::KernelAnalysis;
 use crate::config::{CommMode, OptimizationConfig};
 use crate::error::FlexclError;
-use crate::model::{
-    effective_pe_parallelism, infeasible, pe_budget, Estimate, InfeasibleReason,
-};
+use crate::model::{effective_pe_parallelism, infeasible, pe_budget, Estimate, InfeasibleReason};
 use flexcl_ir::DepEdge;
 use flexcl_obs::metrics;
 use flexcl_sched::{ResourceBudget, SchedScratch};
@@ -161,10 +159,7 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
         self.stats.sched_cache_misses += 1;
         cache_counters().1.inc();
         let t0 = Instant::now();
-        let r = self
-            .analysis
-            .borrow()
-            .pipeline_params_with(budget, &self.deps, &mut self.scratch);
+        let r = self.analysis.borrow().pipeline_params_with(budget, &self.deps, &mut self.scratch);
         self.stats.sched_nanos += t0.elapsed().as_nanos() as u64;
         self.pipe_cache.insert(*budget, r.clone());
         r
@@ -371,7 +366,8 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
         // analysis measures that group's solo service; it bounds the
         // memory term from below (inactive whenever rounds · mean covers
         // it, i.e. for homogeneous kernels or small C).
-        let hvy_scale = n_wi_wg / f64::from(analysis.work_group.0.max(1))
+        let hvy_scale = n_wi_wg
+            / f64::from(analysis.work_group.0.max(1))
             / f64::from(analysis.work_group.1.max(1));
         let (cycles, ii_wi, comp_cycles, mem_cycles, overhead_cycles) = if tb > 1 {
             // ---- temporal blocking (DESIGN.md §15) -----------------------
@@ -389,9 +385,8 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
             let wave_count = |r: f64| -> f64 {
                 ((items * r - f64::from(n_pe)) / f64::from(n_pe)).ceil().max(0.0)
             };
-            let comp_step = |r: f64| -> f64 {
-                f64::from(ii_comp) * wave_count(r) + f64::from(depth)
-            };
+            let comp_step =
+                |r: f64| -> f64 { f64::from(ii_comp) * wave_count(r) + f64::from(depth) };
             // Steps after the first run out of BRAM — pure compute.
             let rest: f64 = rho[1..].iter().map(|&r| comp_step(r)).sum();
             match config.comm_mode {
@@ -399,8 +394,7 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
                     let mem_per_group = l_mem_wi * n_wi_wg * mem_scale;
                     let comp_block = comp_step(rho[0]) + rest;
                     let t = (mem_per_group + comp_block + dl_warm) * wg_rounds + dl + launch;
-                    let floor =
-                        hvy_mem_phased * hvy_scale + comp_block + dl_warm + dl + launch;
+                    let floor = hvy_mem_phased * hvy_scale + comp_block + dl_warm + dl + launch;
                     let t_final = t.max(floor);
                     let cycles = t_final / tbf;
                     let mem = (mem_per_group * wg_rounds + (t_final - t)) / tbf;
@@ -416,8 +410,7 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
                     // is gated by the compute interval alone (halo items
                     // read on-chip data, not DRAM).
                     let waves0 = wave_count(rho[0]);
-                    let ii_wi =
-                        (f64::from(cf) * l_mem_wi * mem_scale).max(f64::from(ii_comp));
+                    let ii_wi = (f64::from(cf) * l_mem_wi * mem_scale).max(f64::from(ii_comp));
                     let mem_group = l_mem_wi * n_wi_wg * mem_scale;
                     let w_total = waves0 + 1.0;
                     let owners = owners_group.clamp(1.0, w_total);
@@ -425,102 +418,92 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
                     let trailing = (waves0 - last_gated).max(0.0);
                     let serial_tail = mem_group + f64::from(ii_comp) * trailing;
                     let ramp = mem_group / owners + f64::from(ii_comp) * waves0;
-                    let group0 = (ii_wi * waves)
-                        .max(f64::from(ii_comp) * waves0)
-                        .max(serial_tail)
-                        .max(ramp)
-                        + f64::from(depth);
+                    let group0 =
+                        (ii_wi * waves).max(f64::from(ii_comp) * waves0).max(serial_tail).max(ramp)
+                            + f64::from(depth);
                     let group_block = group0 + rest;
                     let t = (group_block + dl_warm) * wg_rounds + dl + launch;
                     let hvy = hvy_mem_pipe * hvy_scale;
                     let hvy_tail = hvy + f64::from(ii_comp) * trailing;
                     let hvy_ramp = hvy / owners + f64::from(ii_comp) * waves0;
-                    let hvy_time = (f64::from(ii_comp) * waves0)
-                        .max(hvy_tail)
-                        .max(hvy_ramp)
+                    let hvy_time = (f64::from(ii_comp) * waves0).max(hvy_tail).max(hvy_ramp)
                         + f64::from(depth)
                         + rest;
                     let floor = hvy_time + dl_warm + dl + launch;
                     let t_final = t.max(floor);
                     let comp_group = comp_step(rho[0]) + rest;
                     let cycles = t_final / tbf;
-                    let mem =
-                        ((group_block - comp_group) * wg_rounds + (t_final - t)) / tbf;
+                    let mem = ((group_block - comp_group) * wg_rounds + (t_final - t)) / tbf;
                     let overhead = (dl_warm * wg_rounds + dl + launch) / tbf;
                     (cycles, ii_wi, cycles - mem - overhead, mem, overhead)
                 }
             }
         } else {
             match config.comm_mode {
-            CommMode::Barrier => {
-                let mem_per_group = l_mem_wi * n_wi_wg * mem_scale;
-                let t = (mem_per_group + l_cu + dl_warm) * wg_rounds + dl + launch;
-                let floor =
-                    hvy_mem_phased * hvy_scale + l_cu + dl_warm + dl + launch;
-                let t_final = t.max(floor);
-                (
-                    t_final,
-                    f64::from(ii_comp),
-                    l_cu * wg_rounds,
-                    mem_per_group * wg_rounds + (t_final - t),
-                    dl_warm * wg_rounds + dl + launch,
-                )
-            }
-            CommMode::Pipeline => {
-                // Eq. 11–12, with the group's total transfer volume as a
-                // floor: even when PE replication removes all waves
-                // (`waves → 0`), the work-group's memory must still stream
-                // through the CU. A coarse item owns its `cf` merged
-                // work-items' memory, so its per-initiation latency is
-                // `cf · L_mem` (exactly `L_mem` at cf == 1).
-                let ii_wi =
-                    (f64::from(cf) * l_mem_wi * mem_scale).max(f64::from(ii_comp));
-                let mem_group = l_mem_wi * n_wi_wg * mem_scale;
-                // Wave-overlap correction: a wave can only initiate once
-                // the bursts its work-items own have returned. With B
-                // owner runs per group, owner o (data ready at
-                // ~mem·(o+1)/B) gates wave floor(o·W/B) of the W wave
-                // fronts; the end of the issue chain is the max over
-                // owners of `ready_o + II_comp·(waves - wave_o)`, linear
-                // in o, so its endpoints bound it: the last owner leaves
-                // `trailing` waves draining after the memory stream, and
-                // the first owner delays the whole chain by mem/B. A
-                // fully coalesced group (B = 1) serializes memory and
-                // compute; finely interleaved owners (B ≥ W) recover the
-                // plain max() overlap.
-                let w_total = waves + 1.0;
-                let owners = owners_group.clamp(1.0, w_total);
-                let last_gated = ((owners - 1.0) * w_total / owners).floor();
-                let trailing = (waves - last_gated).max(0.0);
-                let serial_tail = mem_group + f64::from(ii_comp) * trailing;
-                let ramp = mem_group / owners + f64::from(ii_comp) * waves;
-                let group_time =
-                    (ii_wi * waves).max(serial_tail).max(ramp) + f64::from(depth);
-                let t = (group_time + dl_warm) * wg_rounds + dl + launch;
-                // The heaviest group's time follows the same overlap
-                // structure with its solo memory service in place of the
-                // mean (it runs alone on its CU, so no contention scale).
-                let hvy = hvy_mem_pipe * hvy_scale;
-                let hvy_tail = hvy + f64::from(ii_comp) * trailing;
-                let hvy_ramp = hvy / owners + f64::from(ii_comp) * waves;
-                let hvy_time = (f64::from(ii_comp) * waves)
-                    .max(hvy_tail)
-                    .max(hvy_ramp)
-                    + f64::from(depth);
-                let floor = hvy_time + dl_warm + dl + launch;
-                let t_final = t.max(floor);
-                // Compute is what the group would take memory-free
-                // (`II_comp·waves + depth`); the rest of the group time is
-                // memory stall (non-negative since `ii_wi ≥ II_comp`).
-                let comp_group = f64::from(ii_comp) * waves + f64::from(depth);
-                (
-                    t_final,
-                    ii_wi,
-                    comp_group * wg_rounds,
-                    (group_time - comp_group) * wg_rounds + (t_final - t),
-                    dl_warm * wg_rounds + dl + launch,
-                )
-            }
+                CommMode::Barrier => {
+                    let mem_per_group = l_mem_wi * n_wi_wg * mem_scale;
+                    let t = (mem_per_group + l_cu + dl_warm) * wg_rounds + dl + launch;
+                    let floor = hvy_mem_phased * hvy_scale + l_cu + dl_warm + dl + launch;
+                    let t_final = t.max(floor);
+                    (
+                        t_final,
+                        f64::from(ii_comp),
+                        l_cu * wg_rounds,
+                        mem_per_group * wg_rounds + (t_final - t),
+                        dl_warm * wg_rounds + dl + launch,
+                    )
+                }
+                CommMode::Pipeline => {
+                    // Eq. 11–12, with the group's total transfer volume as a
+                    // floor: even when PE replication removes all waves
+                    // (`waves → 0`), the work-group's memory must still stream
+                    // through the CU. A coarse item owns its `cf` merged
+                    // work-items' memory, so its per-initiation latency is
+                    // `cf · L_mem` (exactly `L_mem` at cf == 1).
+                    let ii_wi = (f64::from(cf) * l_mem_wi * mem_scale).max(f64::from(ii_comp));
+                    let mem_group = l_mem_wi * n_wi_wg * mem_scale;
+                    // Wave-overlap correction: a wave can only initiate once
+                    // the bursts its work-items own have returned. With B
+                    // owner runs per group, owner o (data ready at
+                    // ~mem·(o+1)/B) gates wave floor(o·W/B) of the W wave
+                    // fronts; the end of the issue chain is the max over
+                    // owners of `ready_o + II_comp·(waves - wave_o)`, linear
+                    // in o, so its endpoints bound it: the last owner leaves
+                    // `trailing` waves draining after the memory stream, and
+                    // the first owner delays the whole chain by mem/B. A
+                    // fully coalesced group (B = 1) serializes memory and
+                    // compute; finely interleaved owners (B ≥ W) recover the
+                    // plain max() overlap.
+                    let w_total = waves + 1.0;
+                    let owners = owners_group.clamp(1.0, w_total);
+                    let last_gated = ((owners - 1.0) * w_total / owners).floor();
+                    let trailing = (waves - last_gated).max(0.0);
+                    let serial_tail = mem_group + f64::from(ii_comp) * trailing;
+                    let ramp = mem_group / owners + f64::from(ii_comp) * waves;
+                    let group_time = (ii_wi * waves).max(serial_tail).max(ramp) + f64::from(depth);
+                    let t = (group_time + dl_warm) * wg_rounds + dl + launch;
+                    // The heaviest group's time follows the same overlap
+                    // structure with its solo memory service in place of the
+                    // mean (it runs alone on its CU, so no contention scale).
+                    let hvy = hvy_mem_pipe * hvy_scale;
+                    let hvy_tail = hvy + f64::from(ii_comp) * trailing;
+                    let hvy_ramp = hvy / owners + f64::from(ii_comp) * waves;
+                    let hvy_time =
+                        (f64::from(ii_comp) * waves).max(hvy_tail).max(hvy_ramp) + f64::from(depth);
+                    let floor = hvy_time + dl_warm + dl + launch;
+                    let t_final = t.max(floor);
+                    // Compute is what the group would take memory-free
+                    // (`II_comp·waves + depth`); the rest of the group time is
+                    // memory stall (non-negative since `ii_wi ≥ II_comp`).
+                    let comp_group = f64::from(ii_comp) * waves + f64::from(depth);
+                    (
+                        t_final,
+                        ii_wi,
+                        comp_group * wg_rounds,
+                        (group_time - comp_group) * wg_rounds + (t_final - t),
+                        dl_warm * wg_rounds + dl + launch,
+                    )
+                }
             }
         };
 

@@ -59,13 +59,14 @@ pub mod eval;
 pub mod model;
 pub mod platform;
 
-pub use analysis::{coarsen_trace, AnalysisScratch, AnalysisStages, CoarsenLevel, ContentionCurve,
-    KernelAnalysis, ProfileArgs, ProfileFuel, ResolvedRecurrence, Workload,
-    COARSEN_CANDIDATES};
+pub use analysis::{
+    coarsen_trace, AnalysisScratch, AnalysisStages, CoarsenLevel, ContentionCurve, KernelAnalysis,
+    ProfileArgs, ProfileFuel, ResolvedRecurrence, Workload, COARSEN_CANDIDATES,
+};
 pub use area::{estimate_area, pareto_frontier, AreaEstimate, ParetoPoint};
 pub use config::{
-    enumerate, is_iterative_stencil, CommMode, ConfigSpace, DesignSpaceLimits,
-    OptimizationConfig, SweepGrid, MAX_COARSEN, MAX_TEMPORAL_DEPTH,
+    enumerate, is_iterative_stencil, CommMode, ConfigSpace, DesignSpaceLimits, OptimizationConfig,
+    SweepGrid, MAX_COARSEN, MAX_TEMPORAL_DEPTH,
 };
 pub use dse::{
     explore_configs, explore_space_cached, limits_for, AnalysisCache, CancelToken, DesignPoint,
@@ -209,9 +210,8 @@ mod tests {
             args: vec![KernelArg::FloatBuf(vec![1.0; 4]), KernelArg::Float(2.0)],
             global: (256, 1),
         };
-        let err = flexcl
-            .estimate_source(SRC, "scale", &bad, &OptimizationConfig::default())
-            .unwrap_err();
+        let err =
+            flexcl.estimate_source(SRC, "scale", &bad, &OptimizationConfig::default()).unwrap_err();
         assert!(matches!(err, FlexclError::Profiling { .. }), "{err:?}");
         assert_eq!(err.kind(), ErrorKind::Profiling);
         assert!(err.to_string().contains("scale"), "{err}");
@@ -223,13 +223,10 @@ mod tests {
         let result = flexcl.explore_source(SRC, "scale", &workload()).expect("explore");
         assert!(result.feasible_count() > 0);
         // The constraint query returns a point meeting the bound.
-        let analysis = flexcl
-            .analyze_source(SRC, "scale", &workload(), (64, 1))
-            .expect("analysis");
+        let analysis = flexcl.analyze_source(SRC, "scale", &workload(), (64, 1)).expect("analysis");
         let best = result.best().expect("best");
-        let relaxed = result
-            .cheapest_meeting(&analysis, best.estimate.cycles * 4.0)
-            .expect("constraint met");
+        let relaxed =
+            result.cheapest_meeting(&analysis, best.estimate.cycles * 4.0).expect("constraint met");
         assert!(relaxed.estimate.cycles <= best.estimate.cycles * 4.0);
         let tight_area = estimate_area(&analysis, &relaxed.config);
         let best_area = estimate_area(&analysis, &best.config);

@@ -130,7 +130,12 @@ impl fmt::Display for Estimate {
             write!(
                 f,
                 "{:.0} cycles (II={}, D={}, L_mem/wi={:.1}, N_PE={}, N_CU={}, {})",
-                self.cycles, self.ii_comp, self.depth, self.l_mem_wi, self.n_pe, self.n_cu,
+                self.cycles,
+                self.ii_comp,
+                self.depth,
+                self.l_mem_wi,
+                self.n_pe,
+                self.n_cu,
                 self.mode
             )
         } else {
@@ -224,11 +229,7 @@ pub fn coarsened_pipeline_params(
 /// (`t_d` = work-group extent where the NDRange extends; dimensions of
 /// size 1 are not blocked). `rho_{tb-1} == 1`: the last step computes
 /// exactly the tile. At `tb == 1` this is `[1.0]` — no redundancy.
-pub fn temporal_step_redundancy(
-    work_group: (u32, u32),
-    global: (u64, u64),
-    tb: u32,
-) -> Vec<f64> {
+pub fn temporal_step_redundancy(work_group: (u32, u32), global: (u64, u64), tb: u32) -> Vec<f64> {
     let tb = tb.max(1);
     (0..tb)
         .map(|k| {
@@ -359,17 +360,11 @@ pub(crate) fn effective_pe_parallelism(
     let port_read = platform.local_read_ports_per_bank * p_eff;
     let port_write = platform.local_write_ports_per_bank * p_eff;
     let mut cap = p_eff;
-    let max_reads = analysis
-        .local_reads
-        .values()
-        .fold(0.0f64, |a, b| a.max(*b));
+    let max_reads = analysis.local_reads.values().fold(0.0f64, |a, b| a.max(*b));
     if max_reads > 0.0 {
         cap = cap.min(((f64::from(port_read) / max_reads).floor() as u32).max(1));
     }
-    let max_writes = analysis
-        .local_writes
-        .values()
-        .fold(0.0f64, |a, b| a.max(*b));
+    let max_writes = analysis.local_writes.values().fold(0.0f64, |a, b| a.max(*b));
     if max_writes > 0.0 {
         cap = cap.min(((f64::from(port_write) / max_writes).floor() as u32).max(1));
     }
@@ -456,12 +451,7 @@ mod tests {
         let pipe = OptimizationConfig { comm_mode: CommMode::Pipeline, ..barrier };
         let tb = estimate(&a, &barrier).expect("estimate");
         let tp = estimate(&a, &pipe).expect("estimate");
-        assert!(
-            tp.cycles < tb.cycles,
-            "pipeline mode {} vs barrier mode {}",
-            tp.cycles,
-            tb.cycles
-        );
+        assert!(tp.cycles < tb.cycles, "pipeline mode {} vs barrier mode {}", tp.cycles, tb.cycles);
     }
 
     #[test]
@@ -638,11 +628,7 @@ mod tests {
         for cfg in space {
             let est = estimate(&a, &cfg).expect("estimate");
             let bound = cycle_lower_bound(&a, cfg.comm_mode);
-            assert!(
-                bound <= est.cycles,
-                "{cfg}: bound {bound} exceeds estimate {}",
-                est.cycles
-            );
+            assert!(bound <= est.cycles, "{cfg}: bound {bound} exceeds estimate {}", est.cycles);
         }
     }
 

@@ -149,7 +149,10 @@ impl Platform {
             Err(crate::error::FlexclError::Platform { platform: self.name.clone(), detail })
         };
         if !self.frequency_mhz.is_finite() || self.frequency_mhz <= 0.0 {
-            return fail(format!("frequency must be finite and positive, got {}", self.frequency_mhz));
+            return fail(format!(
+                "frequency must be finite and positive, got {}",
+                self.frequency_mhz
+            ));
         }
         if self.total_dsps == 0 {
             return fail("device must have at least one DSP slice".into());
@@ -176,10 +179,16 @@ impl Platform {
             return fail("the board needs at least one DRAM channel".into());
         }
         if !(0.0..=1.0).contains(&self.dispatch_overlap) {
-            return fail(format!("dispatch overlap must lie in [0, 1], got {}", self.dispatch_overlap));
+            return fail(format!(
+                "dispatch overlap must lie in [0, 1], got {}",
+                self.dispatch_overlap
+            ));
         }
         if !self.latency_scale.is_finite() || self.latency_scale <= 0.0 {
-            return fail(format!("latency scale must be finite and positive, got {}", self.latency_scale));
+            return fail(format!(
+                "latency scale must be finite and positive, got {}",
+                self.latency_scale
+            ));
         }
         Ok(())
     }
@@ -267,8 +276,8 @@ fn reference_latency(op: &Op, ty: &Type) -> u32 {
         Op::WorkItem(_) => 0, // wired from the dispatch logic
         Op::Alloca { .. } => 0,
         Op::Load { space, .. } => match space {
-            AddressSpace::Local => 2,                        // BRAM read
-            AddressSpace::Private => 0,                      // registers
+            AddressSpace::Local => 2,                           // BRAM read
+            AddressSpace::Private => 0,                         // registers
             AddressSpace::Global | AddressSpace::Constant => 1, // AXI issue
         },
         Op::Store { space, .. } => match space {
@@ -327,8 +336,7 @@ mod tests {
     #[test]
     fn resource_classes() {
         let p = Platform::virtex7_adm7v3();
-        let local_load =
-            Op::Load { space: AddressSpace::Local, root: MemRoot::Param(0) };
+        let local_load = Op::Load { space: AddressSpace::Local, root: MemRoot::Param(0) };
         assert_eq!(p.op_resource(&local_load, &Type::float()), ResourceClass::LocalRead);
         let fmul = Op::Bin(BinOp::Mul);
         assert_eq!(p.op_resource(&fmul, &Type::float()), ResourceClass::Dsp);

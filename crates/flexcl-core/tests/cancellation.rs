@@ -111,8 +111,7 @@ proptest! {
 #[test]
 fn kind_is_deadline_and_error_kind_maps() {
     let token = CancelToken::after_checkpoints(0);
-    let err = sweep(1, Some(&token))
-        .expect_err("tripped before the first claim");
+    let err = sweep(1, Some(&token)).expect_err("tripped before the first claim");
     assert_eq!(err.kind(), ErrorKind::Deadline);
     let FlexclError::Deadline { stats, .. } = err else { panic!("wrong variant: {err}") };
     assert_eq!(stats.points_evaluated, 0, "no chunk was claimed");
@@ -123,8 +122,7 @@ fn kind_is_deadline_and_error_kind_maps() {
 fn explicit_cancel_stops_a_sweep_and_reports_cancelled() {
     let token = CancelToken::new();
     token.cancel();
-    let err = sweep(2, Some(&token))
-        .expect_err("pre-cancelled token");
+    let err = sweep(2, Some(&token)).expect_err("pre-cancelled token");
     let FlexclError::Deadline { detail, .. } = &err else { panic!("wrong variant: {err}") };
     assert_eq!(detail, "cancelled");
 }
@@ -132,8 +130,7 @@ fn explicit_cancel_stops_a_sweep_and_reports_cancelled() {
 #[test]
 fn elapsed_deadline_reports_deadline_exceeded() {
     let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-    let err = sweep(1, Some(&token))
-        .expect_err("already-expired deadline");
+    let err = sweep(1, Some(&token)).expect_err("already-expired deadline");
     let FlexclError::Deadline { detail, .. } = &err else { panic!("wrong variant: {err}") };
     assert_eq!(detail, "deadline exceeded");
 }
@@ -141,8 +138,7 @@ fn elapsed_deadline_reports_deadline_exceeded() {
 #[test]
 fn far_future_deadline_completes_identically() {
     let token = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
-    let result = sweep(2, Some(&token))
-        .expect("sweep under a generous deadline");
+    let result = sweep(2, Some(&token)).expect("sweep under a generous deadline");
     assert_points_identical(reference(), &result);
     assert!(!token.is_cancelled());
 }

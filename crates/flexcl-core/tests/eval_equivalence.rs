@@ -9,9 +9,7 @@
 //! [`flexcl_core::estimate`] call returns per configuration: bit-identical
 //! `Estimate`s, identical errors.
 
-use flexcl_core::{
-    CommMode, EvalContext, KernelAnalysis, OptimizationConfig, Platform, Workload,
-};
+use flexcl_core::{CommMode, EvalContext, KernelAnalysis, OptimizationConfig, Platform, Workload};
 use flexcl_interp::KernelArg;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -49,11 +47,7 @@ fn analysis() -> &'static KernelAnalysis {
 /// Mostly-plausible values with the occasional hostile extreme, so cases
 /// reach deep model code instead of all dying in validation.
 fn arb_knob() -> BoxedStrategy<u32> {
-    prop_oneof![
-        proptest::sample::select(vec![0u32, 1, 2, 4, 16, 64]),
-        any::<u32>(),
-    ]
-    .boxed()
+    prop_oneof![proptest::sample::select(vec![0u32, 1, 2, 4, 16, 64]), any::<u32>(),].boxed()
 }
 
 fn arb_config() -> BoxedStrategy<OptimizationConfig> {
@@ -76,7 +70,10 @@ fn arb_config() -> BoxedStrategy<OptimizationConfig> {
         // include hostile values; temporal depth >1 exercises the typed
         // rejection path (saxpy is not an iterative stencil), which must
         // also be cache-transparent.
-        (proptest::sample::select(vec![1u32, 2, 3, 4, 8]), proptest::sample::select(vec![1u32, 2, 4])),
+        (
+            proptest::sample::select(vec![1u32, 2, 3, 4, 8]),
+            proptest::sample::select(vec![1u32, 2, 4]),
+        ),
     )
         .prop_map(|(work_group, pipe, num_pes, num_cus, vector_width, pipe_mode, (cf, tb))| {
             OptimizationConfig {

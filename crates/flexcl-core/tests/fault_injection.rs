@@ -163,8 +163,7 @@ fn runaway_kernel_exhausts_fuel_instead_of_hanging() {
 #[test]
 fn corrupt_platform_table_is_rejected_up_front() {
     let (f, w) = vadd();
-    let no_ports =
-        Platform { local_read_ports_per_bank: 0, ..Platform::virtex7_adm7v3() };
+    let no_ports = Platform { local_read_ports_per_bank: 0, ..Platform::virtex7_adm7v3() };
     let cache = AnalysisCache::new();
     let err = sweep(&f, &no_ports, &w, DseOptions::default(), &cache).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Platform);
@@ -221,13 +220,8 @@ fn estimate_panic_is_isolated_to_one_candidate() {
     // evaluating past the panic, and the family's other chunks must be
     // untouched.
     let victim = all.len() / 2;
-    let survivors: Vec<OptimizationConfig> = all
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|&(i, _)| i != victim)
-        .map(|(_, c)| c)
-        .collect();
+    let survivors: Vec<OptimizationConfig> =
+        all.iter().copied().enumerate().filter(|&(i, _)| i != victim).map(|(_, c)| c).collect();
     let clean = sweep_configs(&f, &platform, &w, &survivors);
 
     let cache = AnalysisCache::new();
@@ -263,10 +257,8 @@ fn per_sweep_injected_faults_poison_only_their_own_sweep() {
 
     // An untargeted analysis panic (the serving layer's per-request
     // fault) takes down every family of *that* sweep…
-    let opts = DseOptions {
-        inject: Some(InjectedFault::AnalysisPanic(None)),
-        ..DseOptions::default()
-    };
+    let opts =
+        DseOptions { inject: Some(InjectedFault::AnalysisPanic(None)), ..DseOptions::default() };
     let poisoned = sweep(&f, &platform, &w, opts, &cache).expect("sweep survives");
     assert!(poisoned.points.is_empty());
     let n = poisoned.diagnostics.skipped_count();
@@ -280,10 +272,8 @@ fn per_sweep_injected_faults_poison_only_their_own_sweep() {
     assert_points_identical(&clean, &after);
 
     // The estimate-path variant hits exactly one candidate.
-    let opts = DseOptions {
-        inject: Some(InjectedFault::EstimatePanic(5)),
-        ..DseOptions::default()
-    };
+    let opts =
+        DseOptions { inject: Some(InjectedFault::EstimatePanic(5)), ..DseOptions::default() };
     let one = sweep(&f, &platform, &w, opts, &cache).expect("sweep survives");
     assert_eq!(one.diagnostics.skipped_count(), 1);
     assert_eq!(one.diagnostics.failed[0].index, 5);

@@ -33,10 +33,7 @@ fn workload() -> Workload {
 /// Mostly-plausible values with the occasional hostile extreme, so cases
 /// reach deep model code instead of all dying in validation.
 fn arb_knob() -> BoxedStrategy<u32> {
-    prop_oneof![
-        proptest::sample::select(vec![0u32, 1, 2, 4, 16, 64]),
-        any::<u32>(),
-    ]
+    prop_oneof![proptest::sample::select(vec![0u32, 1, 2, 4, 16, 64]), any::<u32>(),]
 }
 
 fn arb_config() -> BoxedStrategy<OptimizationConfig> {
@@ -57,20 +54,18 @@ fn arb_config() -> BoxedStrategy<OptimizationConfig> {
         any::<bool>(),
         (arb_knob(), arb_knob()),
     )
-        .prop_map(
-            |(work_group, pipe, num_pes, num_cus, vector_width, pipe_mode, (cf, tb))| {
-                OptimizationConfig {
-                    work_group,
-                    work_item_pipeline: pipe,
-                    num_pes,
-                    num_cus,
-                    vector_width,
-                    comm_mode: if pipe_mode { CommMode::Pipeline } else { CommMode::Barrier },
-                    coarsen_factor: cf,
-                    temporal_block_depth: tb,
-                }
-            },
-        )
+        .prop_map(|(work_group, pipe, num_pes, num_cus, vector_width, pipe_mode, (cf, tb))| {
+            OptimizationConfig {
+                work_group,
+                work_item_pipeline: pipe,
+                num_pes,
+                num_cus,
+                vector_width,
+                comm_mode: if pipe_mode { CommMode::Pipeline } else { CommMode::Barrier },
+                coarsen_factor: cf,
+                temporal_block_depth: tb,
+            }
+        })
         .boxed()
 }
 

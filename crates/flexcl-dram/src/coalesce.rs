@@ -68,9 +68,7 @@ mod tests {
     use super::*;
 
     fn reads(n: u64, stride: u64, bytes: u32) -> Vec<ElementAccess> {
-        (0..n)
-            .map(|i| ElementAccess { addr: i * stride, bytes, kind: AccessKind::Read })
-            .collect()
+        (0..n).map(|i| ElementAccess { addr: i * stride, bytes, kind: AccessKind::Read }).collect()
     }
 
     #[test]

@@ -34,11 +34,7 @@ pub fn profile_cached(config: DramConfig) -> PatternTable<f64> {
     // Profile outside the lock: concurrent first callers may race, but the
     // result is deterministic so double work is the only cost.
     let table = profile(config);
-    *cache
-        .lock()
-        .expect("profile cache poisoned")
-        .entry(config)
-        .or_insert(table)
+    *cache.lock().expect("profile cache poisoned").entry(config).or_insert(table)
 }
 
 /// Profiles all eight pattern latencies on `config`, returning the measured

@@ -84,8 +84,7 @@ impl DramSim {
         let pattern = Pattern { now: req.kind, prev: bank.last_kind, hit };
         let latency = self.latencies[pattern].round() as u64;
         // Multi-chunk transfers stream additional bursts.
-        let extra_bursts =
-            (u64::from(req.bytes).saturating_sub(1)) / self.config.interleave_bytes;
+        let extra_bursts = (u64::from(req.bytes).saturating_sub(1)) / self.config.interleave_bytes;
         let total = latency + extra_bursts * u64::from(self.config.timing.t_burst);
 
         let start = req.arrival.max(bank.free_at);
@@ -242,15 +241,20 @@ mod tests {
         for i in 0..8 {
             let kind = if i % 2 == 0 { AccessKind::Read } else { AccessKind::Write };
             let info = alt.access(Request { addr: 0, bytes: 4, kind, arrival: t });
-            if i > 0 { alt_total += info.finish - info.start; }
+            if i > 0 {
+                alt_total += info.finish - info.start;
+            }
             t = info.finish + 1;
         }
         let mut same = DramSim::new(cfg);
         let mut t = 0;
         let mut same_total = 0u64;
         for i in 0..8 {
-            let info = same.access(Request { addr: 0, bytes: 4, kind: AccessKind::Read, arrival: t });
-            if i > 0 { same_total += info.finish - info.start; }
+            let info =
+                same.access(Request { addr: 0, bytes: 4, kind: AccessKind::Read, arrival: t });
+            if i > 0 {
+                same_total += info.finish - info.start;
+            }
             t = info.finish + 1;
         }
         assert!(alt_total > same_total, "turnaround: {alt_total} vs {same_total}");

@@ -280,10 +280,8 @@ pub enum BinOp {
 impl BinOp {
     /// Whether the operator yields `bool`.
     pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne
-        ) || matches!(self, BinOp::LogAnd | BinOp::LogOr)
+        matches!(self, BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne)
+            || matches!(self, BinOp::LogAnd | BinOp::LogOr)
     }
 }
 

@@ -305,7 +305,11 @@ pub fn check(builtin: &Builtin, args: &[Type], span: Span) -> Result<Type> {
         }
         Builtin::Math(m) => {
             if args.len() != m.arity() {
-                return Err(err(format!("{m} takes {} argument(s), got {}", m.arity(), args.len())));
+                return Err(err(format!(
+                    "{m} takes {} argument(s), got {}",
+                    m.arity(),
+                    args.len()
+                )));
             }
             // All arguments must be scalar or same-width vectors.
             let lanes = args[0].lanes();
@@ -359,10 +363,7 @@ mod tests {
     #[test]
     fn resolves_conversions() {
         assert_eq!(resolve("convert_int"), Some(Builtin::Convert(Type::int())));
-        assert_eq!(
-            resolve("convert_float4"),
-            Some(Builtin::Convert(Type::Vector(Scalar::F32, 4)))
-        );
+        assert_eq!(resolve("convert_float4"), Some(Builtin::Convert(Type::Vector(Scalar::F32, 4))));
     }
 
     #[test]

@@ -72,10 +72,8 @@ mod tests {
 
     #[test]
     fn display_includes_location() {
-        let e = FrontendError::Parse {
-            message: "expected `;`".into(),
-            span: Span::new(0, 1, 3, 7),
-        };
+        let e =
+            FrontendError::Parse { message: "expected `;`".into(), span: Span::new(0, 1, 3, 7) };
         assert_eq!(e.to_string(), "parse error at 3:7: expected `;`");
         assert_eq!(e.span().line, 3);
         assert_eq!(e.message(), "expected `;`");

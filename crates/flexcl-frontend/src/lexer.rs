@@ -145,10 +145,7 @@ impl<'src> Lexer<'src> {
             self.bump();
         }
         let text = self.src[line_start..self.pos].trim();
-        let body = text
-            .strip_prefix('#')
-            .map(str::trim_start)
-            .unwrap_or(text);
+        let body = text.strip_prefix('#').map(str::trim_start).unwrap_or(text);
         if let Some(rest) = body.strip_prefix("pragma") {
             Ok(Token::new(
                 TokenKind::Pragma(rest.trim().to_string()),
@@ -237,9 +234,9 @@ impl<'src> Lexer<'src> {
                 .map_err(|_| self.error(format!("malformed float literal `{text}`")))?;
             Ok(Token::new(TokenKind::FloatLit(value), self.span_from(start, line, col)))
         } else {
-            let value: i64 = text
-                .parse()
-                .map_err(|_| self.error(format!("integer literal `{text}` does not fit in 64 bits")))?;
+            let value: i64 = text.parse().map_err(|_| {
+                self.error(format!("integer literal `{text}` does not fit in 64 bits"))
+            })?;
             self.eat_int_suffix();
             Ok(Token::new(TokenKind::IntLit(value), self.span_from(start, line, col)))
         }
@@ -383,12 +380,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<TokenKind> {
-        Lexer::new(src)
-            .tokenize()
-            .expect("lex")
-            .into_iter()
-            .map(|t| t.kind)
-            .collect()
+        Lexer::new(src).tokenize().expect("lex").into_iter().map(|t| t.kind).collect()
     }
 
     #[test]

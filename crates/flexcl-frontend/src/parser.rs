@@ -431,7 +431,8 @@ impl Parser {
             TokenKind::Keyword(Keyword::Do) => self.parse_do_while(),
             TokenKind::Keyword(Keyword::Return) => {
                 self.bump();
-                let value = if self.at_punct(Punct::Semi) { None } else { Some(self.parse_expr()?) };
+                let value =
+                    if self.at_punct(Punct::Semi) { None } else { Some(self.parse_expr()?) };
                 self.expect_punct(Punct::Semi)?;
                 Ok(Stmt::Return(value, span))
             }
@@ -503,7 +504,9 @@ impl Parser {
         let span = self.peek().span;
         // Prefix increment/decrement.
         if self.at_punct(Punct::PlusPlus) || self.at_punct(Punct::MinusMinus) {
-            let op = if self.eat_punct(Punct::PlusPlus) { BinOp::Add } else {
+            let op = if self.eat_punct(Punct::PlusPlus) {
+                BinOp::Add
+            } else {
                 self.bump();
                 BinOp::Sub
             };
@@ -515,7 +518,9 @@ impl Parser {
         let expr = self.parse_expr()?;
         // Postfix increment/decrement.
         if self.at_punct(Punct::PlusPlus) || self.at_punct(Punct::MinusMinus) {
-            let op = if self.eat_punct(Punct::PlusPlus) { BinOp::Add } else {
+            let op = if self.eat_punct(Punct::PlusPlus) {
+                BinOp::Add
+            } else {
                 self.bump();
                 BinOp::Sub
             };
@@ -559,10 +564,7 @@ impl Parser {
                     span,
                 }),
             },
-            _ => Err(FrontendError::Parse {
-                message: "expression is not assignable".into(),
-                span,
-            }),
+            _ => Err(FrontendError::Parse { message: "expression is not assignable".into(), span }),
         }
     }
 
@@ -987,12 +989,8 @@ mod tests {
             }",
         )
         .expect("parse");
-        let n_assign = p.kernels[0]
-            .body
-            .stmts
-            .iter()
-            .filter(|s| matches!(s, Stmt::Assign(_)))
-            .count();
+        let n_assign =
+            p.kernels[0].body.stmts.iter().filter(|s| matches!(s, Stmt::Assign(_))).count();
         assert_eq!(n_assign, 6);
     }
 
@@ -1094,7 +1092,8 @@ mod tests {
 
     #[test]
     fn sizeof_folds_to_constant() {
-        let p = parse("__kernel void k(__global int* a) { a[0] = sizeof(float4); }").expect("parse");
+        let p =
+            parse("__kernel void k(__global int* a) { a[0] = sizeof(float4); }").expect("parse");
         let Stmt::Assign(asn) = &p.kernels[0].body.stmts[0] else { panic!() };
         assert_eq!(asn.value.kind, ExprKind::IntLit(16));
     }

@@ -115,10 +115,8 @@ impl Analyzer {
                 _ => true, // scalar params are copied; writes affect the copy
             };
             if matches!(p.ty, Type::Void | Type::Array(_, _)) {
-                return Err(self.err(
-                    format!("parameter `{}` has unsupported type {}", p.name, p.ty),
-                    p.span,
-                ));
+                return Err(self
+                    .err(format!("parameter `{}` has unsupported type {}", p.name, p.ty), p.span));
             }
             self.declare(&p.name, VarInfo { ty: p.ty.clone(), writable }, p.span)?;
         }
@@ -213,20 +211,13 @@ impl Analyzer {
             return Err(self.err("array declarations cannot have initialisers", d.span));
         }
         if d.space == AddressSpace::Local && !matches!(d.ty, Type::Array(_, _)) {
-            return Err(self.err(
-                "`__local` declarations inside kernels must be arrays",
-                d.span,
-            ));
+            return Err(self.err("`__local` declarations inside kernels must be arrays", d.span));
         }
         if let Some(init) = &mut d.init {
             let init_ty = self.check_expr(init)?;
             self.require_convertible(&init_ty, &d.ty, init.span)?;
         }
-        self.declare(
-            &d.name,
-            VarInfo { ty: d.ty.clone(), writable: true },
-            d.span,
-        )
+        self.declare(&d.name, VarInfo { ty: d.ty.clone(), writable: true }, d.span)
     }
 
     fn check_assign(&mut self, a: &mut AssignStmt) -> Result<()> {
@@ -271,7 +262,9 @@ impl Analyzer {
                 match &base_ty {
                     Type::Pointer(elem, space) => {
                         if *space == AddressSpace::Constant {
-                            return Err(self.err("cannot write through `__constant` pointer", *span));
+                            return Err(
+                                self.err("cannot write through `__constant` pointer", *span)
+                            );
                         }
                         Ok((**elem).clone())
                     }
@@ -287,15 +280,14 @@ impl Analyzer {
                     .ok_or_else(|| self.err(format!("unknown variable `{base}`"), *span))?
                     .clone();
                 match &info.ty {
-                    Type::Vector(s, n) if u32::from(*lane) < u32::from(*n) => {
-                        Ok(Type::Scalar(*s))
-                    }
+                    Type::Vector(s, n) if u32::from(*lane) < u32::from(*n) => Ok(Type::Scalar(*s)),
                     Type::Vector(_, n) => Err(self.err(
                         format!("lane {lane} out of range for {n}-lane vector `{base}`"),
                         *span,
                     )),
                     other => {
-                        Err(self.err(format!("`.{lane}` applied to non-vector type {other}"), *span))
+                        Err(self
+                            .err(format!("`.{lane}` applied to non-vector type {other}"), *span))
                     }
                 }
             }
@@ -367,10 +359,8 @@ impl Analyzer {
                     if op.is_comparison() && lt == rt {
                         return Ok(Type::Scalar(Scalar::Bool));
                     }
-                    return Err(self.err(
-                        format!("operator `{op}` not supported on pointer operands"),
-                        span,
-                    ));
+                    return Err(self
+                        .err(format!("operator `{op}` not supported on pointer operands"), span));
                 }
                 let (ls, rs) = match (lt.element_scalar(), rt.element_scalar()) {
                     (Some(a), Some(b)) => (a, b),
@@ -386,15 +376,15 @@ impl Analyzer {
                     (1, b) => b,
                     (a, 1) => a,
                     (a, b) => {
-                        return Err(self.err(
-                            format!("vector lane mismatch: {a} vs {b} lanes"),
-                            span,
-                        ))
+                        return Err(
+                            self.err(format!("vector lane mismatch: {a} vs {b} lanes"), span)
+                        )
                     }
                 };
-                if matches!(op, BinOp::Rem | BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl
-                    | BinOp::Shr)
-                    && (ls.is_float() || rs.is_float())
+                if matches!(
+                    op,
+                    BinOp::Rem | BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr
+                ) && (ls.is_float() || rs.is_float())
                 {
                     return Err(self.err(format!("operator `{op}` requires integers"), span));
                 }
@@ -441,7 +431,10 @@ impl Analyzer {
             }
             ExprKind::Call { name, args } => {
                 let builtin = builtins::resolve(name).ok_or_else(|| {
-                    self.err(format!("unknown function `{name}` (only OpenCL builtins are supported)"), span)
+                    self.err(
+                        format!("unknown function `{name}` (only OpenCL builtins are supported)"),
+                        span,
+                    )
                 })?;
                 let mut arg_tys = Vec::with_capacity(args.len());
                 for a in args.iter_mut() {
@@ -522,7 +515,9 @@ impl Analyzer {
             ExprKind::Ternary { cond, then_expr, else_expr } => {
                 let ct = self.check_expr(cond)?;
                 if ct.element_scalar().is_none() || ct.lanes() != 1 {
-                    return Err(self.err(format!("ternary condition must be scalar, got {ct}"), span));
+                    return Err(
+                        self.err(format!("ternary condition must be scalar, got {ct}"), span)
+                    );
                 }
                 let tt = self.check_expr(then_expr)?;
                 let et = self.check_expr(else_expr)?;
@@ -660,10 +655,9 @@ mod tests {
 
     #[test]
     fn vector_lane_out_of_range() {
-        let e = check(
-            "__kernel void k(__global float4* a) { float4 v = a[0]; v.x = v.s7; a[0] = v; }",
-        )
-        .unwrap_err();
+        let e =
+            check("__kernel void k(__global float4* a) { float4 v = a[0]; v.x = v.s7; a[0] = v; }")
+                .unwrap_err();
         assert!(e.to_string().contains("out of range"));
     }
 

@@ -232,10 +232,8 @@ impl Type {
 
     /// Parses vector type names such as `float4` or `int16`.
     pub fn from_name(name: &str) -> Option<Type> {
-        let (base, lanes) = name
-            .char_indices()
-            .find(|(_, c)| c.is_ascii_digit())
-            .map(|(i, _)| name.split_at(i))?;
+        let (base, lanes) =
+            name.char_indices().find(|(_, c)| c.is_ascii_digit()).map(|(i, _)| name.split_at(i))?;
         let lanes: u8 = lanes.parse().ok()?;
         if !matches!(lanes, 2 | 4 | 8 | 16) {
             return None;

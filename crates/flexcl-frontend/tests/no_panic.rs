@@ -16,12 +16,59 @@ fn arb_bytes() -> BoxedStrategy<String> {
 /// get past the lexer and deep into the parser/sema than raw bytes.
 fn arb_token_soup() -> BoxedStrategy<String> {
     let vocab: Vec<&'static str> = vec![
-        "__kernel", "void", "k", "(", ")", "{", "}", "[", "]", ";", ",",
-        "__global", "__local", "float", "int", "*", "a", "b", "i",
-        "get_global_id", "get_local_id", "barrier", "CLK_LOCAL_MEM_FENCE",
-        "for", "if", "else", "return", "=", "+", "-", "*", "/", "%", "<",
-        ">", "==", "!=", "&&", "||", "0", "1", "42", "3.5f", "?", ":",
-        "1e999", "0x", "'", "\"", "\\", "//", "/*", "*/",
+        "__kernel",
+        "void",
+        "k",
+        "(",
+        ")",
+        "{",
+        "}",
+        "[",
+        "]",
+        ";",
+        ",",
+        "__global",
+        "__local",
+        "float",
+        "int",
+        "*",
+        "a",
+        "b",
+        "i",
+        "get_global_id",
+        "get_local_id",
+        "barrier",
+        "CLK_LOCAL_MEM_FENCE",
+        "for",
+        "if",
+        "else",
+        "return",
+        "=",
+        "+",
+        "-",
+        "*",
+        "/",
+        "%",
+        "<",
+        ">",
+        "==",
+        "!=",
+        "&&",
+        "||",
+        "0",
+        "1",
+        "42",
+        "3.5f",
+        "?",
+        ":",
+        "1e999",
+        "0x",
+        "'",
+        "\"",
+        "\\",
+        "//",
+        "/*",
+        "*/",
     ];
     proptest::collection::vec(proptest::sample::select(vocab), 0..64)
         .prop_map(|toks| toks.join(" "))

@@ -103,10 +103,9 @@ impl fmt::Display for GeometryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GeometryError::ZeroDimension { dim } => write!(f, "dimension {dim} has zero size"),
-            GeometryError::NotDivisible { dim, global, local } => write!(
-                f,
-                "global size {global} not divisible by local size {local} in dim {dim}"
-            ),
+            GeometryError::NotDivisible { dim, global, local } => {
+                write!(f, "global size {global} not divisible by local size {local} in dim {dim}")
+            }
         }
     }
 }
@@ -767,8 +766,8 @@ impl Machine<'_, '_> {
             }
             Instr::Conv { dst, a, to } => self.regs[r(dst)] = to.apply(self.regs[r(a)]),
             Instr::Select { dst, cond, cond_lanes, t, f, to } => {
-                let c = (r(cond)..r(cond) + usize::from(cond_lanes))
-                    .any(|x| self.regs[x].as_bool());
+                let c =
+                    (r(cond)..r(cond) + usize::from(cond_lanes)).any(|x| self.regs[x].as_bool());
                 self.regs[r(dst)] = to.apply(self.regs[r(if c { t } else { f })]);
             }
             Instr::Math { m, dst, args, float_ty } => {

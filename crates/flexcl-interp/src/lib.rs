@@ -162,10 +162,9 @@ mod tests {
 
     #[test]
     fn out_of_bounds_is_reported() {
-        let p = flexcl_frontend::parse_and_check(
-            "__kernel void k(__global int* a) { a[100] = 1; }",
-        )
-        .expect("frontend");
+        let p =
+            flexcl_frontend::parse_and_check("__kernel void k(__global int* a) { a[100] = 1; }")
+                .expect("frontend");
         let f = lower_kernel(&p.kernels[0]).expect("lowering");
         let mut args = vec![KernelArg::IntBuf(vec![0; 4])];
         let err = run(&f, &mut args, NdRange::new_1d(1, 1), RunOptions::default()).unwrap_err();
@@ -311,20 +310,16 @@ mod tests {
 
     #[test]
     fn bad_geometry_is_a_typed_error() {
-        let p = flexcl_frontend::parse_and_check(
-            "__kernel void k(__global int* a) { a[0] = 1; }",
-        )
-        .expect("frontend");
+        let p = flexcl_frontend::parse_and_check("__kernel void k(__global int* a) { a[0] = 1; }")
+            .expect("frontend");
         let f = lower_kernel(&p.kernels[0]).expect("lowering");
         let mut args = vec![KernelArg::IntBuf(vec![0; 1])];
-        let err =
-            run(&f, &mut args, NdRange::new_1d(10, 3), RunOptions::default()).unwrap_err();
+        let err = run(&f, &mut args, NdRange::new_1d(10, 3), RunOptions::default()).unwrap_err();
         assert_eq!(
             err,
             InterpError::Geometry(GeometryError::NotDivisible { dim: 0, global: 10, local: 3 })
         );
-        let err =
-            run(&f, &mut args, NdRange::new_1d(0, 1), RunOptions::default()).unwrap_err();
+        let err = run(&f, &mut args, NdRange::new_1d(0, 1), RunOptions::default()).unwrap_err();
         assert_eq!(err, InterpError::Geometry(GeometryError::ZeroDimension { dim: 0 }));
     }
 
@@ -490,8 +485,8 @@ mod tests {
         let mut b = KernelArg::IntBuf(vec![0; 4]);
         let nd = NdRange::new_1d(4, 2);
         let opts = RunOptions::default();
-        let prof = run_refs(&f, &mut [ArgRef::Read(&a), ArgRef::Write(&mut b)], nd, opts)
-            .expect("run");
+        let prof =
+            run_refs(&f, &mut [ArgRef::Read(&a), ArgRef::Write(&mut b)], nd, opts).expect("run");
         assert_eq!(b, KernelArg::IntBuf(vec![2, 4, 6, 8]));
         assert_eq!(prof.trace.len(), 8);
         let mut b2 = b.clone();

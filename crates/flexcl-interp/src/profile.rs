@@ -253,12 +253,7 @@ struct RawTrips {
 
 /// Walks the region tree accumulating trip statistics for every loop.
 #[allow(clippy::only_used_in_recursion)]
-fn collect_loop_trips(
-    func: &Function,
-    region: &Region,
-    edges: &EdgeCounts,
-    out: &mut RawTrips,
-) {
+fn collect_loop_trips(func: &Function, region: &Region, edges: &EdgeCounts, out: &mut RawTrips) {
     match region {
         Region::Block(_) => {}
         Region::Seq(rs) => rs.iter().for_each(|r| collect_loop_trips(func, r, edges, out)),
@@ -473,9 +468,6 @@ mod tests {
         )
         .expect("run");
         let trip = prof.trip_count(&f, flexcl_ir::LoopId(0));
-        assert!(
-            trip > 8.0,
-            "weighted mixture must lean on the 15-group stratum, got {trip}"
-        );
+        assert!(trip > 8.0, "weighted mixture must lean on the 15-group stratum, got {trip}");
     }
 }

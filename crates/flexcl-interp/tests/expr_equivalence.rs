@@ -98,8 +98,11 @@ fn arb_expr() -> impl Strategy<Value = E> {
             inner.clone().prop_map(|a| E::Neg(a.into())),
             inner.clone().prop_map(|a| E::BitNot(a.into())),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Lt(a.into(), b.into())),
-            (inner.clone(), inner.clone(), inner)
-                .prop_map(|(c, t, e)| E::Ternary(c.into(), t.into(), e.into())),
+            (inner.clone(), inner.clone(), inner).prop_map(|(c, t, e)| E::Ternary(
+                c.into(),
+                t.into(),
+                e.into()
+            )),
         ]
     })
 }

@@ -152,10 +152,7 @@ pub fn find_recurrences(func: &Function) -> Vec<Recurrence> {
         .insts
         .iter()
         .filter(|i| {
-            matches!(
-                i.op.mem_space(),
-                Some(AddressSpace::Global) | Some(AddressSpace::Local)
-            )
+            matches!(i.op.mem_space(), Some(AddressSpace::Global) | Some(AddressSpace::Local))
         })
         .collect();
 
@@ -164,18 +161,13 @@ pub fn find_recurrences(func: &Function) -> Vec<Recurrence> {
             if store.op.mem_root() != load.op.mem_root() {
                 continue;
             }
-            let (Some(si), Some(li)) = (
-                index_affine(store, &affine),
-                index_affine(load, &affine),
-            ) else {
+            let (Some(si), Some(li)) = (index_affine(store, &affine), index_affine(load, &affine))
+            else {
                 continue;
             };
             // Same linear coefficient in the work-item id.
-            let (coef_s, coef_l) = if si.gid != 0 || li.gid != 0 {
-                (si.gid, li.gid)
-            } else {
-                (si.lid, li.lid)
-            };
+            let (coef_s, coef_l) =
+                if si.gid != 0 || li.gid != 0 { (si.gid, li.gid) } else { (si.lid, li.lid) };
             if coef_s == 0 || coef_s != coef_l {
                 continue;
             }
@@ -185,11 +177,7 @@ pub fn find_recurrences(func: &Function) -> Vec<Recurrence> {
             }
             let distance = delta / coef_s;
             if distance > 0 {
-                recs.push(Recurrence {
-                    load: load.id,
-                    store: store.id,
-                    distance: distance as u32,
-                });
+                recs.push(Recurrence { load: load.id, store: store.id, distance: distance as u32 });
             }
         }
     }
@@ -197,10 +185,7 @@ pub fn find_recurrences(func: &Function) -> Vec<Recurrence> {
     recs
 }
 
-fn index_affine(
-    inst: &crate::function::Inst,
-    affine: &HashMap<InstId, Affine>,
-) -> Option<Affine> {
+fn index_affine(inst: &crate::function::Inst, affine: &HashMap<InstId, Affine>) -> Option<Affine> {
     match &inst.args[0] {
         Value::Literal(Literal::Int(i)) => Some(Affine::constant(*i)),
         Value::Inst(id) => affine.get(id).copied(),

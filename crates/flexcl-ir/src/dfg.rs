@@ -46,8 +46,7 @@ pub enum DepKind {
 /// folding at lowering.
 pub fn build_deps(func: &Function, seq: &[InstId]) -> Vec<DepEdge> {
     let mut edges = Vec::new();
-    let in_seq: HashMap<InstId, usize> =
-        seq.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+    let in_seq: HashMap<InstId, usize> = seq.iter().enumerate().map(|(i, id)| (*id, i)).collect();
 
     // Def-use edges.
     for &id in seq {
@@ -196,9 +195,7 @@ mod tests {
             .collect();
         assert!(store_ids.len() >= 2);
         let waw = edges.iter().any(|e| {
-            e.kind == DepKind::Memory
-                && store_ids.contains(&e.from)
-                && store_ids.contains(&e.to)
+            e.kind == DepKind::Memory && store_ids.contains(&e.from) && store_ids.contains(&e.to)
         });
         assert!(!waw, "disjoint constant stores must not be ordered");
     }

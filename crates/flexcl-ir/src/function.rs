@@ -555,10 +555,8 @@ mod tests {
     #[test]
     fn function_display_is_readable() {
         use flexcl_frontend::parse_and_check;
-        let p = parse_and_check(
-            "__kernel void k(__global int* a) { a[get_global_id(0)] = 1; }",
-        )
-        .expect("frontend");
+        let p = parse_and_check("__kernel void k(__global int* a) { a[get_global_id(0)] = 1; }")
+            .expect("frontend");
         let func = crate::lower::lower_kernel(&p.kernels[0]).expect("lowering");
         let text = func.to_string();
         assert!(text.contains("kernel @k"));
@@ -578,9 +576,6 @@ mod tests {
             },
             Region::Block(BlockId(4)),
         ]);
-        assert_eq!(
-            r.blocks(),
-            vec![BlockId(0), BlockId(1), BlockId(2), BlockId(3), BlockId(4)]
-        );
+        assert_eq!(r.blocks(), vec![BlockId(0), BlockId(1), BlockId(2), BlockId(3), BlockId(4)]);
     }
 }

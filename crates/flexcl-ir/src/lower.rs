@@ -181,10 +181,7 @@ impl<'a> Lowerer<'a> {
                     );
                     let Value::Inst(slot_id) = slot else { unreachable!() };
                     self.emit(
-                        Op::Store {
-                            space: AddressSpace::Private,
-                            root: MemRoot::Alloca(slot_id),
-                        },
+                        Op::Store { space: AddressSpace::Private, root: MemRoot::Alloca(slot_id) },
                         Type::Void,
                         vec![Value::int(0), Value::Param(i as u32)],
                     );
@@ -296,9 +293,10 @@ impl<'a> Lowerer<'a> {
             }
             Type::Pointer(elem, space) => {
                 // Pointer variable: must be initialised from a pointer expr.
-                let init = d.init.as_ref().ok_or_else(|| {
-                    self.err("pointer variables must be initialised", d.span)
-                })?;
+                let init = d
+                    .init
+                    .as_ref()
+                    .ok_or_else(|| self.err("pointer variables must be initialised", d.span))?;
                 let (root, ispace, elem_ty, offset) = self.lower_pointer_expr(init)?;
                 if ispace != *space {
                     return Err(self.err(
@@ -321,10 +319,7 @@ impl<'a> Lowerer<'a> {
                     let (v, vt) = self.lower_expr(init)?;
                     let v = self.coerce(v, &vt, ty);
                     self.emit(
-                        Op::Store {
-                            space: AddressSpace::Private,
-                            root: MemRoot::Alloca(slot_id),
-                        },
+                        Op::Store { space: AddressSpace::Private, root: MemRoot::Alloca(slot_id) },
                         Type::Void,
                         vec![Value::int(0), v],
                     );
@@ -340,9 +335,7 @@ impl<'a> Lowerer<'a> {
         if let LValue::Var(name, span) = &a.target {
             if let Some(Binding::Pointer { .. }) = self.lookup(name) {
                 if a.op.is_some() {
-                    return Err(
-                        self.err("compound assignment to pointer is not supported", *span)
-                    );
+                    return Err(self.err("compound assignment to pointer is not supported", *span));
                 }
                 if expr_mentions_var(&a.value, name) {
                     return Err(self.err(
@@ -410,9 +403,7 @@ impl<'a> Lowerer<'a> {
                 let scalar_ty = match &ty {
                     Type::Vector(s, _) => Type::Scalar(*s),
                     other => {
-                        return Err(
-                            self.err(format!("`.{lane}` on non-vector type {other}"), *span)
-                        )
+                        return Err(self.err(format!("`.{lane}` on non-vector type {other}"), *span))
                     }
                 };
                 let lane = *lane;
@@ -422,7 +413,10 @@ impl<'a> Lowerer<'a> {
                         ty.clone(),
                         vec![Value::int(0)],
                     );
-                    Ok((me.emit(Op::Extract(lane), scalar_ty.clone(), vec![vec]), scalar_ty.clone()))
+                    Ok((
+                        me.emit(Op::Extract(lane), scalar_ty.clone(), vec![vec]),
+                        scalar_ty.clone(),
+                    ))
                 })?;
                 let rhs = self.coerce(rhs.0, &rhs.1, &scalar_ty);
                 let vec = self.emit(
@@ -491,11 +485,7 @@ impl<'a> Lowerer<'a> {
         self.push_scope();
         // A body that can `break` invalidates the closed-form count; defer
         // to dynamic profiling.
-        let trip = if block_breaks(&s.body) {
-            TripCount::Profiled
-        } else {
-            static_trip_count(s)
-        };
+        let trip = if block_breaks(&s.body) { TripCount::Profiled } else { static_trip_count(s) };
         if let Some(init) = &s.init {
             let mut scratch = Vec::new();
             self.lower_stmt(init, &mut scratch)?;
@@ -742,11 +732,8 @@ impl<'a> Lowerer<'a> {
         let ty = e.ty().clone();
         match builtin {
             Builtin::WorkItem(wi) => {
-                let dim = if args.is_empty() {
-                    Value::int(0)
-                } else {
-                    self.lower_expr(&args[0])?.0
-                };
+                let dim =
+                    if args.is_empty() { Value::int(0) } else { self.lower_expr(&args[0])?.0 };
                 Ok((self.emit(Op::WorkItem(wi), ty.clone(), vec![dim]), ty))
             }
             Builtin::Barrier | Builtin::MemFence => {
@@ -808,10 +795,9 @@ impl<'a> Lowerer<'a> {
                         (root, space, elem_ty, offset, vec![])
                     }
                     Binding::Slot { ty, .. } => {
-                        return Err(self.err(
-                            format!("cannot index scalar `{name}` of type {ty}"),
-                            span,
-                        ))
+                        return Err(
+                            self.err(format!("cannot index scalar `{name}` of type {ty}"), span)
+                        )
                     }
                 }
             }
@@ -957,11 +943,7 @@ impl<'a> Lowerer<'a> {
         };
         let unified = ls.unify(rs);
         let lanes = lt.lanes().max(rt.lanes());
-        let ty = if lanes > 1 {
-            Type::Vector(unified, lanes as u8)
-        } else {
-            Type::Scalar(unified)
-        };
+        let ty = if lanes > 1 { Type::Vector(unified, lanes as u8) } else { Type::Scalar(unified) };
         let lv = self.coerce(lv, lt, &ty);
         let rv = self.coerce(rv, rt, &ty);
         (lv, rv, ty)
@@ -1143,9 +1125,7 @@ mod tests {
             ("for (int i = 16; i >= 1; i -= 2)", TripCount::Static(8)),
         ];
         for (head, want) in cases {
-            let src = format!(
-                "__kernel void k(__global int* a) {{ {head} {{ a[i] = i; }} }}"
-            );
+            let src = format!("__kernel void k(__global int* a) {{ {head} {{ a[i] = i; }} }}");
             let f = lower(&src);
             assert_eq!(f.loops[0].trip, want, "loop `{head}`");
         }

@@ -39,10 +39,7 @@ fn has_side_effects(inst: &Inst) -> bool {
 /// Whether an instruction's value may change between executions (loads,
 /// work-item queries are fixed per work-item but loads may see new data).
 fn is_pure(inst: &Inst) -> bool {
-    !matches!(
-        inst.op,
-        Op::Store { .. } | Op::Barrier | Op::Alloca { .. } | Op::Load { .. }
-    )
+    !matches!(inst.op, Op::Store { .. } | Op::Barrier | Op::Alloca { .. } | Op::Load { .. })
 }
 
 // ---------------------------------------------------------------- folding
@@ -330,8 +327,7 @@ pub fn dead_code_elim(func: &mut Function) -> bool {
         changed_any = true;
         // Recompute uses from surviving instructions.
         used.iter_mut().for_each(|u| *u = false);
-        let live: Vec<InstId> =
-            func.blocks.iter().flat_map(|b| b.insts.iter().copied()).collect();
+        let live: Vec<InstId> = func.blocks.iter().flat_map(|b| b.insts.iter().copied()).collect();
         for iid in live {
             for a in &func.insts[iid.0 as usize].args.clone() {
                 if let Value::Inst(id) = a {

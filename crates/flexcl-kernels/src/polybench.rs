@@ -221,11 +221,7 @@ pub fn all() -> Vec<KernelSpec> {
             }",
             base_global: (32, 32),
             build_args: |nx, ny, rng| {
-                vec![
-                    fbuf(nx.max(ny) * K, rng),
-                    fbuf(nx * ny, rng),
-                    KernelArg::Int(K as i64),
-                ]
+                vec![fbuf(nx.max(ny) * K, rng), fbuf(nx * ny, rng), KernelArg::Int(K as i64)]
             },
         },
         KernelSpec {
@@ -275,13 +271,7 @@ pub fn all() -> Vec<KernelSpec> {
             }",
             base_global: (1024, 1),
             build_args: |nx, _ny, rng| {
-                vec![
-                    fbuf(nx * K, rng),
-                    fzero(nx),
-                    fzero(nx),
-                    fzero(nx),
-                    KernelArg::Int(K as i64),
-                ]
+                vec![fbuf(nx * K, rng), fzero(nx), fzero(nx), fzero(nx), KernelArg::Int(K as i64)]
             },
         },
         KernelSpec {
@@ -391,10 +381,8 @@ mod tests {
         for spec in all() {
             let program = flexcl_frontend::parse_and_check(spec.source)
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.full_name()));
-            let func = flexcl_ir::lower_kernel(
-                program.kernel(spec.kernel).expect("kernel"),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", spec.full_name()));
+            let func = flexcl_ir::lower_kernel(program.kernel(spec.kernel).expect("kernel"))
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.full_name()));
             assert_eq!(func.validate(), Ok(()), "{}", spec.full_name());
             let w = spec.workload(crate::Scale::Test, 7);
             let mut args = w.args.clone();
@@ -409,10 +397,8 @@ mod tests {
     fn polybench_kernels_have_no_barriers() {
         for spec in all() {
             let program = flexcl_frontend::parse_and_check(spec.source).expect("frontend");
-            let func = flexcl_ir::lower_kernel(
-                program.kernel(spec.kernel).expect("kernel"),
-            )
-            .expect("lowering");
+            let func = flexcl_ir::lower_kernel(program.kernel(spec.kernel).expect("kernel"))
+                .expect("lowering");
             assert!(!func.has_barrier(), "{}", spec.full_name());
         }
     }

@@ -29,12 +29,7 @@ pub fn all() -> Vec<KernelSpec> {
             base_global: (1024, 1),
             build_args: |nx, _ny, rng| {
                 let n_in = 32;
-                vec![
-                    fbuf(n_in, rng),
-                    fbuf(n_in * nx, rng),
-                    fzero(nx),
-                    KernelArg::Int(n_in as i64),
-                ]
+                vec![fbuf(n_in, rng), fbuf(n_in * nx, rng), fzero(nx), KernelArg::Int(n_in as i64)]
             },
         },
         KernelSpec {
@@ -111,9 +106,7 @@ pub fn all() -> Vec<KernelSpec> {
                 }
             }",
             base_global: (1024, 1),
-            build_args: |nx, _ny, rng| {
-                vec![iflags(nx, 0.3, rng), izero(nx), izero(nx), izero(1)]
-            },
+            build_args: |nx, _ny, rng| vec![iflags(nx, 0.3, rng), izero(nx), izero(nx), izero(1)],
         },
         // --------------------------------------------------------- b+tree
         KernelSpec {
@@ -213,7 +206,13 @@ pub fn all() -> Vec<KernelSpec> {
             }",
             base_global: (1024, 1),
             build_args: |nx, _ny, _rng| {
-                vec![fzero(nx), fzero(nx * 3), fzero(nx), KernelArg::Float(1.4), KernelArg::Float(0.3)]
+                vec![
+                    fzero(nx),
+                    fzero(nx * 3),
+                    fzero(nx),
+                    KernelArg::Float(1.4),
+                    KernelArg::Float(0.3),
+                ]
             },
         },
         KernelSpec {
@@ -261,9 +260,7 @@ pub fn all() -> Vec<KernelSpec> {
                 density[i] = density[i] + factor * fluxes[i];
             }",
             base_global: (1024, 1),
-            build_args: |nx, _ny, rng| {
-                vec![fbuf(nx, rng), fbuf(nx, rng), KernelArg::Float(0.2)]
-            },
+            build_args: |nx, _ny, rng| vec![fbuf(nx, rng), fbuf(nx, rng), KernelArg::Float(0.2)],
         },
         // ---------------------------------------------------------- dwt2d
         KernelSpec {
@@ -518,9 +515,7 @@ pub fn all() -> Vec<KernelSpec> {
                 offsets[i] = sum;
             }",
             base_global: (1024, 1),
-            build_args: |nx, _ny, rng| {
-                vec![ibuf_mod(nx, 16, rng), izero(nx), KernelArg::Int(64)]
-            },
+            build_args: |nx, _ny, rng| vec![ibuf_mod(nx, 16, rng), izero(nx), KernelArg::Int(64)],
         },
         KernelSpec {
             suite: Suite::Rodinia,
@@ -538,9 +533,7 @@ pub fn all() -> Vec<KernelSpec> {
                 output[(i / 64) * 64 + rank] = v;
             }",
             base_global: (1024, 1),
-            build_args: |nx, _ny, rng| {
-                vec![fbuf(nx, rng), fzero(nx), KernelArg::Int(nx as i64)]
-            },
+            build_args: |nx, _ny, rng| vec![fbuf(nx, rng), fzero(nx), KernelArg::Int(nx as i64)],
         },
         // --------------------------------------------------------- kmeans
         KernelSpec {
@@ -798,7 +791,13 @@ pub fn all() -> Vec<KernelSpec> {
             }",
             base_global: (1024, 1),
             build_args: |nx, _ny, rng| {
-                vec![fbuf(nx, rng), fbuf(nx, rng), fzero(nx), KernelArg::Float(0.7), KernelArg::Float(1.1)]
+                vec![
+                    fbuf(nx, rng),
+                    fbuf(nx, rng),
+                    fzero(nx),
+                    KernelArg::Float(0.7),
+                    KernelArg::Float(1.1),
+                ]
             },
         },
         // ------------------------------------------------------------- nw
@@ -899,9 +898,7 @@ pub fn all() -> Vec<KernelSpec> {
                 weights[i] = weights[i] / sum[0];
             }",
             base_global: (1024, 1),
-            build_args: |nx, _ny, rng| {
-                vec![fbuf(nx, rng), KernelArg::FloatBuf(vec![8.0])]
-            },
+            build_args: |nx, _ny, rng| vec![fbuf(nx, rng), KernelArg::FloatBuf(vec![8.0])],
         },
         KernelSpec {
             suite: Suite::Rodinia,
@@ -1183,10 +1180,8 @@ mod tests {
         use flexcl_interp::{run, NdRange, RunOptions};
         for spec in all() {
             let program = flexcl_frontend::parse_and_check(spec.source).expect("frontend");
-            let func = flexcl_ir::lower_kernel(
-                program.kernel(spec.kernel).expect("kernel"),
-            )
-            .expect("lowering");
+            let func = flexcl_ir::lower_kernel(program.kernel(spec.kernel).expect("kernel"))
+                .expect("lowering");
             let w = spec.workload(crate::Scale::Test, 42);
             let mut args = w.args.clone();
             let local = match func.reqd_work_group_size {

@@ -157,8 +157,7 @@ impl Histogram {
 
     /// Reads the histogram into an owned summary.
     pub fn summarize(&self) -> HistSummary {
-        let buckets: Vec<u64> =
-            self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let buckets: Vec<u64> = self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         let count: u64 = buckets.iter().sum();
         HistSummary {
             count,

@@ -386,15 +386,8 @@ mod tests {
         assert!(lines[1].contains("\"name\":\"root\""), "{text}");
         assert!(lines[1].contains("\\\"dd"), "escaped attr: {text}");
         // The child's parent is the root's id.
-        let root_id: u64 = lines[1]
-            .split("\"id\":")
-            .nth(1)
-            .unwrap()
-            .split(',')
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap();
+        let root_id: u64 =
+            lines[1].split("\"id\":").nth(1).unwrap().split(',').next().unwrap().parse().unwrap();
         assert!(lines[0].contains(&format!("\"parent\":{root_id}")), "{text}");
     }
 

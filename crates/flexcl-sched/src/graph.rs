@@ -233,12 +233,8 @@ mod tests {
 
     #[test]
     fn budget_limits() {
-        let b = ResourceBudget {
-            local_read_ports: 2,
-            local_write_ports: 1,
-            dsps: 4,
-            global_ports: 8,
-        };
+        let b =
+            ResourceBudget { local_read_ports: 2, local_write_ports: 1, dsps: 4, global_ports: 8 };
         assert_eq!(b.limit(ResourceClass::LocalRead), 2);
         assert_eq!(b.limit(ResourceClass::Fabric), u32::MAX);
     }

@@ -57,10 +57,7 @@ mod proptests {
         (2usize..20, proptest::collection::vec(0u32..8, 2..20))
             .prop_flat_map(|(n, lats)| {
                 let n = n.min(lats.len());
-                let edges = proptest::collection::vec(
-                    (0..n, 0..n, 0u32..3),
-                    0..n * 2,
-                );
+                let edges = proptest::collection::vec((0..n, 0..n, 0u32..3), 0..n * 2);
                 (Just(lats), edges)
             })
             .prop_map(|(lats, edges)| {

@@ -131,8 +131,7 @@ pub fn schedule_with(
         }
     }
     heights_into(graph, &mut scratch.heights);
-    let SchedScratch { heights: height, pending, earliest, ready, deferred, issued, .. } =
-        scratch;
+    let SchedScratch { heights: height, pending, earliest, ready, deferred, issued, .. } = scratch;
 
     // Remaining same-instance predecessor counts.
     pending.clear();
@@ -161,9 +160,7 @@ pub fn schedule_with(
         loop {
             // Sort ready ops by priority (height desc, id asc for determinism).
             ready.sort_by(|a, b| {
-                height[b.0 as usize]
-                    .cmp(&height[a.0 as usize])
-                    .then(a.0.cmp(&b.0))
+                height[b.0 as usize].cmp(&height[a.0 as usize]).then(a.0.cmp(&b.0))
             });
             issued.clear();
             deferred.clear();
@@ -212,10 +209,7 @@ pub fn schedule_with(
         }
     }
 
-    let length = (0..n)
-        .map(|i| start[i] + graph.node(NodeId(i as u32)).latency)
-        .max()
-        .unwrap_or(0);
+    let length = (0..n).map(|i| start[i] + graph.node(NodeId(i as u32)).latency).max().unwrap_or(0);
     Ok(ListSchedule { start, length })
 }
 
@@ -317,10 +311,7 @@ mod tests {
         let mut g = SchedGraph::new();
         g.add_node(2, ResourceClass::LocalRead);
         let budget = ResourceBudget { local_read_ports: 0, ..ResourceBudget::unconstrained() };
-        assert_eq!(
-            schedule(&g, &budget),
-            Err(SchedError::ZeroBudget(ResourceClass::LocalRead))
-        );
+        assert_eq!(schedule(&g, &budget), Err(SchedError::ZeroBudget(ResourceClass::LocalRead)));
     }
 
     #[test]

@@ -169,12 +169,8 @@ mod tests {
         for _ in 0..2 {
             g.add_node(1, ResourceClass::LocalWrite);
         }
-        let budget = ResourceBudget {
-            local_read_ports: 2,
-            local_write_ports: 1,
-            dsps: 8,
-            global_ports: 8,
-        };
+        let budget =
+            ResourceBudget { local_read_ports: 2, local_write_ports: 1, dsps: 8, global_ports: 8 };
         // 6 reads / 2 ports = 3; 2 writes / 1 port = 2.
         assert_eq!(res_mii(&g, &budget), 3);
     }

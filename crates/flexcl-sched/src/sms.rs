@@ -211,12 +211,8 @@ mod tests {
         for _ in 0..4 {
             g.add_node(2, ResourceClass::LocalRead);
         }
-        let budget = ResourceBudget {
-            local_read_ports: 1,
-            local_write_ports: 1,
-            dsps: 8,
-            global_ports: 8,
-        };
+        let budget =
+            ResourceBudget { local_read_ports: 1, local_write_ports: 1, dsps: 8, global_ports: 8 };
         let s = schedule(&g, &budget, 0);
         assert_eq!(s.ii, 4);
     }
@@ -228,12 +224,8 @@ mod tests {
         for _ in 0..3 {
             g.add_node(4, ResourceClass::Dsp);
         }
-        let budget = ResourceBudget {
-            local_read_ports: 4,
-            local_write_ports: 4,
-            dsps: 1,
-            global_ports: 8,
-        };
+        let budget =
+            ResourceBudget { local_read_ports: 4, local_write_ports: 4, dsps: 1, global_ports: 8 };
         let s = schedule(&g, &budget, 0);
         assert_eq!(s.ii, 3);
         let mut slots: Vec<u32> = s.start.iter().map(|t| t % s.ii).collect();
@@ -245,20 +237,18 @@ mod tests {
     #[test]
     fn schedule_respects_dependences() {
         let mut g = SchedGraph::new();
-        let ids: Vec<_> = (0..6).map(|i| {
-            let class = if i % 2 == 0 { ResourceClass::Dsp } else { ResourceClass::Fabric };
-            g.add_node(1 + i % 3, class)
-        }).collect();
+        let ids: Vec<_> = (0..6)
+            .map(|i| {
+                let class = if i % 2 == 0 { ResourceClass::Dsp } else { ResourceClass::Fabric };
+                g.add_node(1 + i % 3, class)
+            })
+            .collect();
         for w in ids.windows(2) {
             g.add_edge(w[0], w[1]);
         }
         g.add_edge_with_distance(ids[5], ids[0], 2);
-        let budget = ResourceBudget {
-            local_read_ports: 2,
-            local_write_ports: 1,
-            dsps: 1,
-            global_ports: 4,
-        };
+        let budget =
+            ResourceBudget { local_read_ports: 2, local_write_ports: 1, dsps: 1, global_ports: 4 };
         let s = schedule(&g, &budget, 0);
         for e in g.edges() {
             let lhs = s.start[e.from.0 as usize] + g.node(e.from).latency;

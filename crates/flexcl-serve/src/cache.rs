@@ -144,8 +144,7 @@ fn record_crc(family_hex: &str, payload: &[u8]) -> u32 {
 fn encode(payload: &[u8], family: Key) -> Vec<u8> {
     let fam = format!("{:016x}{:016x}", family.0, family.1);
     let mut rec =
-        format!("{MAGIC} {:08x} {} {fam}\n", record_crc(&fam, payload), payload.len())
-            .into_bytes();
+        format!("{MAGIC} {:08x} {} {fam}\n", record_crc(&fam, payload), payload.len()).into_bytes();
     rec.extend_from_slice(payload);
     rec
 }
@@ -165,10 +164,8 @@ fn decode(record: &[u8]) -> Option<(Vec<u8>, Key)> {
     if fam.len() != 32 || parts.next().is_some() {
         return None;
     }
-    let family = (
-        u64::from_str_radix(&fam[..16], 16).ok()?,
-        u64::from_str_radix(&fam[16..], 16).ok()?,
-    );
+    let family =
+        (u64::from_str_radix(&fam[..16], 16).ok()?, u64::from_str_radix(&fam[16..], 16).ok()?);
     let payload = &record[nl + 1..];
     if payload.len() != len || record_crc(fam, payload) != crc {
         return None;
@@ -211,12 +208,10 @@ impl PersistentCache {
                     report.cleaned_tmp += 1;
                     continue;
                 }
-                let valid = parse_entry_name(&name).filter(|&k| shard_of(k) == s).and_then(
-                    |k| {
-                        let rec = fs::read(&path).ok()?;
-                        decode(&rec).map(|(_, family)| (k, family))
-                    },
-                );
+                let valid = parse_entry_name(&name).filter(|&k| shard_of(k) == s).and_then(|k| {
+                    let rec = fs::read(&path).ok()?;
+                    decode(&rec).map(|(_, family)| (k, family))
+                });
                 match valid {
                     Some((key, family)) => {
                         let tick = cache.clock.fetch_add(1, Ordering::Relaxed);
@@ -374,10 +369,7 @@ impl PersistentCache {
 
     /// Entries currently indexed across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).index.len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).index.len()).sum()
     }
 
     /// True when no entries are indexed.
@@ -409,7 +401,8 @@ mod tests {
     use super::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("flexcl-cache-test-{tag}-{}", std::process::id()));
+        let d =
+            std::env::temp_dir().join(format!("flexcl-cache-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }

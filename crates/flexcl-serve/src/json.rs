@@ -293,8 +293,18 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         for bad in [
-            "{", "}", "{\"a\"}", "[1,]", "{\"a\":1,}", "tru", "\"\\q\"", "1 2", "nan", "1e999",
-            "\"\\u12\"", "",
+            "{",
+            "}",
+            "{\"a\"}",
+            "[1,]",
+            "{\"a\":1,}",
+            "tru",
+            "\"\\q\"",
+            "1 2",
+            "nan",
+            "1e999",
+            "\"\\u12\"",
+            "",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }

@@ -221,11 +221,7 @@ pub mod epoll {
 
     impl Default for EpollOptions {
         fn default() -> Self {
-            EpollOptions {
-                listeners: 1,
-                idle_timeout: Duration::from_secs(30),
-                max_conns: 1024,
-            }
+            EpollOptions { listeners: 1, idle_timeout: Duration::from_secs(30), max_conns: 1024 }
         }
     }
 
@@ -317,18 +313,10 @@ pub mod epoll {
     }
 
     fn local_addr_of(fd: i32) -> io::Result<SocketAddrV4> {
-        let mut sa = sys::SockaddrIn {
-            sin_family: 0,
-            sin_port: 0,
-            sin_addr: 0,
-            sin_zero: [0; 8],
-        };
+        let mut sa = sys::SockaddrIn { sin_family: 0, sin_port: 0, sin_addr: 0, sin_zero: [0; 8] };
         let mut len = std::mem::size_of::<sys::SockaddrIn>() as u32;
         cvt(unsafe { sys::getsockname(fd, &mut sa, &mut len) })?;
-        Ok(SocketAddrV4::new(
-            Ipv4Addr::from(u32::from_be(sa.sin_addr)),
-            u16::from_be(sa.sin_port),
-        ))
+        Ok(SocketAddrV4::new(Ipv4Addr::from(u32::from_be(sa.sin_addr)), u16::from_be(sa.sin_port)))
     }
 
     fn listen_socket(addr: SocketAddrV4, reuseport: bool) -> io::Result<Fd> {
@@ -400,15 +388,13 @@ pub mod epoll {
             let mut loops = Vec::with_capacity(n);
             for (i, listener) in sockets.into_iter().enumerate() {
                 let shared = Arc::new(LoopShared::new()?);
-                let handle = std::thread::Builder::new()
-                    .name(format!("epoll-{i}"))
-                    .spawn({
-                        let server = Arc::clone(&server);
-                        let shared = Arc::clone(&shared);
-                        let stop = Arc::clone(&stop);
-                        let opts = opts.clone();
-                        move || event_loop(&server, listener, &shared, &stop, &opts)
-                    })?;
+                let handle = std::thread::Builder::new().name(format!("epoll-{i}")).spawn({
+                    let server = Arc::clone(&server);
+                    let shared = Arc::clone(&shared);
+                    let stop = Arc::clone(&stop);
+                    let opts = opts.clone();
+                    move || event_loop(&server, listener, &shared, &stop, &opts)
+                })?;
                 loops.push((handle, shared));
             }
             Ok(EpollTransport { addr: bound, stop, loops })
@@ -480,12 +466,7 @@ pub mod epoll {
         opts: &EpollOptions,
     ) -> io::Result<()> {
         let poller = Poller::new()?;
-        poller.ctl(
-            sys::EPOLL_CTL_ADD,
-            listener.0,
-            sys::EPOLLIN | sys::EPOLLET,
-            DATA_LISTENER,
-        )?;
+        poller.ctl(sys::EPOLL_CTL_ADD, listener.0, sys::EPOLLIN | sys::EPOLLET, DATA_LISTENER)?;
         poller.ctl(sys::EPOLL_CTL_ADD, shared.wake.0, sys::EPOLLIN, DATA_WAKE)?;
 
         let mut conns: HashMap<u64, Conn> = HashMap::new();
@@ -522,7 +503,8 @@ pub mod epoll {
             }
 
             // Deliver finished responses, then reap idle connections.
-            let done = std::mem::take(&mut *shared.pending.lock().unwrap_or_else(|e| e.into_inner()));
+            let done =
+                std::mem::take(&mut *shared.pending.lock().unwrap_or_else(|e| e.into_inner()));
             for (id, resp) in done {
                 let keep = match conns.get_mut(&id) {
                     Some(conn) => deliver(&poller, id, conn, &resp),
@@ -655,12 +637,7 @@ pub mod epoll {
 
     /// Edge-triggered read: drain the socket, then parse every
     /// complete frame out of `rbuf` and dispatch it.
-    fn on_readable(
-        server: &Server,
-        shared: &Arc<LoopShared>,
-        id: u64,
-        conn: &mut Conn,
-    ) -> bool {
+    fn on_readable(server: &Server, shared: &Arc<LoopShared>, id: u64, conn: &mut Conn) -> bool {
         let mut buf = [0u8; 16 * 1024];
         loop {
             let n = unsafe { sys::read(conn.fd.0, buf.as_mut_ptr().cast(), buf.len()) };
@@ -682,9 +659,8 @@ pub mod epoll {
             if conn.rbuf.len() < 4 {
                 break;
             }
-            let len =
-                u32::from_be_bytes([conn.rbuf[0], conn.rbuf[1], conn.rbuf[2], conn.rbuf[3]])
-                    as usize;
+            let len = u32::from_be_bytes([conn.rbuf[0], conn.rbuf[1], conn.rbuf[2], conn.rbuf[3]])
+                as usize;
             if len > MAX_FRAME_LEN {
                 return false; // framing violation: drop the connection
             }
@@ -701,11 +677,7 @@ pub mod epoll {
             server.handle_frame_raw_async(
                 &frame,
                 Box::new(move |resp| {
-                    mailbox
-                        .pending
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((id, resp));
+                    mailbox.pending.lock().unwrap_or_else(|e| e.into_inner()).push((id, resp));
                     mailbox.wake();
                 }),
             );
@@ -729,8 +701,7 @@ pub mod epoll {
         let backlogged = conn.wpos < conn.wbuf.len();
         if backlogged != conn.want_write {
             conn.want_write = backlogged;
-            let interest =
-                if backlogged { CONN_INTEREST | sys::EPOLLOUT } else { CONN_INTEREST };
+            let interest = if backlogged { CONN_INTEREST | sys::EPOLLOUT } else { CONN_INTEREST };
             if poller.ctl(sys::EPOLL_CTL_MOD, conn.fd.0, interest, id).is_err() {
                 return false;
             }
@@ -807,11 +778,8 @@ mod tests {
 
     #[test]
     fn jsonl_answers_every_line_and_survives_garbage() {
-        let (server, _) = Server::start(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        })
-        .expect("start");
+        let (server, _) =
+            Server::start(ServerConfig { workers: 1, ..ServerConfig::default() }).expect("start");
         let input = "\n{\"id\":\"bad\"\n";
         let mut out = Vec::new();
         let n = serve_jsonl(&server, &mut input.as_bytes(), &mut out).expect("serve");
@@ -824,11 +792,8 @@ mod tests {
 
     #[test]
     fn metrics_frames_report_live_counters_and_responses_carry_request_ids() {
-        let (server, _) = Server::start(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        })
-        .expect("start");
+        let (server, _) =
+            Server::start(ServerConfig { workers: 1, ..ServerConfig::default() }).expect("start");
         let input = "{\"id\":\"bad\"\n{\"metrics\":\"json\"}\n{\"metrics\":\"text\"}\n";
         let mut out = Vec::new();
         serve_jsonl(&server, &mut input.as_bytes(), &mut out).expect("serve");

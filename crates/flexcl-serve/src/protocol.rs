@@ -421,7 +421,9 @@ impl Response {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         match self {
-            Response::Ok { id, summary, degraded, grid_used, cache, elapsed_ms, coalesced, .. } => {
+            Response::Ok {
+                id, summary, degraded, grid_used, cache, elapsed_ms, coalesced, ..
+            } => {
                 s.push_str(r#"{"id":"#);
                 json::push_escaped(&mut s, id);
                 s.push_str(r#","status":"ok","result":"#);

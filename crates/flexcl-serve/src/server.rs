@@ -1051,15 +1051,11 @@ fn serve_job(inner: &Inner, job: &Job) -> Response {
         trace::event("serve.near_miss");
     }
 
-    let prepared = match workload::prepare(
-        &req.src,
-        req.kernel.as_deref(),
-        req.global,
-        req.synthesis,
-    ) {
-        Ok(p) => p,
-        Err(e) => return Response::from_error(&req.id, &e),
-    };
+    let prepared =
+        match workload::prepare(&req.src, req.kernel.as_deref(), req.global, req.synthesis) {
+            Ok(p) => p,
+            Err(e) => return Response::from_error(&req.id, &e),
+        };
 
     let grid = SweepGrid::by_name(&job.grid_used).unwrap_or_default();
     let opts = DseOptions {

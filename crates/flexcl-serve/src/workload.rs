@@ -122,7 +122,9 @@ mod tests {
     fn caps_buffer_length() {
         let spec = SynthesisSpec { buf_elems: Some(u64::MAX), ..SynthesisSpec::default() };
         let p = prepare(VADD, None, (64, 1), spec).expect("prepare");
-        assert!(matches!(&p.workload.args[0], KernelArg::FloatBuf(b) if b.len() as u64 == MAX_BUF_ELEMS));
+        assert!(
+            matches!(&p.workload.args[0], KernelArg::FloatBuf(b) if b.len() as u64 == MAX_BUF_ELEMS)
+        );
     }
 
     #[test]

@@ -86,10 +86,7 @@ fn atomic_write_replaces_entries_without_a_torn_window() {
         let shard = dir.join(format!("shard_{s:02x}"));
         for e in fs::read_dir(&shard).expect("dir") {
             let name = e.expect("entry").file_name();
-            assert!(
-                !name.to_string_lossy().starts_with(".tmp-"),
-                "leftover temp {name:?}"
-            );
+            assert!(!name.to_string_lossy().starts_with(".tmp-"), "leftover temp {name:?}");
         }
     }
     let _ = fs::remove_dir_all(&dir);
@@ -127,9 +124,8 @@ fn a_corrupting_request_cannot_poison_the_next_identical_request() {
     const SRC: &str = "__kernel void vadd(__global float* a, __global float* b, \
                         __global float* c) { int i = get_global_id(0); c[i] = a[i] + b[i]; }";
     let src_json = SRC.replace('"', "\\\"");
-    let attack = format!(
-        r#"{{"id":"attack","src":"{src_json}","global":4096,"fault":"corrupt-cache"}}"#
-    );
+    let attack =
+        format!(r#"{{"id":"attack","src":"{src_json}","global":4096,"fault":"corrupt-cache"}}"#);
     let clean = format!(r#"{{"id":"clean","src":"{src_json}","global":4096}}"#);
 
     // The attacker computes fine, then damages its own persisted entry.

@@ -22,11 +22,8 @@ fn request(id: &str) -> String {
 }
 
 fn start(opts: EpollOptions) -> (EpollTransport, std::net::SocketAddrV4) {
-    let (server, _) = Server::start(ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    })
-    .expect("start server");
+    let (server, _) = Server::start(ServerConfig { workers: 2, ..ServerConfig::default() })
+        .expect("start server");
     let transport =
         EpollTransport::bind(Arc::new(server), "127.0.0.1:0", opts).expect("bind epoll");
     let addr = transport.local_addr();
@@ -88,10 +85,8 @@ fn malformed_json_is_answered_in_band_but_bad_framing_drops_the_connection() {
 
 #[test]
 fn idle_connections_are_reaped_after_the_timeout() {
-    let (transport, addr) = start(EpollOptions {
-        idle_timeout: Duration::from_millis(200),
-        ..EpollOptions::default()
-    });
+    let (transport, addr) =
+        start(EpollOptions { idle_timeout: Duration::from_millis(200), ..EpollOptions::default() });
     let mut stream = TcpStream::connect(addr).expect("connect");
     // Activity first, so the reap isn't just the accept timestamp.
     write_frame(&mut stream, "{\"metrics\":\"json\"}").expect("write");
@@ -113,10 +108,8 @@ fn zero_idle_timeout_disables_reaping() {
     // Regression: a zero idle timeout used to make the reap predicate
     // `now - last >= 0` trivially true, so every quiescent connection was
     // closed on the very first loop tick. Zero must mean "never reap".
-    let (transport, addr) = start(EpollOptions {
-        idle_timeout: Duration::ZERO,
-        ..EpollOptions::default()
-    });
+    let (transport, addr) =
+        start(EpollOptions { idle_timeout: Duration::ZERO, ..EpollOptions::default() });
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_frame(&mut stream, "{\"metrics\":\"json\"}").expect("write");
     read_frame(&mut stream).expect("read").expect("frame");
@@ -135,10 +128,7 @@ fn zero_idle_timeout_disables_reaping() {
 
 #[test]
 fn reuseport_listeners_share_one_resolved_port() {
-    let (transport, addr) = start(EpollOptions {
-        listeners: 3,
-        ..EpollOptions::default()
-    });
+    let (transport, addr) = start(EpollOptions { listeners: 3, ..EpollOptions::default() });
     assert_ne!(addr.port(), 0, "port 0 must resolve");
     // Every connection lands on the same address; the kernel shards
     // them across the three loops.

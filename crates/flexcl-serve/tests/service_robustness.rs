@@ -168,8 +168,7 @@ fn an_expired_request_never_leads_its_live_twin() {
 
 #[test]
 fn served_results_are_bit_identical_to_offline_followups_hit_cache() {
-    let dir = std::env::temp_dir()
-        .join(format!("flexcl-serve-bitident-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("flexcl-serve-bitident-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (server, _) = Server::start(ServerConfig {
         workers: 1,
@@ -225,8 +224,7 @@ fn full_queue_sheds_with_retry_hint_and_degrades_under_pressure() {
             server.handle_frame(&frame)
         }));
     }
-    let responses: Vec<Response> =
-        handles.into_iter().map(|h| h.join().expect("client")).collect();
+    let responses: Vec<Response> = handles.into_iter().map(|h| h.join().expect("client")).collect();
 
     let shed: Vec<&Response> = responses.iter().filter(|r| r.kind() == "overloaded").collect();
     let ok: Vec<&Response> = responses.iter().filter(|r| r.kind() == "ok").collect();

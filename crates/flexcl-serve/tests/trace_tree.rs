@@ -36,7 +36,8 @@ struct Rec {
 
 fn parse_record(line: &str) -> Rec {
     let v = json::parse(line).unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"));
-    let field = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or_else(|| panic!("no {k} in {line}"));
+    let field =
+        |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or_else(|| panic!("no {k} in {line}"));
     Rec {
         id: field("id"),
         parent: field("parent"),
@@ -52,11 +53,8 @@ fn one_request_emits_a_single_rooted_span_tree() {
         "tracer already installed in this process"
     );
 
-    let (server, _) = Server::start(ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    })
-    .expect("start");
+    let (server, _) =
+        Server::start(ServerConfig { workers: 1, ..ServerConfig::default() }).expect("start");
     let resp = server.handle_frame(
         r#"{"id":"t1","src":"__kernel void vadd(__global float* a, __global float* b, __global float* c) { int i = get_global_id(0); c[i] = a[i] + b[i]; }","global":256}"#,
     );
@@ -86,9 +84,9 @@ fn one_request_emits_a_single_rooted_span_tree() {
         let mut cur = rec;
         let mut hops = 0;
         while cur.parent != 0 {
-            cur = by_id
-                .get(&cur.parent)
-                .unwrap_or_else(|| panic!("span {} ({}) has unknown parent {}", rec.id, rec.name, cur.parent));
+            cur = by_id.get(&cur.parent).unwrap_or_else(|| {
+                panic!("span {} ({}) has unknown parent {}", rec.id, rec.name, cur.parent)
+            });
             hops += 1;
             assert!(hops <= recs.len(), "parent cycle reaching {}", rec.name);
         }

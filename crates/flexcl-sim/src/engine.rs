@@ -11,8 +11,9 @@
 use crate::perturb::{perturb_graph, sample_aggregate_factor};
 use flexcl_core::analysis::{trace_to_group_bursts, OwnedBurst};
 use flexcl_core::CommMode;
-use flexcl_core::{estimate, pe_budget, FlexclError, KernelAnalysis, OptimizationConfig,
-    Platform, Workload};
+use flexcl_core::{
+    estimate, pe_budget, FlexclError, KernelAnalysis, OptimizationConfig, Platform, Workload,
+};
 use flexcl_dram::{AccessKind, DramSim, Request};
 use flexcl_interp::{run, KernelArg, NdRange, RunOptions};
 use flexcl_ir::Function;
@@ -192,7 +193,8 @@ pub fn system_run(
     // Temporal blocking fuses `tb` stencil steps per tile: memory streams
     // once per block, step k computes over a halo-expanded tile (rho_k ×
     // the items), and the block's time amortizes over its steps at the end.
-    let rho = flexcl_core::model::temporal_step_redundancy(analysis.work_group, analysis.global, tb);
+    let rho =
+        flexcl_core::model::temporal_step_redundancy(analysis.work_group, analysis.global, tb);
     let comp_phase = |items: u64| -> f64 {
         if config.work_item_pipeline {
             let waves = ((items.saturating_sub(n_pe)) as f64 / n_pe as f64).ceil();
@@ -210,9 +212,8 @@ pub fn system_run(
     // *later* writes block another CU's *earlier* reads — an ordering
     // artifact, not contention. Real multi-bank DDR interleaves
     // independent streams; per-CU state models that correctly.
-    let mut channels: Vec<DramSim> = (0..config.num_cus.max(1) as usize)
-        .map(|_| DramSim::new(platform.dram))
-        .collect();
+    let mut channels: Vec<DramSim> =
+        (0..config.num_cus.max(1) as usize).map(|_| DramSim::new(platform.dram)).collect();
     let mut cu_free = vec![0f64; config.num_cus.max(1) as usize];
     let mut cu_warm = vec![false; cu_free.len()];
     // Per-CU timeline decomposition: dispatch overhead, compute, and DRAM
@@ -226,17 +227,11 @@ pub fn system_run(
         // Round-robin onto the earliest-free CU. The scheduler prepares the
         // next work-group while the current one drains, so a warm CU pays
         // only a fraction of the dispatch overhead; a cold CU pays it all.
-        let (cu_idx, _) = cu_free
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("at least one CU");
+        let (cu_idx, _) =
+            cu_free.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).expect("at least one CU");
         let jitter = rng.gen_range(0.85..1.25);
-        let overhead_frac = if cu_warm[cu_idx] {
-            (1.0 - platform.dispatch_overlap).max(0.0)
-        } else {
-            1.0
-        };
+        let overhead_frac =
+            if cu_warm[cu_idx] { (1.0 - platform.dispatch_overlap).max(0.0) } else { 1.0 };
         cu_warm[cu_idx] = true;
         let dispatch = f64::from(platform.schedule_overhead) * jitter * overhead_frac;
         let start = cu_free[cu_idx] + dispatch;
@@ -397,8 +392,7 @@ fn simulate_pipeline_group(
     for (_, r) in &owner_ready[oi..] {
         issue = issue.max(*r);
     }
-    let comp =
-        f64::from(ii) * (waves.saturating_sub(1)) as f64 + f64::from(depth) + extra_comp;
+    let comp = f64::from(ii) * (waves.saturating_sub(1)) as f64 + f64::from(depth) + extra_comp;
     (issue + f64::from(depth) + extra_comp, comp)
 }
 
@@ -620,8 +614,7 @@ mod tests {
         let (f, w) = vadd();
         let cfg = OptimizationConfig::baseline((64, 1));
         let opts = SimOptions { max_work_items: 10, ..Default::default() };
-        let err =
-            system_run(&f, &Platform::virtex7_adm7v3(), &w, &cfg, opts).unwrap_err();
+        let err = system_run(&f, &Platform::virtex7_adm7v3(), &w, &cfg, opts).unwrap_err();
         assert!(matches!(err, SimError::TooLarge(_)));
     }
 }

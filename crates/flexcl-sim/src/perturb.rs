@@ -40,9 +40,7 @@ pub fn sample_aggregate_factor(rng: &mut StdRng, n: usize) -> f64 {
 /// Marker: perturbation never changes resource classes.
 pub fn preserves_resources(a: &SchedGraph, b: &SchedGraph) -> bool {
     a.len() == b.len()
-        && a.nodes()
-            .zip(b.nodes())
-            .all(|((_, x), (_, y))| x.resource == y.resource)
+        && a.nodes().zip(b.nodes()).all(|((_, x), (_, y))| x.resource == y.resource)
         && a.edges() == b.edges()
 }
 

@@ -37,9 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!("config: {config}\n");
-    for (label, src, name) in
-        [("strided gather (in[i*16])", STRIDED, "gather"), ("coalesced stream (in[i])", COALESCED, "stream")]
-    {
+    for (label, src, name) in [
+        ("strided gather (in[i*16])", STRIDED, "gather"),
+        ("coalesced stream (in[i])", COALESCED, "stream"),
+    ] {
         let workload = Workload {
             args: vec![
                 KernelArg::FloatBuf(vec![1.0; (n * stride as u64) as usize]),
@@ -70,18 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // The pattern mix explains *why*: strided access defeats both
         // coalescing and the row buffers.
-        let misses: f64 = analysis
-            .pattern_counts
-            .iter()
-            .filter(|(p, _)| !p.hit)
-            .map(|(_, n)| n)
-            .sum();
-        let hits: f64 = analysis
-            .pattern_counts
-            .iter()
-            .filter(|(p, _)| p.hit)
-            .map(|(_, n)| n)
-            .sum();
+        let misses: f64 =
+            analysis.pattern_counts.iter().filter(|(p, _)| !p.hit).map(|(_, n)| n).sum();
+        let hits: f64 = analysis.pattern_counts.iter().filter(|(p, _)| p.hit).map(|(_, n)| n).sum();
         println!(
             "  row-buffer behaviour: {:.2} hit vs {:.2} miss transactions per work-item\n",
             hits, misses

@@ -43,10 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let w = workload();
         let est = flexcl.estimate_source(src, "activation", &w, &config)?;
         println!("{}:", flexcl.platform().name);
-        println!(
-            "  II={}, depth={} cycles, L_mem/wi={:.2}",
-            est.ii_comp, est.depth, est.l_mem_wi
-        );
+        println!("  II={}, depth={} cycles, L_mem/wi={:.2}", est.ii_comp, est.depth, est.l_mem_wi);
         println!(
             "  predicted: {:.0} cycles = {:.1} us\n",
             est.cycles,

@@ -40,8 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = flexcl.explore_source(src, "jacobi", &workload)?;
     let elapsed = t0.elapsed();
 
-    let mut ranked: Vec<_> =
-        result.points.iter().filter(|p| p.estimate.feasible).collect();
+    let mut ranked: Vec<_> = result.points.iter().filter(|p| p.estimate.feasible).collect();
     ranked.sort_by(|a, b| a.estimate.cycles.total_cmp(&b.estimate.cycles));
 
     println!(
@@ -61,11 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\nbottom 3 (what you avoid synthesizing):");
     for p in ranked.iter().rev().take(3) {
-        println!(
-            "      {:<44} {:>9.0} cycles",
-            p.config.to_string(),
-            p.estimate.cycles
-        );
+        println!("      {:<44} {:>9.0} cycles", p.config.to_string(), p.estimate.cycles);
     }
     if let Some(speedup) = result.speedup_over_baseline() {
         println!("\nbest configuration beats the unoptimized baseline by {speedup:.0}x");

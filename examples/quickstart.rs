@@ -23,10 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let flexcl = FlexCl::new(Platform::virtex7_adm7v3());
     let n = 4096;
     let workload = Workload {
-        args: vec![
-            KernelArg::FloatBuf(vec![1.0; n]),
-            KernelArg::FloatBuf(vec![0.0; n + 1]),
-        ],
+        args: vec![KernelArg::FloatBuf(vec![1.0; n]), KernelArg::FloatBuf(vec![0.0; n + 1])],
         global: (n as u64, 1),
     };
 

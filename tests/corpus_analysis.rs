@@ -36,10 +36,7 @@ fn every_corpus_kernel_analyzes_sanely() {
             analysis.l_mem_wi_phased() <= analysis.l_mem_wi() * 1.5 + 1.0,
             "{name}: phased order should not be drastically worse"
         );
-        assert!(
-            analysis.global_accesses_per_wi >= 0.0,
-            "{name}: negative access count"
-        );
+        assert!(analysis.global_accesses_per_wi >= 0.0, "{name}: negative access count");
         // Computation model inputs.
         let budget = ResourceBudget::unconstrained();
         let d = analysis.work_item_latency(&budget).expect("latency");
@@ -47,10 +44,7 @@ fn every_corpus_kernel_analyzes_sanely() {
         let (ii, depth) = analysis.pipeline_params(&budget).expect("pipeline params");
         assert!(ii >= 1, "{name}: II {ii}");
         assert!(depth >= 1, "{name}: depth {depth}");
-        assert!(
-            f64::from(depth) + 1e-9 >= f64::from(ii),
-            "{name}: depth {depth} < II {ii}"
-        );
+        assert!(f64::from(depth) + 1e-9 >= f64::from(ii), "{name}: depth {depth} < II {ii}");
         assert!(analysis.rec_mii() >= 1, "{name}");
     }
 }
@@ -96,8 +90,5 @@ fn barrier_kernels_are_identified() {
         .collect();
     assert!(with_barrier.contains(&"dwt2d/fdwt".to_string()));
     assert!(with_barrier.contains(&"lud/diagonal".to_string()));
-    assert!(
-        with_barrier.len() <= 4,
-        "unexpected barrier kernels: {with_barrier:?}"
-    );
+    assert!(with_barrier.len() <= 4, "unexpected barrier kernels: {with_barrier:?}");
 }

@@ -35,10 +35,8 @@ fn estimates_are_deterministic() {
     let func = flexcl_bench::compile(&spec);
     let workload = spec.workload(Scale::Test, 5);
     let platform = Platform::virtex7_adm7v3();
-    let config = OptimizationConfig {
-        work_item_pipeline: true,
-        ..OptimizationConfig::baseline((64, 1))
-    };
+    let config =
+        OptimizationConfig { work_item_pipeline: true, ..OptimizationConfig::baseline((64, 1)) };
     let e1 = {
         let a = KernelAnalysis::analyze(&func, &platform, &workload, (64, 1)).expect("a");
         estimate(&a, &config).expect("estimate").cycles
@@ -115,14 +113,10 @@ fn system_runs_are_deterministic_and_seed_sensitive() {
     let func = flexcl_bench::compile(&spec);
     let workload = spec.workload(Scale::Test, 5);
     let platform = Platform::virtex7_adm7v3();
-    let config = OptimizationConfig {
-        work_item_pipeline: true,
-        ..OptimizationConfig::baseline((64, 1))
-    };
-    let r1 = system_run(&func, &platform, &workload, &config, SimOptions::default())
-        .expect("run");
-    let r2 = system_run(&func, &platform, &workload, &config, SimOptions::default())
-        .expect("run");
+    let config =
+        OptimizationConfig { work_item_pipeline: true, ..OptimizationConfig::baseline((64, 1)) };
+    let r1 = system_run(&func, &platform, &workload, &config, SimOptions::default()).expect("run");
+    let r2 = system_run(&func, &platform, &workload, &config, SimOptions::default()).expect("run");
     assert_eq!(r1, r2, "same seed, same bitstream, same measurement");
 
     let r3 = system_run(
@@ -133,10 +127,7 @@ fn system_runs_are_deterministic_and_seed_sensitive() {
         SimOptions { seed: 777, ..SimOptions::default() },
     )
     .expect("run");
-    assert_ne!(
-        r1.cycles, r3.cycles,
-        "a different synthesis seed must perturb the measurement"
-    );
+    assert_ne!(r1.cycles, r3.cycles, "a different synthesis seed must perturb the measurement");
 }
 
 #[test]
@@ -152,10 +143,7 @@ fn different_configs_get_different_synthesis_variance() {
         &func,
         &platform,
         &workload,
-        &OptimizationConfig {
-            work_item_pipeline: true,
-            ..OptimizationConfig::baseline((64, 1))
-        },
+        &OptimizationConfig { work_item_pipeline: true, ..OptimizationConfig::baseline((64, 1)) },
         SimOptions::default(),
     )
     .expect("run");
@@ -163,10 +151,7 @@ fn different_configs_get_different_synthesis_variance() {
         &func,
         &platform,
         &workload,
-        &OptimizationConfig {
-            work_item_pipeline: true,
-            ..OptimizationConfig::baseline((128, 1))
-        },
+        &OptimizationConfig { work_item_pipeline: true, ..OptimizationConfig::baseline((128, 1)) },
         SimOptions::default(),
     )
     .expect("run");

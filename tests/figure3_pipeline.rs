@@ -28,10 +28,7 @@ fn analyze(src: &str) -> KernelAnalysis {
     let program = flexcl_frontend::parse_and_check(src).expect("frontend");
     let func = flexcl_ir::lower_kernel(&program.kernels[0]).expect("lowering");
     let workload = Workload {
-        args: vec![
-            KernelArg::FloatBuf(vec![1.0; 1024]),
-            KernelArg::FloatBuf(vec![0.0; 1025]),
-        ],
+        args: vec![KernelArg::FloatBuf(vec![1.0; 1024]), KernelArg::FloatBuf(vec![0.0; 1025])],
         global: (1024, 1),
     };
     KernelAnalysis::analyze(&func, &Platform::virtex7_adm7v3(), &workload, (64, 1))
@@ -51,10 +48,8 @@ fn independent_kernel_reaches_ii_one() {
     let analysis = analyze(INDEPENDENT);
     assert!(analysis.recurrences.is_empty());
     assert_eq!(analysis.rec_mii(), 1);
-    let cfg = OptimizationConfig {
-        work_item_pipeline: true,
-        ..OptimizationConfig::baseline((64, 1))
-    };
+    let cfg =
+        OptimizationConfig { work_item_pipeline: true, ..OptimizationConfig::baseline((64, 1)) };
     let est = estimate(&analysis, &cfg).expect("estimate");
     assert_eq!(est.ii_comp, 1, "no recurrence, ample resources: II = 1");
 }
@@ -62,16 +57,10 @@ fn independent_kernel_reaches_ii_one() {
 #[test]
 fn recurrence_gates_the_pipelined_ii() {
     let dep = analyze(DEPENDENT);
-    let cfg = OptimizationConfig {
-        work_item_pipeline: true,
-        ..OptimizationConfig::baseline((64, 1))
-    };
+    let cfg =
+        OptimizationConfig { work_item_pipeline: true, ..OptimizationConfig::baseline((64, 1)) };
     let est = estimate(&dep, &cfg).expect("estimate");
-    assert_eq!(
-        est.ii_comp,
-        dep.rec_mii(),
-        "the recurrence is the binding constraint"
-    );
+    assert_eq!(est.ii_comp, dep.rec_mii(), "the recurrence is the binding constraint");
     assert!(est.depth > est.ii_comp, "pipeline deeper than its interval");
 }
 
@@ -85,8 +74,10 @@ fn pipelining_gains_less_under_recurrence() {
 
     let dep = analyze(DEPENDENT);
     let ind = analyze(INDEPENDENT);
-    let gain_dep = estimate(&dep, &base).expect("estimate").cycles / estimate(&dep, &piped).expect("estimate").cycles;
-    let gain_ind = estimate(&ind, &base).expect("estimate").cycles / estimate(&ind, &piped).expect("estimate").cycles;
+    let gain_dep = estimate(&dep, &base).expect("estimate").cycles
+        / estimate(&dep, &piped).expect("estimate").cycles;
+    let gain_ind = estimate(&ind, &base).expect("estimate").cycles
+        / estimate(&ind, &piped).expect("estimate").cycles;
     assert!(
         gain_ind > gain_dep * 1.2,
         "independent gain {gain_ind:.2} vs dependent gain {gain_dep:.2}"

@@ -23,10 +23,7 @@ fn flexcl_mean_error_is_low_across_kernel_classes() {
     for name in SLICE {
         let sweep = sweep_kernel(&find_spec(name), &platform, Scale::Test);
         let err = sweep.flexcl_error_pct();
-        assert!(
-            err < 30.0,
-            "{name}: FlexCL mean error {err:.1}% exceeds the acceptance band"
-        );
+        assert!(err < 30.0, "{name}: FlexCL mean error {err:.1}% exceeds the acceptance band");
         errors.push(err);
     }
     let mean = errors.iter().sum::<f64>() / errors.len() as f64;
@@ -52,10 +49,7 @@ fn sdaccel_fails_on_a_realistic_fraction() {
     let platform = Platform::virtex7_adm7v3();
     let sweep = sweep_kernel(&find_spec("srad/extract"), &platform, Scale::Test);
     let rate = sweep.sdaccel_failure_rate();
-    assert!(
-        (0.2..=0.6).contains(&rate),
-        "failure rate {rate:.2} outside the paper's ~42% band"
-    );
+    assert!((0.2..=0.6).contains(&rate), "failure rate {rate:.2} outside the paper's ~42% band");
 }
 
 #[test]
@@ -69,9 +63,7 @@ fn barrier_kernels_stay_in_barrier_mode() {
     assert!(limits.has_barrier);
     let space = flexcl_core::enumerate(&limits);
     assert!(!space.is_empty());
-    assert!(space
-        .iter()
-        .all(|c| c.comm_mode == flexcl_core::CommMode::Barrier));
+    assert!(space.iter().all(|c| c.comm_mode == flexcl_core::CommMode::Barrier));
 }
 
 #[test]
@@ -87,10 +79,8 @@ fn model_ranks_configurations_usefully() {
 
     let top_decile = by_model.len() / 10;
     let top_quartile = by_system.len() / 4;
-    let true_top: std::collections::HashSet<_> = by_system[..top_quartile]
-        .iter()
-        .map(|r| format!("{}", r.config))
-        .collect();
+    let true_top: std::collections::HashSet<_> =
+        by_system[..top_quartile].iter().map(|r| format!("{}", r.config)).collect();
     let hits = by_model[..top_decile]
         .iter()
         .filter(|r| true_top.contains(&format!("{}", r.config)))

@@ -48,13 +48,8 @@ fn every_stage_produces_consistent_artifacts() {
         KernelArg::Int(n as i64),
         KernelArg::Int(radius),
     ];
-    let profile = run(
-        &func,
-        &mut args,
-        NdRange::new_1d(n, 64),
-        RunOptions::default(),
-    )
-    .expect("execution");
+    let profile =
+        run(&func, &mut args, NdRange::new_1d(n, 64), RunOptions::default()).expect("execution");
     // A smooth of a constant signal is the constant.
     let KernelArg::FloatBuf(out) = &args[1] else { panic!() };
     assert!(out.iter().all(|v| (*v - 2.0).abs() < 1e-9), "functional result");
@@ -65,18 +60,14 @@ fn every_stage_produces_consistent_artifacts() {
     // Stage 4: analysis.
     let workload = Workload { args, global: (n, 1) };
     let platform = Platform::virtex7_adm7v3();
-    let analysis =
-        KernelAnalysis::analyze(&func, &platform, &workload, (64, 1)).expect("analysis");
+    let analysis = KernelAnalysis::analyze(&func, &platform, &workload, (64, 1)).expect("analysis");
     assert!(analysis.l_mem_wi() > 0.0);
     assert!(analysis.global_accesses_per_wi > 0.0);
 
     // Stage 5: model vs ground truth on a few configurations.
     for config in [
         OptimizationConfig::baseline((64, 1)),
-        OptimizationConfig {
-            work_item_pipeline: true,
-            ..OptimizationConfig::baseline((64, 1))
-        },
+        OptimizationConfig { work_item_pipeline: true, ..OptimizationConfig::baseline((64, 1)) },
         OptimizationConfig {
             work_item_pipeline: true,
             comm_mode: CommMode::Pipeline,
