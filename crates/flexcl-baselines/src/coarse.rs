@@ -34,9 +34,10 @@ pub fn estimate(analysis: &KernelAnalysis, config: &OptimizationConfig) -> f64 {
     let comp_per_wi = if config.work_item_pipeline { ASSUMED_II } else { ops_per_wi };
 
     // Memory: flat latency × access count (no coalescing model either).
-    let mem_per_wi =
-        analysis.global_accesses_per_wi.max(analysis.func.global_accesses().len() as f64)
-            * FLAT_MEM_LATENCY;
+    let mem_per_wi = analysis.mem_levels[0]
+        .global_accesses_per_wi
+        .max(analysis.func.global_accesses().len() as f64)
+        * FLAT_MEM_LATENCY;
 
     let per_wi = match config.comm_mode {
         CommMode::Barrier => comp_per_wi + mem_per_wi,
@@ -152,7 +153,8 @@ mod tests {
         let e = estimate(&a, &cfg);
         // Flat latency: reconstructible from the count.
         let n = 4096.0;
-        let accesses = a.global_accesses_per_wi.max(a.func.global_accesses().len() as f64);
+        let accesses =
+            a.mem_levels[0].global_accesses_per_wi.max(a.func.global_accesses().len() as f64);
         let expected = (a.func.insts.len() as f64 + accesses * FLAT_MEM_LATENCY) * n;
         assert!((e - expected).abs() < 1e-6);
     }

@@ -12,10 +12,9 @@
 //! Regenerate with `cargo run -p flexcl-bench --bin ablation --release`.
 
 use flexcl_bench::{compile, sweep_kernel, write_csv};
-use flexcl_core::{KernelAnalysis, Platform};
+use flexcl_core::{AnalysisCache, CommMode, KernelAnalysis, Platform, ProfileArgs, ProfileFuel};
 use flexcl_dram::Pattern;
 use flexcl_kernels::{polybench, rodinia, Scale};
-use flexcl_sim::{system_run, SimOptions};
 
 fn main() {
     ablation_flat_memory();
@@ -40,8 +39,9 @@ fn ablation_mode_aware_patterns() {
         let Ok(analysis) = KernelAnalysis::analyze(&func, &platform, &workload, wg) else {
             continue;
         };
-        let wi_order = analysis.l_mem_wi();
-        let phased = analysis.l_mem_wi_phased();
+        let (base, lat) = (&analysis.mem_levels[0], &analysis.pattern_latencies);
+        let wi_order = base.l_mem_wi(lat, CommMode::Pipeline);
+        let phased = base.l_mem_wi(lat, CommMode::Barrier);
         println!("{:<28} {:>16.2} {:>16.2}", spec.full_name(), wi_order, phased);
         rows.push(format!("{},{wi_order:.3},{phased:.3}", spec.full_name()));
     }
@@ -69,23 +69,21 @@ fn ablation_flat_memory() {
         let workload = spec.workload(Scale::Test, 1234);
         let mut flat_err_sum = 0.0;
         let mut n = 0usize;
-        // One analysis per work-group size (records sharing a work-group
-        // share the analysis; negative results are cached too).
-        let mut analyses: std::collections::HashMap<(u32, u32), Option<KernelAnalysis>> =
-            std::collections::HashMap::new();
+        // One analysis per work-group size: records sharing a work-group
+        // share it.
+        let cache = AnalysisCache::new();
         for r in &sweep.records {
-            let analysis = match analyses.entry(r.config.work_group).or_insert_with(|| {
-                KernelAnalysis::analyze(&func, &platform, &workload, r.config.work_group).ok()
-            }) {
-                Some(a) => a,
-                None => continue,
+            let wg = r.config.work_group;
+            let fuel = ProfileFuel::default();
+            let Ok(analysis) = cache.get_or_analyze(&func, &platform, &workload, wg, fuel) else {
+                continue;
             };
             let avg_dt: f64 =
                 Pattern::all().iter().map(|p| analysis.pattern_latencies[*p]).sum::<f64>() / 8.0;
-            let total_accesses: f64 =
-                Pattern::all().iter().map(|p| analysis.pattern_counts[*p]).sum();
+            let base = &analysis.mem_levels[0];
+            let total_accesses: f64 = Pattern::all().iter().map(|p| base.pattern_counts[*p]).sum();
             let flat_l_mem = avg_dt * total_accesses;
-            let true_l_mem = analysis.l_mem_wi();
+            let true_l_mem = base.l_mem_wi(&analysis.pattern_latencies, CommMode::Pipeline);
             // Replace the memory term proportionally in the estimate.
             let Ok(est) = flexcl_core::estimate(&analysis, &r.config) else {
                 continue;
@@ -172,8 +170,12 @@ fn ablation_coalescing() {
         let Ok(analysis) = KernelAnalysis::analyze(&func, &platform, &workload, wg) else {
             continue;
         };
-        let raw = analysis.profile.accesses_per_work_item();
-        let coalesced = analysis.global_accesses_per_wi;
+        let Ok(profile) = ProfileArgs::new(&workload).profile(&func, wg, ProfileFuel::default())
+        else {
+            continue;
+        };
+        let raw = profile.accesses_per_work_item();
+        let coalesced = analysis.mem_levels[0].global_accesses_per_wi;
         let factor = raw / coalesced.max(1e-9);
         println!("{:<28} {:>10.2} {:>12.3} {:>7.1}x", spec.full_name(), raw, coalesced, factor);
         rows.push(format!("{},{raw:.3},{coalesced:.4},{factor:.2}", spec.full_name()));
@@ -181,7 +183,4 @@ fn ablation_coalescing() {
     println!("{:-<66}", "");
     println!("(512-bit access unit / 32-bit float gives an upper bound of 16x)\n");
     write_csv("ablation_coalescing.csv", "kernel,raw_per_wi,coalesced_per_wi,factor", &rows);
-    let _ = platform;
-    // Silence unused warning if system_run is not exercised here.
-    let _ = system_run as fn(_, _, _, _, SimOptions) -> _;
 }

@@ -310,7 +310,8 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     }
     if flags.switches.contains("pareto") {
         let wg = ranked.first().map(|p| p.config.work_group).unwrap_or((64, 1));
-        let analysis = KernelAnalysis::analyze(&loaded.func, &platform, &loaded.workload, wg)
+        let analysis = cache
+            .get_or_analyze(func, &platform, workload, wg, opts.fuel)
             .map_err(|e| e.to_string())?;
         println!("\nperformance/area Pareto frontier:");
         for p in result.pareto(&analysis) {

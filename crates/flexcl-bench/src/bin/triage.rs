@@ -38,7 +38,7 @@ use flexcl_bench::record::{self, flag_value, Row, Value};
 use flexcl_bench::{compile, write_csv};
 use flexcl_core::{
     estimate, explore_space_cached, is_iterative_stencil, AnalysisCache, DseOptions,
-    KernelAnalysis, OptimizationConfig, Platform, SweepGrid,
+    OptimizationConfig, Platform, SweepGrid,
 };
 use flexcl_kernels::{all, Scale, Suite};
 use flexcl_sim::{system_run, SimError, SimOptions};
@@ -151,7 +151,8 @@ fn triage_sweep(filter: Option<&str>) -> Vec<PointRow> {
             }
         }
         for cfg in probes {
-            let analysis = KernelAnalysis::analyze(&func, &platform, &workload, cfg.work_group)
+            let analysis = cache
+                .get_or_analyze(&func, &platform, &workload, cfg.work_group, opts.fuel)
                 .expect("analysis");
             let est = match estimate(&analysis, &cfg) {
                 Ok(e) if e.feasible => e,

@@ -9,13 +9,11 @@
 //! under `results/`.
 
 use flexcl_core::{
-    explore_space_cached, AnalysisCache, DseOptions, KernelAnalysis, OptimizationConfig, Platform,
-    SweepGrid,
+    explore_space_cached, AnalysisCache, DseOptions, OptimizationConfig, Platform, SweepGrid,
 };
 use flexcl_ir::Function;
 use flexcl_kernels::{KernelSpec, Scale};
 use flexcl_sim::{system_run, SimError, SimOptions};
-use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -94,6 +92,16 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
     v.iter().sum::<f64>() / v.len() as f64
 }
 
+/// The work-group the corpus is analyzed at: the kernel's required size,
+/// else 8×8 for 2-D NDRanges and 64×1 for 1-D ones.
+pub fn standard_wg(global: (u64, u64), reqd: Option<(u32, u32, u32)>) -> (u32, u32) {
+    match reqd {
+        Some((x, y, _)) => (x, y),
+        None if global.1 > 1 => (8, 8),
+        None => (64, 1),
+    }
+}
+
 /// Compiles a kernel spec to IR.
 ///
 /// # Panics
@@ -121,46 +129,39 @@ pub fn sweep_kernel(spec: &KernelSpec, platform: &Platform, scale: Scale) -> Ker
         .expect("exploration");
     let flexcl_time = t0.elapsed();
 
-    // Reuse the per-wg analyses for the SDAccel baseline.
-    let mut analyses: HashMap<(u32, u32), KernelAnalysis> = HashMap::new();
+    // Reuse the sweep's per-wg analyses for the SDAccel baseline. Points
+    // come family by family, so each family looks its analysis up once.
     let mut records = Vec::new();
     let mut sdaccel_time = Duration::ZERO;
     let mut system_time = Duration::ZERO;
 
-    for point in &dse.points {
-        if !point.estimate.feasible {
+    for family in dse.points.chunk_by(|a, b| a.config.work_group == b.config.work_group) {
+        let wg = family[0].config.work_group;
+        let Ok(analysis) = cache.get_or_analyze(&func, platform, &workload, wg, opts.fuel) else {
             continue;
-        }
-        let wg = point.config.work_group;
-        if !analyses.contains_key(&wg) {
-            match KernelAnalysis::analyze(&func, platform, &workload, wg) {
-                Ok(a) => {
-                    analyses.insert(wg, a);
-                }
-                Err(_) => continue,
-            }
-        }
-        let analysis = &analyses[&wg];
-
-        let t = Instant::now();
-        let sdaccel_cycles = flexcl_baselines::sdaccel::estimate(analysis, &point.config);
-        sdaccel_time += t.elapsed();
-
-        let t = Instant::now();
-        let system = system_run(&func, platform, &workload, &point.config, SimOptions::default());
-        system_time += t.elapsed();
-        let system_cycles = match system {
-            Ok(r) => r.cycles,
-            Err(SimError::Infeasible(_)) => continue,
-            Err(e) => panic!("system run failed for {}: {e}", spec.full_name()),
         };
+        for point in family.iter().filter(|p| p.estimate.feasible) {
+            let t = Instant::now();
+            let sdaccel_cycles = flexcl_baselines::sdaccel::estimate(&analysis, &point.config);
+            sdaccel_time += t.elapsed();
 
-        records.push(ConfigRecord {
-            config: point.config,
-            system_cycles,
-            flexcl_cycles: point.estimate.cycles,
-            sdaccel_cycles,
-        });
+            let t = Instant::now();
+            let system =
+                system_run(&func, platform, &workload, &point.config, SimOptions::default());
+            system_time += t.elapsed();
+            let system_cycles = match system {
+                Ok(r) => r.cycles,
+                Err(SimError::Infeasible(_)) => continue,
+                Err(e) => panic!("system run failed for {}: {e}", spec.full_name()),
+            };
+
+            records.push(ConfigRecord {
+                config: point.config,
+                system_cycles,
+                flexcl_cycles: point.estimate.cycles,
+                sdaccel_cycles,
+            });
+        }
     }
 
     KernelSweep {

@@ -4,42 +4,48 @@
 //! `identity_golden` pins final estimates only, so a change inside the
 //! analysis that happens to cancel out (or lands in a branch its probe
 //! configurations never take) can slip past it. This test pins the
-//! analysis itself: pattern counts in both burst orders and the latency
-//! table, transfer beats, burst owners and group maxima, every coarsening
-//! level, the contention curve, loop trips and recurrences — plus the
-//! profiled trace and weights they are derived from.
+//! analysis itself: the factor-1 memory level (pattern counts in both
+//! burst orders, transfer beats, burst owners and group maxima), the
+//! latency table, every coarsening level, the contention curve, loop
+//! trips and recurrences — plus the profiled trace and weights they are
+//! derived from, re-profiled through [`ProfileArgs::profile`] (the
+//! analysis keeps only the trips).
 //!
 //! Each line is `kernel|field|hash` with a stable FNV-1a hash over the
 //! fields' `f64::to_bits` / integer words, so a mismatch names the field
-//! that moved. Regenerate only on an intentional analysis change with
-//! `FLEXCL_REGEN_GOLDEN=1 cargo test -p flexcl-bench --test analysis_golden`.
+//! that moved. On a mismatch the current rendering is written to
+//! `analysis_golden.actual.txt` under the cargo test scratch directory
+//! ([`support::assert_golden`]).
 
 mod support;
 
-use flexcl_bench::compile;
-use flexcl_core::{KernelAnalysis, Platform};
+use flexcl_bench::{compile, standard_wg};
+use flexcl_core::{KernelAnalysis, Platform, ProfileArgs, ProfileFuel};
+use flexcl_interp::Profile;
 use flexcl_kernels::Scale;
 use std::fmt::Write as _;
-use support::{standard_wg, Fnv};
+use support::{assert_golden, Fnv};
 
 const GOLDEN: &str = include_str!("data/analysis_golden.txt");
 
-fn render_fields(out: &mut String, name: &str, a: &KernelAnalysis) {
+fn render_fields(out: &mut String, name: &str, a: &KernelAnalysis, profile: &Profile) {
     let mut line = |field: &str, h: Fnv| writeln!(out, "{name}|{field}|{:016x}", h.0).unwrap();
-    line("pattern_counts", Fnv::new().table(&a.pattern_counts));
-    line("pattern_counts_phased", Fnv::new().table(&a.pattern_counts_phased));
+    let (base, coarsened) = a.mem_levels.split_first().expect("factor-1 level");
+    assert_eq!(base.factor, 1, "{name}: the first memory level is factor 1");
+    line("pattern_counts", Fnv::new().table(&base.pattern_counts));
+    line("pattern_counts_phased", Fnv::new().table(&base.pattern_counts_phased));
     line("pattern_latencies", Fnv::new().table(&a.pattern_latencies));
     line(
         "mem_scalars",
         Fnv::new()
-            .f64(a.global_accesses_per_wi)
-            .f64(a.mem_extra_wi)
-            .f64(a.burst_owners_per_group)
-            .f64(a.mem_group_max)
-            .f64(a.mem_group_max_phased),
+            .f64(base.global_accesses_per_wi)
+            .f64(base.mem_extra_wi)
+            .f64(base.burst_owners_per_group)
+            .f64(base.mem_group_max)
+            .f64(base.mem_group_max_phased),
     );
-    let mut h = Fnv::new().u64(a.coarsen_levels.len() as u64);
-    for l in &a.coarsen_levels {
+    let mut h = Fnv::new().u64(coarsened.len() as u64);
+    for l in coarsened {
         h = h
             .u64(u64::from(l.factor))
             .table(&l.pattern_counts)
@@ -56,7 +62,7 @@ fn render_fields(out: &mut String, name: &str, a: &KernelAnalysis) {
         h = h.u64(u64::from(c)).f64(p).f64(b);
     }
     line("contention_curve", h);
-    let mut trips: Vec<_> = a.profile.trips.raw.iter().collect();
+    let mut trips: Vec<_> = a.trips.raw.iter().collect();
     trips.sort_by_key(|(id, _)| **id);
     let h =
         trips.into_iter().fold(Fnv::new(), |h, (id, (e, i))| h.u64(u64::from(*id)).f64(*e).f64(*i));
@@ -68,7 +74,7 @@ fn render_fields(out: &mut String, name: &str, a: &KernelAnalysis) {
             .u64(u64::from(r.store.0))
     });
     line("recurrences", h);
-    let h = a.profile.trace.iter().fold(Fnv::new().u64(a.profile.work_items), |h, m| {
+    let h = profile.trace.iter().fold(Fnv::new().u64(profile.work_items), |h, m| {
         h.u64(u64::from(m.write))
             .u64(u64::from(m.param))
             .u64(m.elem_index as u64)
@@ -77,8 +83,7 @@ fn render_fields(out: &mut String, name: &str, a: &KernelAnalysis) {
             .u64(m.work_group)
     });
     line("trace", h);
-    let h = a
-        .profile
+    let h = profile
         .groups
         .iter()
         .fold(Fnv::new(), |h, g| h.u64(g.group).f64(g.weight).u64(g.work_items));
@@ -113,7 +118,12 @@ fn render_current() -> String {
         let wg = standard_wg(workload.global, func.reqd_work_group_size);
         let name = spec.full_name();
         match KernelAnalysis::analyze(&func, &platform, &workload, wg) {
-            Ok(a) => render_fields(&mut out, &name, &a),
+            Ok(a) => {
+                let profile = ProfileArgs::new(&workload)
+                    .profile(&func, wg, ProfileFuel::default())
+                    .expect("an analyzed kernel profiles");
+                render_fields(&mut out, &name, &a, &profile);
+            }
             Err(e) => writeln!(out, "{name}|analysis-err|{}", e.kind()).unwrap(),
         }
     }
@@ -122,26 +132,5 @@ fn render_current() -> String {
 
 #[test]
 fn corpus_analyses_match_golden_bit_for_bit() {
-    let current = render_current();
-    if std::env::var_os("FLEXCL_REGEN_GOLDEN").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/analysis_golden.txt");
-        std::fs::write(path, &current).expect("write golden");
-        eprintln!("regenerated {path}");
-        return;
-    }
-    let mut mismatches = Vec::new();
-    for (want, got) in GOLDEN.lines().zip(current.lines()) {
-        if want != got {
-            mismatches.push(format!("  want: {want}\n  got:  {got}"));
-        }
-    }
-    let want_n = GOLDEN.lines().count();
-    let got_n = current.lines().count();
-    assert!(
-        mismatches.is_empty() && want_n == got_n,
-        "kernel analyses drifted from the golden ({} mismatched lines, \
-         {want_n} golden vs {got_n} current):\n{}",
-        mismatches.len(),
-        mismatches.join("\n")
-    );
+    assert_golden("analysis_golden", GOLDEN, &render_current(), "kernel analyses");
 }

@@ -2,14 +2,18 @@
 //! `coarsen_factor == 1` / `temporal_block_depth == 1` must stay bit-identical
 //! to the pre-axis model on every suite kernel.
 //!
-//! The golden file was generated from the model *before* either axis existed
-//! (regenerate only on an intentional model change with
-//! `FLEXCL_REGEN_GOLDEN=1 cargo test -p flexcl-bench --test identity_golden`).
+//! The golden file was generated from the model *before* either axis
+//! existed. On a mismatch the current rendering is written to
+//! `identity_golden.actual.txt` under the cargo test scratch directory
+//! ([`support::assert_golden`]).
+
+mod support;
 
 use flexcl_core::config::{CommMode, OptimizationConfig};
 use flexcl_core::KernelAnalysis;
 use flexcl_kernels::Scale;
 use std::fmt::Write as _;
+use support::assert_golden;
 
 const GOLDEN: &str = include_str!("data/identity_golden.txt");
 
@@ -84,26 +88,5 @@ fn render_current() -> String {
 
 #[test]
 fn identity_configs_match_pre_axis_model_bit_for_bit() {
-    let current = render_current();
-    if std::env::var_os("FLEXCL_REGEN_GOLDEN").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/identity_golden.txt");
-        std::fs::write(path, &current).expect("write golden");
-        eprintln!("regenerated {path}");
-        return;
-    }
-    let mut mismatches = Vec::new();
-    for (want, got) in GOLDEN.lines().zip(current.lines()) {
-        if want != got {
-            mismatches.push(format!("  want: {want}\n  got:  {got}"));
-        }
-    }
-    let want_n = GOLDEN.lines().count();
-    let got_n = current.lines().count();
-    assert!(
-        mismatches.is_empty() && want_n == got_n,
-        "cf=1/tb=1 estimates drifted from the pre-axis model \
-         ({} mismatched lines, {want_n} golden vs {got_n} current):\n{}",
-        mismatches.len(),
-        mismatches.join("\n")
-    );
+    assert_golden("identity_golden", GOLDEN, &render_current(), "cf=1/tb=1 estimates");
 }

@@ -15,16 +15,15 @@
 //! Each line is `kernel|run|value`. The hashes are FNV-1a over the
 //! fields' `f64::to_bits` / integer words. On a mismatch the rendered
 //! output is written to `interp_golden.actual.txt` under the cargo test
-//! scratch directory for inspection; the golden itself is never
-//! regenerated to make a change pass.
+//! scratch directory for inspection ([`support::assert_golden`]).
 
 mod support;
 
-use flexcl_bench::compile;
+use flexcl_bench::{compile, standard_wg};
 use flexcl_interp::{run, GroupSampling, InterpError, KernelArg, NdRange, Profile, RunOptions};
 use flexcl_kernels::Scale;
 use std::fmt::Write as _;
-use support::{standard_wg, Fnv};
+use support::{assert_golden, Fnv};
 
 const GOLDEN: &str = include_str!("data/interp_golden.txt");
 
@@ -113,22 +112,5 @@ fn render_current() -> String {
 
 #[test]
 fn corpus_interpretation_matches_golden_bit_for_bit() {
-    let current = render_current();
-    let mismatches: Vec<String> = GOLDEN
-        .lines()
-        .zip(current.lines())
-        .filter(|(want, got)| want != got)
-        .map(|(want, got)| format!("  want: {want}\n  got:  {got}"))
-        .collect();
-    let (want_n, got_n) = (GOLDEN.lines().count(), current.lines().count());
-    if !mismatches.is_empty() || want_n != got_n {
-        let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/interp_golden.actual.txt");
-        std::fs::write(path, &current).expect("write actual output");
-        panic!(
-            "interpreter observations drifted from the golden ({} mismatched lines, \
-             {want_n} golden vs {got_n} current; full output in {path}):\n{}",
-            mismatches.len(),
-            mismatches.join("\n")
-        );
-    }
+    assert_golden("interp_golden", GOLDEN, &render_current(), "interpreter observations");
 }

@@ -10,11 +10,12 @@
 
 use flexcl_bench::{compile, find_spec};
 use flexcl_core::{
-    estimate, explore_space_cached, AnalysisCache, CommMode, DseOptions, KernelAnalysis,
-    OptimizationConfig, Platform, SweepGrid,
+    estimate, estimate_area, explore_space_cached, AnalysisCache, CommMode, DseOptions, DseResult,
+    KernelAnalysis, OptimizationConfig, Platform, SweepGrid,
 };
 use flexcl_kernels::Scale;
 use flexcl_sim::{system_run, SimOptions};
+use std::sync::Arc;
 
 const WG: (u32, u32) = (16, 4);
 
@@ -91,20 +92,7 @@ fn coarsened_estimates_track_the_simulator() {
 
 #[test]
 fn fine_grid_sweeps_the_new_axes_and_blocking_reaches_the_frontier() {
-    let spec = find_spec("polybench/jacobi2d");
-    let func = compile(&spec);
-    let platform = Platform::virtex7_adm7v3();
-    let workload = spec.workload(Scale::Test, 1234);
-    let result = explore_space_cached(
-        &func,
-        &platform,
-        &workload,
-        &SweepGrid::fine(),
-        DseOptions::default(),
-        None,
-        &AnalysisCache::new(),
-    )
-    .expect("fine sweep");
+    let (result, _, _) = fine_jacobi2d_families(&AnalysisCache::new());
     assert!(result.points.iter().any(|p| p.config.coarsen_factor > 1));
     assert!(result.points.iter().any(|p| p.config.temporal_block_depth > 1));
     // The best blocked point must beat the best unblocked point: the DSE
@@ -125,6 +113,54 @@ fn fine_grid_sweeps_the_new_axes_and_blocking_reaches_the_frontier() {
     );
     let best = result.best().expect("best point");
     assert!(best.estimate.feasible);
+}
+
+/// A fine-grid `polybench/jacobi2d` sweep through `cache`, the cache's
+/// size after it, and the analysis of each work-group family with a
+/// feasible point, looked up in the same cache.
+fn fine_jacobi2d_families(cache: &AnalysisCache) -> (DseResult, usize, Vec<Arc<KernelAnalysis>>) {
+    let spec = find_spec("polybench/jacobi2d");
+    let func = compile(&spec);
+    let platform = Platform::virtex7_adm7v3();
+    let workload = spec.workload(Scale::Test, 1234);
+    let opts = DseOptions::default();
+    let result =
+        explore_space_cached(&func, &platform, &workload, &SweepGrid::fine(), opts, None, cache)
+            .expect("fine sweep");
+    let swept = cache.len();
+    let mut wgs: Vec<(u32, u32)> =
+        result.points.iter().filter(|p| p.estimate.feasible).map(|p| p.config.work_group).collect();
+    wgs.dedup();
+    let analyses = wgs
+        .into_iter()
+        .map(|wg| cache.get_or_analyze(&func, &platform, &workload, wg, opts.fuel).expect("family"))
+        .collect();
+    (result, swept, analyses)
+}
+
+#[test]
+fn family_lookups_after_a_sweep_hit_its_cache() {
+    let cache = AnalysisCache::new();
+    let (_, swept, analyses) = fine_jacobi2d_families(&cache);
+    assert!(analyses.len() > 1, "the fine grid sweeps several work-groups");
+    assert_eq!(cache.len(), swept, "every family's lookup hit the sweep's analysis");
+}
+
+#[test]
+fn pareto_costs_every_point_at_its_own_work_group() {
+    let (result, _, analyses) = fine_jacobi2d_families(&AnalysisCache::new());
+    let own = |wg: (u32, u32)| {
+        analyses.iter().find(|a| a.work_group == wg).expect("the point's family analysis")
+    };
+    let mut blocked = 0;
+    for a in &analyses {
+        for p in result.pareto(a) {
+            blocked += usize::from(p.config.temporal_block_depth > 1);
+            let want = estimate_area(own(p.config.work_group), &p.config);
+            assert_eq!(p.area, want, "{} costed against {:?}", p.config, a.work_group);
+        }
+    }
+    assert!(blocked > 0, "temporal blocking reaches the frontier");
 }
 
 #[test]

@@ -1,6 +1,34 @@
 //! Helpers shared by the golden-file tests.
 
+// Each test binary compiles this module and uses only part of it.
+#![allow(dead_code)]
+
 use flexcl_dram::PatternTable;
+
+/// Asserts that `current` matches the golden file `name` line for line.
+/// On a mismatch the current rendering is written to `<name>.actual.txt`
+/// under the cargo test scratch directory for inspection, and the panic
+/// names `what` drifted and every mismatched line. The golden itself is
+/// never regenerated to make a change pass.
+pub fn assert_golden(name: &str, golden: &str, current: &str, what: &str) {
+    let mismatches: Vec<String> = golden
+        .lines()
+        .zip(current.lines())
+        .filter(|(want, got)| want != got)
+        .map(|(want, got)| format!("  want: {want}\n  got:  {got}"))
+        .collect();
+    let (want_n, got_n) = (golden.lines().count(), current.lines().count());
+    if !mismatches.is_empty() || want_n != got_n {
+        let path = format!("{}/{name}.actual.txt", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&path, current).expect("write actual output");
+        panic!(
+            "{what} drifted from the golden ({} mismatched lines, {want_n} golden vs \
+             {got_n} current; full output in {path}):\n{}",
+            mismatches.len(),
+            mismatches.join("\n")
+        );
+    }
+}
 
 /// 64-bit FNV-1a over little-endian words: specified, so the golden does
 /// not depend on the standard library's hasher.
@@ -24,18 +52,7 @@ impl Fnv {
         self.u64(v.to_bits())
     }
 
-    #[allow(dead_code)] // not every golden hashes pattern tables
     pub fn table(self, t: &PatternTable<f64>) -> Self {
         t.iter().fold(self, |h, (_, v)| h.f64(v))
-    }
-}
-
-/// The work-group the corpus is analyzed at: the kernel's required size,
-/// else 8×8 for 2-D NDRanges and 64×1 for 1-D ones.
-pub fn standard_wg(global: (u64, u64), reqd: Option<(u32, u32, u32)>) -> (u32, u32) {
-    match reqd {
-        Some((x, y, _)) => (x, y),
-        None if global.1 > 1 => (8, 8),
-        None => (64, 1),
     }
 }

@@ -10,6 +10,7 @@
 //! of optimization configurations only re-evaluates closed-form equations
 //! and small schedules.
 
+use crate::config::CommMode;
 use crate::error::FlexclError;
 use crate::platform::Platform;
 use flexcl_dram::{
@@ -18,8 +19,8 @@ use flexcl_dram::{
 };
 use flexcl_frontend::types::AddressSpace;
 use flexcl_interp::{
-    run_refs, ArgRef, GroupSampling, InterpError, KernelArg, MemAccess, NdRange, Profile,
-    RunOptions,
+    run_refs, ArgRef, GroupSampling, InterpError, KernelArg, LoopTrips, MemAccess, NdRange,
+    Profile, RunOptions,
 };
 use flexcl_ir::{
     build_deps, find_recurrences, DepEdge, Function, InstId, MemRoot, Op, Region, Value,
@@ -277,13 +278,42 @@ impl<'w> ProfileArgs<'w> {
         self.workload
     }
 
-    /// Runs `func` on the workload's arguments, leaving them untouched.
-    fn run(
+    /// Profiles `func` on the workload at `work_group` under `fuel`: the
+    /// dynamic half of the §3.2 analysis, leaving the workload untouched.
+    ///
+    /// Only a few work-groups are profiled (the paper: "only a few
+    /// work-groups are profiled in practice"). Stratified sampling picks
+    /// representative groups (first/middle/last plus NDRange-boundary
+    /// groups) and weights each by how many groups it stands in for.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlexclError::Geometry`] if the work-group does not tile
+    /// the NDRange, [`FlexclError::Profiling`] if the kernel fails (out of
+    /// bounds), and [`FlexclError::ResourceLimit`] if profiling exhausts
+    /// its fuel (runaway loop, trace explosion).
+    pub fn profile(
         &mut self,
         func: &Function,
-        nd: NdRange,
-        opts: RunOptions,
-    ) -> Result<Profile, InterpError> {
+        work_group: (u32, u32),
+        fuel: ProfileFuel,
+    ) -> Result<Profile, FlexclError> {
+        let global = self.workload.global;
+        let nd = NdRange {
+            global: [global.0, global.1, 1],
+            local: [u64::from(work_group.0), u64::from(work_group.1), 1],
+        };
+        nd.validate().map_err(|source| FlexclError::Geometry {
+            kernel: func.name.clone(),
+            work_group,
+            source,
+        })?;
+        let opts = RunOptions {
+            profile_groups: Some(nd.num_groups().min(fuel.group_budget.max(1))),
+            profile_sampling: GroupSampling::Stratified,
+            step_limit: fuel.step_limit,
+            trace_limit: fuel.trace_limit,
+        };
         let args = &self.workload.args;
         // Per argument: stored to at all, and stored to untraced.
         let mut stores = vec![(false, false); args.len()];
@@ -334,7 +364,16 @@ impl<'w> ProfileArgs<'w> {
             }
         }
         self.dirty = false;
-        result
+        result.map_err(|e| match e {
+            InterpError::StepLimit(_) | InterpError::TraceLimit(_) => FlexclError::ResourceLimit {
+                kernel: func.name.clone(),
+                work_group,
+                detail: e.to_string(),
+            },
+            other => {
+                FlexclError::Profiling { kernel: func.name.clone(), work_group, source: other }
+            }
+        })
     }
 }
 
@@ -410,11 +449,6 @@ pub struct ContentionCurve {
 }
 
 impl ContentionCurve {
-    /// A curve with no measured contention (factor 1 everywhere).
-    pub fn flat() -> Self {
-        ContentionCurve { points: vec![(1, 1.0, 1.0)] }
-    }
-
     /// The measured `(cus, pipeline_factor, barrier_factor)` points.
     pub fn points(&self) -> &[(u32, f64, f64)] {
         &self.points
@@ -446,54 +480,91 @@ impl ContentionCurve {
     }
 }
 
-/// Thread-coarsening factors pre-analyzed for every kernel (filtered per
-/// work-group size to the values dividing it) — the values the preset
-/// [`crate::config::SweepGrid`]s sweep. Each level costs two C=1 DRAM
-/// replays of the merged trace at analysis time, so levels are computed
-/// eagerly and configurations only read closed-form summaries.
+/// Thread-coarsening factors pre-analyzed for every kernel beyond factor 1
+/// (filtered per work-group size to the values dividing it) — the values
+/// the preset [`crate::config::SweepGrid`]s sweep. Each level costs two
+/// C=1 DRAM replays of the merged trace at analysis time, so levels are
+/// computed eagerly and configurations only read closed-form summaries.
 pub const COARSEN_CANDIDATES: [u32; 3] = [2, 4, 8];
 
 /// Memory-model summaries of the kernel's representative trace after
 /// merging `factor` consecutive work-items into one coarse item
-/// ([`coarsen_trace`]): the merged stream is re-coalesced per buffer, so
-/// overlapping stencil windows collapse into fewer, wider bursts. All
-/// per-work-item quantities stay normalized per *original* work-item
-/// (divided by the same weighted work-item count as the base analysis),
-/// which keeps the Eq. 9–12 algebra of the integration unchanged.
+/// ([`coarsen_trace`]; factor 1 is the profiled trace itself): the merged
+/// stream is re-coalesced per buffer, so overlapping stencil windows
+/// collapse into fewer, wider bursts. All per-work-item quantities stay
+/// normalized per *original* work-item (divided by the same weighted
+/// work-item count at every factor), which keeps the Eq. 9–12 algebra of
+/// the integration unchanged.
 #[derive(Debug, Clone)]
-pub struct CoarsenLevel {
+pub struct MemLevel {
     /// The coarsening factor this level models.
     pub factor: u32,
-    /// Table-1 pattern counts per original work-item, work-item burst
-    /// order (pipeline mode).
+    /// Table-1 pattern counts `N` per original work-item, with bursts in
+    /// work-item order (the order the pipelined datapath emits them —
+    /// pipeline communication mode).
     pub pattern_counts: PatternTable<f64>,
-    /// Pattern counts per original work-item, phased reads-first
-    /// (barrier mode).
+    /// Pattern counts with each group's bursts phased reads-first (the
+    /// order barrier communication mode emits them: load phase, compute,
+    /// store phase). Phasing avoids read/write bus turnarounds and row
+    /// thrashing, so barrier mode can have *cheaper* per-access memory.
     pub pattern_counts_phased: PatternTable<f64>,
     /// Coalesced global transactions per original work-item.
     pub global_accesses_per_wi: f64,
-    /// Multi-beat transfer cycles per original work-item.
+    /// Multi-beat transfer cycles per original work-item: bursts longer
+    /// than one interleave chunk stream `extra · t_burst` cycles beyond
+    /// their pattern's ΔT (the micro-benchmark measures single-chunk
+    /// requests). Added into [`Self::l_mem_wi`].
     pub mem_extra_wi: f64,
-    /// Distinct burst-owner runs per group over the merged stream (owners
-    /// are coarse items).
+    /// Weighted mean of distinct burst-owner runs per group — how finely
+    /// the coalesced burst stream interleaves with the group's (coarse)
+    /// items (1.0 = one burst covers the whole group). Drives the
+    /// pipeline-mode wave-overlap correction in the integration.
     pub burst_owners_per_group: f64,
-    /// Memory service cycles of the heaviest merged group, work-item order.
+    /// Memory service cycles of the *heaviest* profiled group streamed
+    /// alone (work-item burst order, including multi-beat transfer
+    /// cycles). `L_mem^wi` is a mean over groups; when groups are
+    /// heterogeneous (wavefront kernels leave some groups memory-silent)
+    /// and CUs outnumber rounds, the kernel's critical path is its
+    /// heaviest group, not the average one — the integration uses this as
+    /// a floor.
     pub mem_group_max: f64,
-    /// Heaviest merged group, phased order.
+    /// Like [`MemLevel::mem_group_max`], with each group's bursts phased
+    /// reads-first (barrier communication mode).
     pub mem_group_max_phased: f64,
 }
 
-impl CoarsenLevel {
-    /// `L_mem` per original work-item at this coarsening level (Eq. 9 over
-    /// the merged trace), pipeline-order bursts.
-    pub fn l_mem_wi(&self, latencies: &PatternTable<f64>) -> f64 {
-        latencies.iter().map(|(p, dt)| dt * self.pattern_counts[p]).sum::<f64>() + self.mem_extra_wi
+impl MemLevel {
+    /// Normalizes one level's two replays (work-item and phased burst
+    /// order) per original work-item.
+    fn new(factor: u32, pipe: &Replay, phased: &Replay, owners: f64, eff_wi: f64) -> MemLevel {
+        let per_wi = |totals: &PatternTable<f64>| {
+            let mut counts = PatternTable::new();
+            for (p, c) in totals.iter() {
+                counts[p] = c / eff_wi;
+            }
+            counts
+        };
+        MemLevel {
+            factor,
+            pattern_counts: per_wi(&pipe.totals),
+            pattern_counts_phased: per_wi(&phased.totals),
+            global_accesses_per_wi: pipe.bursts / eff_wi,
+            mem_extra_wi: pipe.extra / eff_wi,
+            burst_owners_per_group: owners,
+            mem_group_max: pipe.max_group,
+            mem_group_max_phased: phased.max_group,
+        }
     }
 
-    /// Phased (barrier-mode) variant of [`Self::l_mem_wi`].
-    pub fn l_mem_wi_phased(&self, latencies: &PatternTable<f64>) -> f64 {
-        latencies.iter().map(|(p, dt)| dt * self.pattern_counts_phased[p]).sum::<f64>()
-            + self.mem_extra_wi
+    /// Per-original-work-item global-memory latency `L_mem^wi` (Eq. 9)
+    /// at this level, with the pattern counts of the burst order `mode`
+    /// emits (work-item order for pipeline mode, phased for barrier).
+    pub fn l_mem_wi(&self, latencies: &PatternTable<f64>, mode: CommMode) -> f64 {
+        let counts = match mode {
+            CommMode::Pipeline => &self.pattern_counts,
+            CommMode::Barrier => &self.pattern_counts_phased,
+        };
+        latencies.iter().map(|(p, dt)| dt * counts[p]).sum::<f64>() + self.mem_extra_wi
     }
 }
 
@@ -613,6 +684,10 @@ pub struct ResolvedRecurrence {
 
 /// Everything the model needs to know about one (kernel, workload,
 /// work-group size) combination.
+///
+/// Profiling yields loop trips and a global-memory trace (§3.2); the
+/// analysis keeps the trips and the memory summaries derived from the
+/// trace, and drops the trace itself.
 #[derive(Debug, Clone)]
 pub struct KernelAnalysis {
     /// The analyzed kernel, shared by reference: a sweep produces one
@@ -625,32 +700,11 @@ pub struct KernelAnalysis {
     pub work_group: (u32, u32),
     /// Global NDRange of the workload.
     pub global: (u64, u64),
-    /// Dynamic profile (loop trips, memory trace) over a few work-groups.
-    pub profile: Profile,
-    /// Per-work-item Table-1 pattern counts `N`, after coalescing, with
-    /// bursts in work-item order (the order the pipelined datapath emits
-    /// them — used by pipeline communication mode).
-    pub pattern_counts: PatternTable<f64>,
-    /// Pattern counts with each group's bursts phased reads-first (the
-    /// order barrier communication mode emits them: load phase, compute,
-    /// store phase). Phasing avoids read/write bus turnarounds and row
-    /// thrashing, so barrier mode can have *cheaper* per-access memory.
-    pub pattern_counts_phased: PatternTable<f64>,
+    /// Profiled loop trip statistics over a few work-groups.
+    pub trips: LoopTrips,
     /// Per-work-item Table-1 pattern latencies `ΔT`, micro-benchmarked on
     /// this platform's DRAM.
     pub pattern_latencies: PatternTable<f64>,
-    /// Global memory transactions per work-item after coalescing.
-    pub global_accesses_per_wi: f64,
-    /// Per-work-item multi-beat transfer cycles: bursts longer than one
-    /// interleave chunk stream `extra · t_burst` cycles beyond their
-    /// pattern's ΔT (the micro-benchmark measures single-chunk requests).
-    /// Added into [`Self::l_mem_wi`] / [`Self::l_mem_wi_phased`].
-    pub mem_extra_wi: f64,
-    /// Weighted mean of distinct burst-owner runs per group — how finely
-    /// the coalesced burst stream interleaves with the group's work-items
-    /// (1.0 = one burst covers the whole group). Drives the pipeline-mode
-    /// wave-overlap correction in the integration.
-    pub burst_owners_per_group: f64,
     /// Trip-weighted per-work-item local-memory reads, per array.
     pub local_reads: HashMap<MemRoot, f64>,
     /// Trip-weighted per-work-item local-memory writes, per array.
@@ -666,23 +720,12 @@ pub struct KernelAnalysis {
     /// Inter-work-item recurrences with cycle latencies.
     pub recurrences: Vec<ResolvedRecurrence>,
     /// Per-CU-count contention curve applied to `L_mem^wi` in the Eq. 9/11
-    /// integration.
+    /// integration, measured on the factor-1 level's group bursts.
     pub contention: ContentionCurve,
-    /// Memory service cycles of the *heaviest* profiled group streamed
-    /// alone (work-item burst order, including multi-beat transfer
-    /// cycles). `L_mem^wi` is a mean over groups; when groups are
-    /// heterogeneous (wavefront kernels leave some groups memory-silent)
-    /// and CUs outnumber rounds, the kernel's critical path is its
-    /// heaviest group, not the average one — the integration uses this as
-    /// a floor.
-    pub mem_group_max: f64,
-    /// Like [`KernelAnalysis::mem_group_max`], with each group's bursts
-    /// phased reads-first (barrier communication mode).
-    pub mem_group_max_phased: f64,
-    /// Memory summaries of the coarsened trace for each
-    /// [`COARSEN_CANDIDATES`] factor dividing the work-group size,
-    /// ascending by factor. Factor 1 is the base analysis itself.
-    pub coarsen_levels: Vec<CoarsenLevel>,
+    /// Memory summaries ascending by coarsening factor: factor 1 (the
+    /// uncoarsened kernel) first, then each [`COARSEN_CANDIDATES`] factor
+    /// dividing the work-group size.
+    pub mem_levels: Vec<MemLevel>,
     /// Per-instruction execution multiplier (product of enclosing trip
     /// counts), used for resource-pressure weighting.
     multipliers: Vec<f64>,
@@ -693,10 +736,8 @@ impl KernelAnalysis {
     ///
     /// # Errors
     ///
-    /// Returns [`FlexclError::Geometry`] if the work-group does not tile
-    /// the NDRange, [`FlexclError::Profiling`] if dynamic profiling fails
-    /// (out-of-bounds kernel), and [`FlexclError::ResourceLimit`] if
-    /// profiling exhausts its fuel (runaway loop, trace explosion).
+    /// As [`ProfileArgs::profile`], plus [`FlexclError::MemoryModel`] for
+    /// a corrupt DRAM latency table.
     pub fn analyze(
         func: &Function,
         platform: &Platform,
@@ -733,120 +774,24 @@ impl KernelAnalysis {
         fuel: ProfileFuel,
         scratch: &mut AnalysisScratch,
     ) -> Result<KernelAnalysis, FlexclError> {
-        let workload = args.workload();
-        let nd = NdRange {
-            global: [workload.global.0, workload.global.1, 1],
-            local: [u64::from(work_group.0), u64::from(work_group.1), 1],
-        };
-        nd.validate().map_err(|source| FlexclError::Geometry {
-            kernel: func.name.clone(),
-            work_group,
-            source,
-        })?;
-
-        // Dynamic profiling over a few work-groups (the paper: "only a few
-        // work-groups are profiled in practice"). Stratified sampling picks
-        // representative groups (first/middle/last plus NDRange-boundary
-        // groups) and weights each by how many groups it stands in for.
         let mut clock = Instant::now();
-        let groups = nd.num_groups();
-        let opts = RunOptions {
-            profile_groups: Some(groups.min(fuel.group_budget.max(1))),
-            profile_sampling: GroupSampling::Stratified,
-            step_limit: fuel.step_limit,
-            trace_limit: fuel.trace_limit,
-        };
-        let profile = args.run(&func, nd, opts).map_err(|e| match e {
-            InterpError::StepLimit(_) | InterpError::TraceLimit(_) => FlexclError::ResourceLimit {
-                kernel: func.name.clone(),
-                work_group,
-                detail: e.to_string(),
-            },
-            other => {
-                FlexclError::Profiling { kernel: func.name.clone(), work_group, source: other }
-            }
-        })?;
+        let profile = args.profile(&func, work_group, fuel)?;
         scratch.stages.profile_nanos += lap(&mut clock);
         scratch.stages.profile_steps += profile.steps;
 
-        // ---- memory: coalesce per buffer, interleave in work-item order,
-        // and classify against the banked DRAM (Table 1). Each profiled
-        // group's pattern-count delta enters the totals multiplied by its
-        // stratum weight, and per-work-item averages divide by the weighted
-        // work-item count — a weighted mixture over the strata that is
-        // bit-identical to the plain average when every weight is 1.
-        let unit_bytes = platform.mem_access_unit_bits / 8;
-        let group_bursts = trace_to_group_bursts_into(&profile.trace, unit_bytes, scratch);
-        let eff_wi = profile.weighted_work_items().max(1.0);
-        scratch.stages.group_nanos += lap(&mut clock);
-
-        let (pipe_totals, weighted_bursts, weighted_extra, mem_group_max) =
-            replay_weighted(&platform, &group_bursts, &profile, 1, false, scratch);
-        let (phased_totals, _, _, mem_group_max_phased) =
-            replay_weighted(&platform, &group_bursts, &profile, 1, true, scratch);
-        scratch.stages.replay_nanos += lap(&mut clock);
-        let mut pattern_counts = PatternTable::new();
-        let mut pattern_counts_phased = PatternTable::new();
-        for (p, c) in pipe_totals.iter() {
-            pattern_counts[p] = c / eff_wi;
-        }
-        for (p, c) in phased_totals.iter() {
-            pattern_counts_phased[p] = c / eff_wi;
-        }
-        let global_accesses_per_wi = weighted_bursts / eff_wi;
-        let mem_extra_wi = weighted_extra / eff_wi;
-
-        // Distinct burst-owner runs per group (weighted): how finely the
-        // group's coalesced bursts interleave with its work-items. A fully
-        // coalesced group (one burst covering all work-items) has one
-        // owner; the pipeline integration uses this to model how much of
-        // the wave schedule the memory stream can actually overlap.
-        let burst_owners_per_group = owner_runs_per_group(&group_bursts, &profile);
-        // ---- thread-coarsening levels: re-derive the same memory
-        // summaries over the merged trace for every candidate factor that
-        // tiles the work-group. The merged stream is re-coalesced from
-        // scratch, so a factor-cf stencil window turns cf overlapping
-        // per-item bursts into one wider burst; normalization stays per
-        // original work-item (same `eff_wi`), so the evaluation's
-        // `l_mem_wi · n_wi_wg` algebra holds unchanged at every level.
+        // ---- memory: one level per coarsening factor that tiles the
+        // work-group, factor 1 first. Each replays its (merged) trace in
+        // both burst orders; the factor-1 bursts and replays are also the
+        // single-stream baseline of the contention curve below.
         let wg_size = u64::from(work_group.0) * u64::from(work_group.1);
-        let mut coarsen_levels = Vec::new();
+        let (base, group_bursts, pipe, phased) =
+            replay_level(&platform, &profile, 1, scratch, &mut clock);
+        let mut mem_levels = vec![base];
         for cf in COARSEN_CANDIDATES {
-            if !wg_size.is_multiple_of(u64::from(cf)) {
-                continue;
+            if wg_size.is_multiple_of(u64::from(cf)) {
+                mem_levels.push(replay_level(&platform, &profile, cf, scratch, &mut clock).0);
             }
-            let mut merged = std::mem::take(&mut scratch.merged);
-            coarsen_trace_into(&profile.trace, cf, &mut scratch.seen, &mut merged);
-            let merged_bursts = trace_to_group_bursts_into(&merged, unit_bytes, scratch);
-            scratch.merged = merged;
-            let cf_owners = owner_runs_per_group(&merged_bursts, &profile);
-            scratch.stages.group_nanos += lap(&mut clock);
-            let (cf_pipe, cf_bursts, cf_extra, cf_group_max) =
-                replay_weighted(&platform, &merged_bursts, &profile, 1, false, scratch);
-            let (cf_phased, _, _, cf_group_max_phased) =
-                replay_weighted(&platform, &merged_bursts, &profile, 1, true, scratch);
-            scratch.stages.replay_nanos += lap(&mut clock);
-            let mut counts = PatternTable::new();
-            let mut counts_phased = PatternTable::new();
-            for (p, c) in cf_pipe.iter() {
-                counts[p] = c / eff_wi;
-            }
-            for (p, c) in cf_phased.iter() {
-                counts_phased[p] = c / eff_wi;
-            }
-            coarsen_levels.push(CoarsenLevel {
-                factor: cf,
-                pattern_counts: counts,
-                pattern_counts_phased: counts_phased,
-                global_accesses_per_wi: cf_bursts / eff_wi,
-                mem_extra_wi: cf_extra / eff_wi,
-                burst_owners_per_group: cf_owners,
-                mem_group_max: cf_group_max,
-                mem_group_max_phased: cf_group_max_phased,
-            });
         }
-
-        scratch.stages.group_nanos += lap(&mut clock);
 
         let pattern_latencies = microbench::profile_cached(platform.dram);
         if pattern_latencies.iter().any(|(_, dt)| !dt.is_finite() || dt < 0.0) {
@@ -864,15 +809,13 @@ impl KernelAnalysis {
         // Cost includes the order-independent multi-beat transfer cycles:
         // they dilute the ratio exactly as they dilute the real slowdown.
         let cost = |totals: &PatternTable<f64>| -> f64 {
-            pattern_latencies.iter().map(|(p, dt)| dt * totals[p]).sum::<f64>() + weighted_extra
+            pattern_latencies.iter().map(|(p, dt)| dt * totals[p]).sum::<f64>() + pipe.extra
         };
-        let (base_pipe, base_phased) = (cost(&pipe_totals), cost(&phased_totals));
+        let (base_pipe, base_phased) = (cost(&pipe.totals), cost(&phased.totals));
         let mut curve_points = vec![(1u32, 1.0f64, 1.0f64)];
         for c in [2u32, 4, 8] {
-            let (tp, _, _, _) =
-                replay_weighted(&platform, &group_bursts, &profile, c, false, scratch);
-            let (tb, _, _, _) =
-                replay_weighted(&platform, &group_bursts, &profile, c, true, scratch);
+            let tp = replay_weighted(&platform, &group_bursts, &profile, c, false, scratch).totals;
+            let tb = replay_weighted(&platform, &group_bursts, &profile, c, true, scratch).totals;
             let fp = if base_pipe > 0.0 { (cost(&tp) / base_pipe).clamp(0.5, 2.0) } else { 1.0 };
             let fb =
                 if base_phased > 0.0 { (cost(&tb) / base_phased).clamp(0.5, 2.0) } else { 1.0 };
@@ -882,7 +825,7 @@ impl KernelAnalysis {
         scratch.stages.replay_nanos += lap(&mut clock);
 
         // ---- static analysis with trip-count weighting.
-        let multipliers = instruction_multipliers(&func, &profile);
+        let multipliers = instruction_multipliers(&func, &profile.trips);
         let mut local_reads: HashMap<MemRoot, f64> = HashMap::new();
         let mut local_writes: HashMap<MemRoot, f64> = HashMap::new();
         let mut dsp_ops_per_wi = 0.0;
@@ -923,14 +866,9 @@ impl KernelAnalysis {
             func,
             platform,
             work_group,
-            global: workload.global,
-            profile,
-            pattern_counts,
-            pattern_counts_phased,
+            global: args.workload().global,
+            trips: profile.trips,
             pattern_latencies,
-            global_accesses_per_wi,
-            mem_extra_wi,
-            burst_owners_per_group,
             local_reads,
             local_writes,
             dsp_ops_per_wi,
@@ -939,31 +877,16 @@ impl KernelAnalysis {
             local_bytes,
             recurrences,
             contention,
-            mem_group_max,
-            mem_group_max_phased,
-            coarsen_levels,
+            mem_levels,
             multipliers,
         })
     }
 
-    /// The pre-analyzed [`CoarsenLevel`] for `factor`, if the factor was a
-    /// candidate dividing this work-group (factor 1 — the base analysis —
-    /// returns `None`; callers use the base fields directly).
-    pub fn coarsen_level(&self, factor: u32) -> Option<&CoarsenLevel> {
-        self.coarsen_levels.iter().find(|l| l.factor == factor)
-    }
-
-    /// Per-work-item global-memory latency `L_mem^wi` (Eq. 9), with
-    /// bursts in the pipeline-mode (work-item) order.
-    pub fn l_mem_wi(&self) -> f64 {
-        self.pattern_latencies.iter().map(|(p, dt)| dt * self.pattern_counts[p]).sum::<f64>()
-            + self.mem_extra_wi
-    }
-
-    /// `L_mem^wi` with barrier-mode phasing (reads first, then writes).
-    pub fn l_mem_wi_phased(&self) -> f64 {
-        self.pattern_latencies.iter().map(|(p, dt)| dt * self.pattern_counts_phased[p]).sum::<f64>()
-            + self.mem_extra_wi
+    /// The memory level for coarsening factor `factor`: factor 1 always,
+    /// otherwise a [`COARSEN_CANDIDATES`] factor dividing the work-group
+    /// (`None` for any other factor).
+    pub fn mem_level(&self, factor: u32) -> Option<&MemLevel> {
+        self.mem_levels.iter().find(|l| l.factor == factor)
     }
 
     /// `RecMII`: the recurrence-constrained lower bound of the work-item
@@ -981,10 +904,9 @@ impl KernelAnalysis {
     /// per-work-item counts.
     pub fn res_mii(&self, budget: &ResourceBudget) -> u32 {
         let mut mii = 1u32;
-        for (root, reads) in &self.local_reads {
+        for reads in self.local_reads.values() {
             let ports = budget.local_read_ports.max(1) as f64;
             mii = mii.max((reads / ports).ceil() as u32);
-            let _ = root;
         }
         for writes in self.local_writes.values() {
             let ports = budget.local_write_ports.max(1) as f64;
@@ -1082,7 +1004,7 @@ impl KernelAnalysis {
             }
             Region::Loop { id, header, body, latch } => {
                 let meta = &self.func.loops[id.0 as usize];
-                let trip = self.profile.trip_count(&self.func, *id).max(0.0);
+                let trip = self.trips.trip_count(&self.func, *id).max(0.0);
                 let header_lat = self.block_latency(*header, budget, scratch)?;
                 let latch_lat = match latch {
                     Some(l) => self.block_latency(*l, budget, scratch)?,
@@ -1360,8 +1282,48 @@ impl KernelAnalysis {
     }
 }
 
-/// Stratum-weighted mean of distinct burst-owner runs per group (groups
-/// without bursts are left out; 0 when every group is silent).
+/// One memory level of a profiled trace: the trace merged by `factor`
+/// ([`coarsen_trace`]; factor 1 is the trace itself), coalesced per buffer
+/// and interleaved in work-item order ([`trace_to_group_bursts`]), then
+/// replayed through the banked DRAM in both burst orders and classified
+/// against Table 1. Each profiled group's pattern-count delta enters the
+/// totals multiplied by its stratum weight, and per-work-item averages
+/// divide by the weighted work-item count — a weighted mixture over the
+/// strata that is bit-identical to the plain average when every weight is
+/// 1. Also returns the level's group bursts and both replays.
+fn replay_level(
+    platform: &Platform,
+    profile: &Profile,
+    factor: u32,
+    scratch: &mut AnalysisScratch,
+    clock: &mut Instant,
+) -> (MemLevel, Vec<(u64, Vec<OwnedBurst>)>, Replay, Replay) {
+    let unit_bytes = platform.mem_access_unit_bits / 8;
+    let group_bursts = if factor <= 1 {
+        trace_to_group_bursts_into(&profile.trace, unit_bytes, scratch)
+    } else {
+        let mut merged = std::mem::take(&mut scratch.merged);
+        coarsen_trace_into(&profile.trace, factor, &mut scratch.seen, &mut merged);
+        let bursts = trace_to_group_bursts_into(&merged, unit_bytes, scratch);
+        scratch.merged = merged;
+        bursts
+    };
+    let owners = owner_runs_per_group(&group_bursts, profile);
+    scratch.stages.group_nanos += lap(clock);
+    let pipe = replay_weighted(platform, &group_bursts, profile, 1, false, scratch);
+    let phased = replay_weighted(platform, &group_bursts, profile, 1, true, scratch);
+    scratch.stages.replay_nanos += lap(clock);
+    let eff_wi = profile.weighted_work_items().max(1.0);
+    let level = MemLevel::new(factor, &pipe, &phased, owners, eff_wi);
+    (level, group_bursts, pipe, phased)
+}
+
+/// Stratum-weighted mean of distinct burst-owner runs per group: how
+/// finely the group's coalesced bursts interleave with its (coarse)
+/// items. A fully coalesced group (one burst covering all work-items) has
+/// one owner; the pipeline integration uses this to model how much of the
+/// wave schedule the memory stream can actually overlap. Groups without
+/// bursts are left out; 0 when every group is silent.
 fn owner_runs_per_group(group_bursts: &[(u64, Vec<OwnedBurst>)], profile: &Profile) -> f64 {
     let mut runs_weighted = 0.0f64;
     let mut weight_total = 0.0f64;
@@ -1388,16 +1350,25 @@ fn owner_runs_per_group(group_bursts: &[(u64, Vec<OwnedBurst>)], profile: &Profi
     }
 }
 
+/// Stratum-weighted result of replaying group bursts through DRAM.
+struct Replay {
+    /// Table-1 pattern totals.
+    totals: PatternTable<f64>,
+    /// Burst count.
+    bursts: f64,
+    /// Multi-beat transfer cycles: a burst longer than one interleave
+    /// chunk streams `extra · t_burst` cycles on top of its pattern's ΔT,
+    /// which the micro-benchmark measures with single-chunk requests.
+    extra: f64,
+    /// Service cycles of the heaviest single group (unweighted max over
+    /// groups, including its transfer beats).
+    max_group: f64,
+}
+
 /// Replays the profiled group streams round-robin across `streams` DRAM
 /// channel states — each with its own serial clock, the way `streams`
-/// co-running CUs emit them — and returns the stratum-weighted pattern
-/// totals, the weighted burst count, and the weighted multi-beat transfer
-/// cycles (a burst longer than one interleave chunk streams
-/// `extra · t_burst` cycles on top of its pattern's ΔT, which the
-/// micro-benchmark measures with single-chunk requests), and the service
-/// cycles of the heaviest single group (unweighted max over groups,
-/// including its transfer beats). With one stream this is the plain serial
-/// replay the pattern counts have always used.
+/// co-running CUs emit them. With one stream this is the plain serial
+/// replay the pattern counts use.
 fn replay_weighted(
     platform: &Platform,
     group_bursts: &[(u64, Vec<OwnedBurst>)],
@@ -1405,7 +1376,7 @@ fn replay_weighted(
     streams: u32,
     phased: bool,
     scratch: &mut AnalysisScratch,
-) -> (PatternTable<f64>, f64, f64, f64) {
+) -> Replay {
     let pool = scratch.dram_pool(platform.dram, streams.max(1) as usize);
     let mut clocks = vec![0u64; pool.len()];
     let mut totals = PatternTable::new();
@@ -1452,7 +1423,7 @@ fn replay_weighted(
         weighted_bursts += w * bursts.len() as f64;
         weighted_extra += w * extra as f64;
     }
-    (totals, weighted_bursts, weighted_extra, max_group)
+    Replay { totals, bursts: weighted_bursts, extra: weighted_extra, max_group }
 }
 
 /// Services one coalesced burst arriving at `t`, returning its finish time.
@@ -1468,15 +1439,15 @@ fn serve_burst(sim: &mut DramSim, ob: &OwnedBurst, t: u64) -> u64 {
 
 /// Computes per-instruction execution multipliers from the region tree and
 /// observed trip counts.
-fn instruction_multipliers(func: &Function, profile: &Profile) -> Vec<f64> {
+fn instruction_multipliers(func: &Function, trips: &LoopTrips) -> Vec<f64> {
     let mut out = vec![0.0; func.insts.len()];
-    fill_multipliers(func, profile, &func.region, 1.0, &mut out);
+    fill_multipliers(func, trips, &func.region, 1.0, &mut out);
     out
 }
 
 fn fill_multipliers(
     func: &Function,
-    profile: &Profile,
+    trips: &LoopTrips,
     region: &Region,
     mult: f64,
     out: &mut Vec<f64>,
@@ -1487,17 +1458,17 @@ fn fill_multipliers(
                 out[id.0 as usize] = mult;
             }
         }
-        Region::Seq(rs) => rs.iter().for_each(|r| fill_multipliers(func, profile, r, mult, out)),
+        Region::Seq(rs) => rs.iter().for_each(|r| fill_multipliers(func, trips, r, mult, out)),
         Region::If { cond_block, then_region, else_region } => {
             for id in &func.block(*cond_block).insts {
                 out[id.0 as usize] = mult;
             }
             // Branch bodies execute at most once per region entry.
-            fill_multipliers(func, profile, then_region, mult, out);
-            fill_multipliers(func, profile, else_region, mult, out);
+            fill_multipliers(func, trips, then_region, mult, out);
+            fill_multipliers(func, trips, else_region, mult, out);
         }
         Region::Loop { id, header, body, latch } => {
-            let trip = profile.trip_count(func, *id).max(0.0);
+            let trip = trips.trip_count(func, *id).max(0.0);
             for iid in &func.block(*header).insts {
                 out[iid.0 as usize] = mult * (trip + 1.0);
             }
@@ -1506,7 +1477,7 @@ fn fill_multipliers(
                     out[iid.0 as usize] = mult * trip;
                 }
             }
-            fill_multipliers(func, profile, body, mult * trip, out);
+            fill_multipliers(func, trips, body, mult * trip, out);
         }
     }
 }
@@ -1527,8 +1498,6 @@ fn dep_path_latency(func: &Function, platform: &Platform, from: InstId, to: Inst
         if d == i64::MIN {
             continue;
         }
-        let inst = func.inst(InstId(i));
-        let _ = inst;
         for later in (i + 1)..n as u32 {
             let cand = func.inst(InstId(later));
             let depends = cand.args.iter().any(|a| matches!(a, Value::Inst(x) if *x == InstId(i)));
@@ -1708,8 +1677,7 @@ mod tests {
             if (a[i] > 0) { a[i] = -a[i]; out[i] = b[i]; }
         }";
         let p = flexcl_frontend::parse_and_check(src).expect("frontend");
-        let f = Arc::new(flexcl_ir::lower_kernel(&p.kernels[0]).expect("lowering"));
-        let platform = Arc::new(Platform::virtex7_adm7v3());
+        let f = flexcl_ir::lower_kernel(&p.kernels[0]).expect("lowering");
         // 512 elements: every group is profiled and the trace outgrows the
         // buffers, which are restored whole. 8192: twelve groups of many,
         // restored element by element from the recorded stores.
@@ -1724,21 +1692,12 @@ mod tests {
             };
             let pristine = workload.args.clone();
             let mut args = ProfileArgs::new(&workload);
-            let mut scratch = AnalysisScratch::new();
             for wg in [(64, 1), (16, 1), (64, 1), (128, 1)] {
-                let reused = KernelAnalysis::analyze_interned(
-                    Arc::clone(&f),
-                    Arc::clone(&platform),
-                    &mut args,
-                    wg,
-                    ProfileFuel::default(),
-                    &mut scratch,
-                )
-                .expect("analysis");
-                let fresh =
-                    KernelAnalysis::analyze(&f, &platform, &workload, wg).expect("analysis");
-                assert_eq!(reused.profile.trace, fresh.profile.trace, "{n} {wg:?}");
-                assert_eq!(reused.profile.steps, fresh.profile.steps, "{n} {wg:?}");
+                let fuel = ProfileFuel::default();
+                let reused = args.profile(&f, wg, fuel).expect("profile");
+                let fresh = ProfileArgs::new(&workload).profile(&f, wg, fuel).expect("profile");
+                assert_eq!(reused.trace, fresh.trace, "{n} {wg:?}");
+                assert_eq!(reused.steps, fresh.steps, "{n} {wg:?}");
             }
             assert_eq!(workload.args, pristine);
             // `b` is only read: it is never copied. The copies of `a` and
@@ -1767,8 +1726,9 @@ mod tests {
         );
         assert_eq!(a.rec_mii(), 1);
         // Perfectly consecutive accesses coalesce 16:1 (512-bit unit, f32).
-        assert!(a.global_accesses_per_wi < 3.0 / 4.0, "{}", a.global_accesses_per_wi);
-        assert!(a.l_mem_wi() > 0.0);
+        let base = &a.mem_levels[0];
+        assert!(base.global_accesses_per_wi < 3.0 / 4.0, "{}", base.global_accesses_per_wi);
+        assert!(base.l_mem_wi(&a.pattern_latencies, CommMode::Pipeline) > 0.0);
         let budget = ResourceBudget::unconstrained();
         let (ii, depth) = a.pipeline_params(&budget).expect("pipeline params");
         assert!(ii >= 1);
@@ -1884,11 +1844,13 @@ mod tests {
             (256, 1),
             (64, 1),
         );
+        let l_mem =
+            |a: &KernelAnalysis| a.mem_levels[0].l_mem_wi(&a.pattern_latencies, CommMode::Pipeline);
         assert!(
-            strided.l_mem_wi() > seq.l_mem_wi(),
+            l_mem(&strided) > l_mem(&seq),
             "strided {} vs sequential {}",
-            strided.l_mem_wi(),
-            seq.l_mem_wi()
+            l_mem(&strided),
+            l_mem(&seq)
         );
     }
 

@@ -102,6 +102,10 @@ pub fn temporal_bram_bytes(work_group: (u32, u32), global: (u64, u64), tb: u32) 
 }
 
 /// Estimates the resources a configuration consumes.
+///
+/// Every term is static per kernel except the temporal-blocking tiles,
+/// which are sized from `config.work_group`, so one analysis of the
+/// kernel costs configurations of any work-group size.
 pub fn estimate_area(analysis: &KernelAnalysis, config: &OptimizationConfig) -> AreaEstimate {
     let p_eff = u64::from(config.effective_pes().max(1));
     let c = u64::from(config.num_cus.max(1));
@@ -111,7 +115,7 @@ pub fn estimate_area(analysis: &KernelAnalysis, config: &OptimizationConfig) -> 
     // partition factor). Temporal blocking adds its per-CU tile buffers.
     let bram_bytes = (analysis.local_bytes * p_eff.min(4))
         .saturating_add(temporal_bram_bytes(
-            analysis.work_group,
+            config.work_group,
             analysis.global,
             config.temporal_block_depth.max(1),
         ))

@@ -835,8 +835,8 @@ mod analysis_cache {
 
     /// Resident entries before eviction. A serving instance sees many
     /// kernels with up to ~10 work-group families each; 256 keeps a few
-    /// dozen of them resident while bounding memory held by profiling
-    /// artifacts.
+    /// dozen of them resident. An analysis holds summaries, not its
+    /// profiled trace, so each entry is small.
     pub(super) const CAP: usize = 256;
 
     /// A content-keyed store of settled [`KernelAnalysis`] values,
@@ -961,6 +961,55 @@ mod analysis_cache {
             self.len() == 0
         }
 
+        /// The analysis of `func` on `workload` at `work_group` under
+        /// `fuel`: the resident one when a sweep (or an earlier call) with
+        /// the same inputs settled it — the key is the one sweeps use —
+        /// else a fresh [`KernelAnalysis::analyze`], inserted.
+        ///
+        /// # Errors
+        ///
+        /// As [`KernelAnalysis::analyze`].
+        pub fn get_or_analyze(
+            &self,
+            func: &Function,
+            platform: &Platform,
+            workload: &Workload,
+            work_group: (u32, u32),
+            fuel: ProfileFuel,
+        ) -> Result<Arc<KernelAnalysis>, FlexclError> {
+            let key = Key { fingerprint: fingerprint(func, platform, workload), work_group, fuel };
+            self.settle(key, || {
+                KernelAnalysis::analyze_interned(
+                    Arc::new(func.clone()),
+                    Arc::new(platform.clone()),
+                    &mut ProfileArgs::new(workload),
+                    work_group,
+                    fuel,
+                    &mut AnalysisScratch::new(),
+                )
+            })
+            .0
+        }
+
+        /// The analysis resident under `key`, else `analyze`'s, inserted
+        /// when it succeeds — with whether it was resident and how many
+        /// entries the insert evicted.
+        pub(super) fn settle(
+            &self,
+            key: Key,
+            analyze: impl FnOnce() -> Result<KernelAnalysis, FlexclError>,
+        ) -> (Result<Arc<KernelAnalysis>, FlexclError>, bool, u64) {
+            if let Some(hit) = self.lookup(&key) {
+                return (Ok(hit), true, 0);
+            }
+            let fresh = analyze().map(Arc::new);
+            let evictions = match &fresh {
+                Ok(a) => self.insert(key, a, CAP),
+                Err(_) => 0,
+            };
+            (fresh, false, evictions)
+        }
+
         pub(super) fn lookup(&self, key: &Key) -> Option<Arc<KernelAnalysis>> {
             let cache = self.entries.lock().unwrap_or_else(|e| e.into_inner());
             cache.iter().find(|(k, _)| k == key).map(|(_, a)| Arc::clone(a))
@@ -1049,23 +1098,10 @@ fn analyze_family(
                 );
             }
         }
-        if let Some(hit) = cache.lookup(&key) {
-            return (Ok(hit), true, 0);
-        }
-        let fresh = KernelAnalysis::analyze_interned(
-            Arc::clone(func),
-            Arc::clone(platform),
-            args,
-            work_group,
-            opts.fuel,
-            scratch,
-        )
-        .map(Arc::new);
-        let evictions = match &fresh {
-            Ok(a) => cache.insert(key.clone(), a, analysis_cache::CAP),
-            Err(_) => 0,
-        };
-        (fresh, false, evictions)
+        cache.settle(key, || {
+            let (func, platform) = (Arc::clone(func), Arc::clone(platform));
+            KernelAnalysis::analyze_interned(func, platform, args, work_group, opts.fuel, scratch)
+        })
     }));
     let nanos = t.elapsed().as_nanos() as u64;
     let stages = scratch.stages().since(stages_before);

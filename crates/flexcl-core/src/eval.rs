@@ -18,9 +18,10 @@
 //!   budget**;
 //! * one [`SchedScratch`] is reused across all scheduler calls, so the
 //!   misses themselves stop allocating;
-//! * the mode-dependent memory constants (`L_mem^wi` in both burst
-//!   orders) and the warm-dispatch terms are hoisted into precomputed
-//!   fields, leaving pure arithmetic as the per-candidate residue.
+//! * the mode-dependent memory constants (`L_mem^wi` of every memory
+//!   level in both burst orders) and the warm-dispatch terms are hoisted
+//!   into precomputed fields, leaving pure arithmetic as the
+//!   per-candidate residue.
 //!
 //! The context IS the model: [`crate::estimate`] constructs a fresh
 //! context per call and evaluates through it, so the cached and uncached
@@ -89,8 +90,9 @@ pub struct EvalContext<A: Borrow<KernelAnalysis>> {
     mem_scale_cache: HashMap<(u32, bool), f64>,
     scratch: SchedScratch,
     // Hoisted per-family constants (pure functions of the analysis).
-    l_mem_wi_pipeline: f64,
-    l_mem_wi_barrier: f64,
+    /// `(pipeline, barrier)` `L_mem^wi` of each memory level, in the
+    /// analysis's level order.
+    l_mem_wi: Vec<(f64, f64)>,
     n_wi_kernel: f64,
     dl: f64,
     dl_warm: f64,
@@ -115,8 +117,12 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
         let platform = &a.platform;
         let dl = f64::from(platform.schedule_overhead);
         let deps = a.work_item_deps();
-        let l_mem_wi_pipeline = a.l_mem_wi();
-        let l_mem_wi_barrier = a.l_mem_wi_phased();
+        let lat = &a.pattern_latencies;
+        let l_mem_wi = a
+            .mem_levels
+            .iter()
+            .map(|l| (l.l_mem_wi(lat, CommMode::Pipeline), l.l_mem_wi(lat, CommMode::Barrier)))
+            .collect();
         let n_wi_kernel = (a.global.0 * a.global.1) as f64;
         // Steady-state dispatch cost per group (scheduler overlap hides
         // most of ΔL once a CU is warm); `C·ΔL` pays the cold starts.
@@ -128,8 +134,7 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
             lat_cache: HashMap::new(),
             mem_scale_cache: HashMap::new(),
             scratch,
-            l_mem_wi_pipeline,
-            l_mem_wi_barrier,
+            l_mem_wi,
             n_wi_kernel,
             dl,
             dl_warm,
@@ -213,8 +218,8 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
             });
         }
         // Coarsening replays the merged memory trace at analysis time; a
-        // factor with no pre-analyzed level cannot be evaluated.
-        if cf > 1 && analysis.coarsen_level(cf).is_none() {
+        // factor with no analyzed memory level cannot be evaluated.
+        let Some(li) = analysis.mem_levels.iter().position(|l| l.factor == cf) else {
             return Err(FlexclError::Config {
                 config: *config,
                 detail: format!(
@@ -224,7 +229,7 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
                     crate::config::MAX_COARSEN
                 ),
             });
-        }
+        };
 
         // ---- feasibility -------------------------------------------------
         // Saturating: extreme replication factors must read as "too big for
@@ -269,21 +274,16 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
         };
         // Re-borrow: the scheduler calls above needed `&mut self`.
         let analysis = self.analysis.borrow();
-        // Present whenever cf > 1: the gate above rejected missing levels.
-        let level = if cf > 1 { analysis.coarsen_level(cf) } else { None };
+        let level = &analysis.mem_levels[li];
         // Thread coarsening merges `cf` work-items per coarse item: the
         // pipelined PE re-derives (II, D) analytically from the scheduled
         // base (DESIGN.md §15); the unpipelined PE simply serializes the
         // merged bodies. Exact pass-through at cf == 1.
-        let (ii_comp, depth) = if cf > 1 {
-            if config.work_item_pipeline {
-                crate::model::coarsened_pipeline_params(analysis, ii_base, depth_base, cf)
-            } else {
-                let d = ii_base.saturating_mul(cf).max(1);
-                (d, d)
-            }
+        let (ii_comp, depth) = if config.work_item_pipeline {
+            crate::model::coarsened_pipeline_params(analysis, ii_base, depth_base, cf)
         } else {
-            (ii_base, depth_base)
+            let d = ii_base.saturating_mul(cf).max(1);
+            (d, d)
         };
 
         // ---- CU model (Eq. 5–6) ------------------------------------------
@@ -298,21 +298,17 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
         // Pattern counts follow the burst order the chosen communication
         // mode produces: work-item-interleaved for pipeline mode, phased
         // reads-then-writes for barrier mode (§3.5: integration depends on
-        // how computation communicates with global memory). At cf > 1 the
-        // constants come from the pre-analyzed merged-trace level, still
-        // normalized per *original* work-item so the `L_mem·N_wi` algebra
-        // below is unchanged.
-        let l_mem_wi = match (config.comm_mode, level) {
-            (CommMode::Barrier, None) => self.l_mem_wi_barrier,
-            (CommMode::Pipeline, None) => self.l_mem_wi_pipeline,
-            (CommMode::Barrier, Some(l)) => l.l_mem_wi_phased(&analysis.pattern_latencies),
-            (CommMode::Pipeline, Some(l)) => l.l_mem_wi(&analysis.pattern_latencies),
+        // how computation communicates with global memory). The constants
+        // come from the coarsening factor's level (the merged trace at
+        // cf > 1), normalized per *original* work-item so the `L_mem·N_wi`
+        // algebra below is unchanged.
+        let l_mem_wi = match config.comm_mode {
+            CommMode::Pipeline => self.l_mem_wi[li].0,
+            CommMode::Barrier => self.l_mem_wi[li].1,
         };
-        let owners_group =
-            level.map_or(analysis.burst_owners_per_group, |l| l.burst_owners_per_group);
-        let hvy_mem_pipe = level.map_or(analysis.mem_group_max, |l| l.mem_group_max);
-        let hvy_mem_phased =
-            level.map_or(analysis.mem_group_max_phased, |l| l.mem_group_max_phased);
+        let owners_group = level.burst_owners_per_group;
+        let hvy_mem_pipe = level.mem_group_max;
+        let hvy_mem_phased = level.mem_group_max_phased;
 
         // ---- kernel model (Eq. 7–8) --------------------------------------
         // The paper reads Eq. 8 as a serialized dispatcher capping the

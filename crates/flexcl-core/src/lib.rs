@@ -60,7 +60,7 @@ pub mod model;
 pub mod platform;
 
 pub use analysis::{
-    coarsen_trace, AnalysisScratch, AnalysisStages, CoarsenLevel, ContentionCurve, KernelAnalysis,
+    coarsen_trace, AnalysisScratch, AnalysisStages, ContentionCurve, KernelAnalysis, MemLevel,
     ProfileArgs, ProfileFuel, ResolvedRecurrence, Workload, COARSEN_CANDIDATES,
 };
 pub use area::{estimate_area, pareto_frontier, AreaEstimate, ParetoPoint};

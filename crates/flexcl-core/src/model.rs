@@ -299,23 +299,13 @@ pub fn cycle_lower_bound(analysis: &KernelAnalysis, mode: CommMode) -> f64 {
     let n_wi_wg = (u64::from(analysis.work_group.0) * u64::from(analysis.work_group.1)) as f64;
     // Coarsening can only shrink per-original-work-item memory latency
     // (merged accesses deduplicate and re-coalesce), so the bound takes
-    // the minimum over the base analysis and every pre-analyzed level.
+    // the minimum over every memory level.
     let pipeline = matches!(mode, CommMode::Pipeline);
-    let base_l_mem = match mode {
-        CommMode::Barrier => analysis.l_mem_wi_phased(),
-        CommMode::Pipeline => analysis.l_mem_wi(),
-    };
     let l_mem_wi = analysis
-        .coarsen_levels
+        .mem_levels
         .iter()
-        .map(|lvl| {
-            if pipeline {
-                lvl.l_mem_wi(&analysis.pattern_latencies)
-            } else {
-                lvl.l_mem_wi_phased(&analysis.pattern_latencies)
-            }
-        })
-        .fold(base_l_mem, f64::min);
+        .map(|lvl| lvl.l_mem_wi(&analysis.pattern_latencies, mode))
+        .fold(f64::INFINITY, f64::min);
     // The integration scales memory by the contention curve's factor at
     // the configuration's CU count; the curve's minimum keeps the bound
     // under every reachable factor (interpolation never dips below it).

@@ -99,16 +99,6 @@ impl DramSim {
         ServiceInfo { pattern, start, finish }
     }
 
-    /// Services a whole trace (arrival order preserved) and returns the
-    /// cycle at which the last request finished.
-    pub fn run_trace(&mut self, trace: impl IntoIterator<Item = Request>) -> u64 {
-        let mut last = 0;
-        for req in trace {
-            last = last.max(self.access(req).finish);
-        }
-        last
-    }
-
     /// Per-pattern request counts accumulated so far.
     pub fn counts(&self) -> &PatternTable<u64> {
         &self.counts

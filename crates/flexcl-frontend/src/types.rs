@@ -51,11 +51,6 @@ impl Scalar {
         matches!(self, Scalar::F32 | Scalar::F64)
     }
 
-    /// Whether this is a signed integer type.
-    pub fn is_signed_int(self) -> bool {
-        matches!(self, Scalar::I8 | Scalar::I16 | Scalar::I32 | Scalar::I64)
-    }
-
     /// Whether this is an unsigned integer type (bool counts as unsigned).
     pub fn is_unsigned_int(self) -> bool {
         matches!(self, Scalar::Bool | Scalar::U8 | Scalar::U16 | Scalar::U32 | Scalar::U64)
@@ -200,11 +195,6 @@ impl Type {
             Type::Pointer(_, _) => Some(8),
             Type::Array(t, n) => Some(t.bytes()? * *n as u64),
         }
-    }
-
-    /// Bit width of the data payload (used for memory coalescing factors).
-    pub fn bit_width(&self) -> Option<u64> {
-        self.bytes().map(|b| b * 8)
     }
 
     /// Whether the type is a scalar or vector of floats.

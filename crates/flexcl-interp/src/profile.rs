@@ -111,13 +111,15 @@ pub struct LoopTrips {
 }
 
 impl LoopTrips {
-    /// Average iterations per loop entry, `None` if the loop never ran.
-    pub fn average(&self, id: LoopId) -> Option<f64> {
-        let (entries, iters) = self.raw.get(&id.0)?;
-        if *entries <= 0.0 {
-            return None;
+    /// Effective trip count for a loop of `func`: static when known, else
+    /// the profiled average iterations per entry, else 0 (loop never
+    /// entered in the profile).
+    pub fn trip_count(&self, func: &Function, id: LoopId) -> f64 {
+        match (func.loops[id.0 as usize].trip, self.raw.get(&id.0)) {
+            (TripCount::Static(n), _) => n as f64,
+            (TripCount::Profiled, Some(&(entries, iters))) if entries > 0.0 => iters / entries,
+            (TripCount::Profiled, _) => 0.0,
         }
-        Some(iters / entries)
     }
 }
 
@@ -205,15 +207,6 @@ impl Profile {
         }
         groups.sort_by_key(|g| g.group);
         Profile { trips, trace, work_items, groups, steps: 0 }
-    }
-
-    /// Effective trip count for a loop: static when known, else profiled,
-    /// else 0 (loop never entered in the profile).
-    pub fn trip_count(&self, func: &Function, id: LoopId) -> f64 {
-        match func.loops[id.0 as usize].trip {
-            TripCount::Static(n) => n as f64,
-            TripCount::Profiled => self.trips.average(id).unwrap_or(0.0),
-        }
     }
 
     /// Stratum weight of a profiled group (1.0 when the profile carries no
@@ -322,7 +315,7 @@ mod tests {
             NdRange::new_1d(1, 1),
         );
         assert_eq!(f.loops.len(), 1);
-        assert_eq!(prof.trip_count(&f, LoopId(0)), 10.0);
+        assert_eq!(prof.trips.trip_count(&f, LoopId(0)), 10.0);
     }
 
     #[test]
@@ -336,7 +329,7 @@ mod tests {
             &mut [KernelArg::IntBuf(vec![0; 1])],
             NdRange::new_1d(1, 1),
         );
-        assert_eq!(prof.trip_count(&f, LoopId(0)), 7.0);
+        assert_eq!(prof.trips.trip_count(&f, LoopId(0)), 7.0);
     }
 
     #[test]
@@ -350,7 +343,7 @@ mod tests {
             &mut [KernelArg::IntBuf(vec![0; 1])],
             NdRange::new_1d(1, 1),
         );
-        assert_eq!(prof.trip_count(&f, LoopId(0)), 5.0);
+        assert_eq!(prof.trips.trip_count(&f, LoopId(0)), 5.0);
     }
 
     #[test]
@@ -366,7 +359,7 @@ mod tests {
             NdRange::new_1d(1, 1),
         );
         // The loop body runs 10 times (i = 0..9, breaking on the 10th).
-        let trip = prof.trip_count(&f, LoopId(0));
+        let trip = prof.trips.trip_count(&f, LoopId(0));
         assert!((trip - 10.0).abs() < 1e-9, "trip {trip}");
     }
 
@@ -406,8 +399,8 @@ mod tests {
             NdRange::new_1d(1, 1),
         );
         // Outer: static 4. Inner: profiled, entered 4 times, 8 iters each.
-        assert_eq!(prof.trip_count(&f, LoopId(1)), 4.0);
-        assert_eq!(prof.trip_count(&f, LoopId(0)), 8.0);
+        assert_eq!(prof.trips.trip_count(&f, LoopId(1)), 4.0);
+        assert_eq!(prof.trips.trip_count(&f, LoopId(0)), 8.0);
     }
 
     proptest::proptest! {
@@ -467,7 +460,7 @@ mod tests {
             },
         )
         .expect("run");
-        let trip = prof.trip_count(&f, flexcl_ir::LoopId(0));
+        let trip = prof.trips.trip_count(&f, flexcl_ir::LoopId(0));
         assert!(trip > 8.0, "weighted mixture must lean on the 15-group stratum, got {trip}");
     }
 }

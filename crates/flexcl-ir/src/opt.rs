@@ -8,7 +8,7 @@
 //! deliberately conservative: they never touch memory operations, barriers
 //! or anything with side effects.
 
-use crate::function::{Block, Function, Inst, InstId, Literal, Op, Terminator, Value};
+use crate::function::{Function, Inst, InstId, Literal, Op, Terminator, Value};
 use flexcl_frontend::ast::{BinOp, UnOp};
 use std::collections::HashMap;
 
@@ -342,11 +342,6 @@ pub fn dead_code_elim(func: &mut Function) -> bool {
         }
     }
     changed_any
-}
-
-/// Access to blocks for tests.
-pub fn block_live_insts(func: &Function) -> Vec<&Block> {
-    func.blocks.iter().collect()
 }
 
 #[cfg(test)]

@@ -258,19 +258,6 @@ impl Span {
             let _ = write!(d.attrs, "{value}");
         }
     }
-
-    /// Attaches a float attribute (`null` if non-finite).
-    pub fn attr_f64(&mut self, key: &str, value: f64) {
-        if let Some(d) = self.0.as_mut() {
-            use std::fmt::Write as _;
-            Self::push_key(&mut d.attrs, key);
-            if value.is_finite() {
-                let _ = write!(d.attrs, "{value}");
-            } else {
-                d.attrs.push_str("null");
-            }
-        }
-    }
 }
 
 impl Drop for Span {

@@ -150,15 +150,11 @@ pub fn system_run(
     // cf == 1.
     let cf = config.coarsen_factor.max(1);
     let tb = config.temporal_block_depth.max(1);
-    let (ii_sim, depth_sim) = if cf > 1 {
-        if config.work_item_pipeline {
-            flexcl_core::model::coarsened_pipeline_params(&analysis, ii_base, depth_base, cf)
-        } else {
-            let d = ii_base.saturating_mul(cf).max(1);
-            (d, d)
-        }
+    let (ii_sim, depth_sim) = if config.work_item_pipeline {
+        flexcl_core::model::coarsened_pipeline_params(&analysis, ii_base, depth_base, cf)
     } else {
-        (ii_base, depth_base)
+        let d = ii_base.saturating_mul(cf).max(1);
+        (d, d)
     };
 
     // ---- full execution trace ------------------------------------------

@@ -51,12 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let analysis = flexcl.analyze_source(src, name, &workload, config.work_group)?;
         let est = flexcl_core::estimate(&analysis, &config)?;
+        let base = &analysis.mem_levels[0];
 
         println!("{label}:");
         println!(
             "  transactions/work-item: {:.3}   L_mem/wi: {:.2} cycles   II_comp: {}",
-            analysis.global_accesses_per_wi,
-            analysis.l_mem_wi(),
+            base.global_accesses_per_wi,
+            base.l_mem_wi(&analysis.pattern_latencies, CommMode::Pipeline),
             est.ii_comp
         );
         let dominant = if est.ii_wi > f64::from(est.ii_comp) + 0.5 {
@@ -71,9 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // The pattern mix explains *why*: strided access defeats both
         // coalescing and the row buffers.
-        let misses: f64 =
-            analysis.pattern_counts.iter().filter(|(p, _)| !p.hit).map(|(_, n)| n).sum();
-        let hits: f64 = analysis.pattern_counts.iter().filter(|(p, _)| p.hit).map(|(_, n)| n).sum();
+        let misses: f64 = base.pattern_counts.iter().filter(|(p, _)| !p.hit).map(|(_, n)| n).sum();
+        let hits: f64 = base.pattern_counts.iter().filter(|(p, _)| p.hit).map(|(_, n)| n).sum();
         println!(
             "  row-buffer behaviour: {:.2} hit vs {:.2} miss transactions per work-item\n",
             hits, misses

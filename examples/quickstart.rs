@@ -33,7 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analysis = flexcl.analyze_source(src, "add", &workload, (64, 1))?;
     println!("  inter-work-item recurrences : {}", analysis.recurrences.len());
     println!("  RecMII                      : {}", analysis.rec_mii());
-    println!("  L_mem per work-item         : {:.2} cycles", analysis.l_mem_wi());
+    let l_mem = analysis.mem_levels[0].l_mem_wi(&analysis.pattern_latencies, CommMode::Pipeline);
+    println!("  L_mem per work-item         : {:.2} cycles", l_mem);
 
     for (label, config) in [
         ("unoptimized (no pipeline)", OptimizationConfig::baseline((64, 1))),

@@ -3,6 +3,12 @@
 # test must pass. Run from anywhere; the script cds to the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Formatting gate: every flexcl package (their targets include the root
+# tests/ and examples/) follows the root rustfmt.toml. vendor/ and
+# perfbench/ are not checked.
+cargo fmt --check -p flexcl-baselines -p flexcl-bench -p flexcl-core -p flexcl-dram \
+  -p flexcl-frontend -p flexcl-interp -p flexcl-ir -p flexcl-kernels -p flexcl-obs \
+  -p flexcl-sched -p flexcl-serve -p flexcl-sim
 cargo build --release
 cargo test -q
 # The benchmark is its own cargo package (not a workspace member), so a

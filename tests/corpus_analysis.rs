@@ -6,18 +6,13 @@
 //! trace, an II of zero, or a negative latency would silently corrupt every
 //! experiment built on top.
 
-use flexcl_bench::compile;
-use flexcl_core::{estimate, KernelAnalysis, OptimizationConfig, Platform};
+use flexcl_bench::{compile, standard_wg};
+use flexcl_core::{
+    estimate, CommMode, ErrorKind, EvalContext, KernelAnalysis, OptimizationConfig, Platform,
+    COARSEN_CANDIDATES,
+};
 use flexcl_kernels::Scale;
 use flexcl_sched::ResourceBudget;
-
-fn default_wg(global: (u64, u64), reqd: Option<(u32, u32, u32)>) -> (u32, u32) {
-    match reqd {
-        Some((x, y, _)) => (x, y),
-        None if global.1 > 1 => (8, 8),
-        None => (64, 1),
-    }
-}
 
 #[test]
 fn every_corpus_kernel_analyzes_sanely() {
@@ -25,18 +20,56 @@ fn every_corpus_kernel_analyzes_sanely() {
     for spec in flexcl_kernels::all() {
         let func = compile(&spec);
         let workload = spec.workload(Scale::Test, 2024);
-        let wg = default_wg(workload.global, func.reqd_work_group_size);
+        let wg = standard_wg(workload.global, func.reqd_work_group_size);
         let analysis = KernelAnalysis::analyze(&func, &platform, &workload, wg)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.full_name()));
 
         let name = spec.full_name();
         // Memory model inputs.
-        assert!(analysis.l_mem_wi() >= 0.0, "{name}: negative memory latency");
+        let base = &analysis.mem_levels[0];
+        let l_mem = base.l_mem_wi(&analysis.pattern_latencies, CommMode::Pipeline);
+        let l_mem_phased = base.l_mem_wi(&analysis.pattern_latencies, CommMode::Barrier);
+        assert!(l_mem >= 0.0, "{name}: negative memory latency");
         assert!(
-            analysis.l_mem_wi_phased() <= analysis.l_mem_wi() * 1.5 + 1.0,
+            l_mem_phased <= l_mem * 1.5 + 1.0,
             "{name}: phased order should not be drastically worse"
         );
-        assert!(analysis.global_accesses_per_wi >= 0.0, "{name}: negative access count");
+        assert!(base.global_accesses_per_wi >= 0.0, "{name}: negative access count");
+        // One memory level per analyzed coarsening factor: factor 1 first,
+        // then every candidate dividing the work-group, ascending.
+        let wg_size = u64::from(wg.0) * u64::from(wg.1);
+        let divides = |cf: u32| wg_size.is_multiple_of(u64::from(cf));
+        let want: Vec<u32> = std::iter::once(1)
+            .chain(COARSEN_CANDIDATES.into_iter().filter(|&cf| divides(cf)))
+            .collect();
+        let got: Vec<u32> = analysis.mem_levels.iter().map(|l| l.factor).collect();
+        assert_eq!(got, want, "{name}: memory levels");
+        // Each estimate reads its coarsening factor's level in its mode's
+        // burst order (the evaluation context hoists these per level).
+        let mut ctx = EvalContext::new(&analysis);
+        for level in &analysis.mem_levels {
+            for mode in [CommMode::Pipeline, CommMode::Barrier] {
+                let cfg = OptimizationConfig {
+                    coarsen_factor: level.factor,
+                    comm_mode: mode,
+                    ..OptimizationConfig::baseline(wg)
+                };
+                let est = ctx.estimate(&cfg).expect("estimate");
+                let want = level.l_mem_wi(&analysis.pattern_latencies, mode);
+                assert_eq!(est.l_mem_wi.to_bits(), want.to_bits(), "{name} {cfg}");
+            }
+        }
+        // A factor with no level is a typed configuration error. 3 is no
+        // candidate; neither is 16, which passes validation wherever it
+        // divides the work-group.
+        assert!(analysis.mem_level(3).is_none(), "{name}");
+        if divides(16) {
+            assert!(analysis.mem_level(16).is_none(), "{name}");
+            let cfg = OptimizationConfig { coarsen_factor: 16, ..OptimizationConfig::baseline(wg) };
+            let err = estimate(&analysis, &cfg).expect_err("cf=16 has no memory level");
+            assert_eq!(err.kind(), ErrorKind::Config, "{name}: {err}");
+            assert!(err.to_string().contains("no analyzed memory level"), "{name}: {err}");
+        }
         // Computation model inputs.
         let budget = ResourceBudget::unconstrained();
         let d = analysis.work_item_latency(&budget).expect("latency");
@@ -55,7 +88,7 @@ fn every_corpus_kernel_estimates_feasibly_at_baseline() {
     for spec in flexcl_kernels::all() {
         let func = compile(&spec);
         let workload = spec.workload(Scale::Test, 2024);
-        let wg = default_wg(workload.global, func.reqd_work_group_size);
+        let wg = standard_wg(workload.global, func.reqd_work_group_size);
         let analysis = KernelAnalysis::analyze(&func, &platform, &workload, wg)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.full_name()));
         let baseline = OptimizationConfig::baseline(wg);

@@ -54,15 +54,16 @@ fn every_stage_produces_consistent_artifacts() {
     let KernelArg::FloatBuf(out) = &args[1] else { panic!() };
     assert!(out.iter().all(|v| (*v - 2.0).abs() < 1e-9), "functional result");
     // The profiled trip count is 2·radius + 1.
-    let trip = profile.trip_count(&func, flexcl_ir::LoopId(0));
+    let trip = profile.trips.trip_count(&func, flexcl_ir::LoopId(0));
     assert!((trip - 7.0).abs() < 1e-9, "trip {trip}");
 
     // Stage 4: analysis.
     let workload = Workload { args, global: (n, 1) };
     let platform = Platform::virtex7_adm7v3();
     let analysis = KernelAnalysis::analyze(&func, &platform, &workload, (64, 1)).expect("analysis");
-    assert!(analysis.l_mem_wi() > 0.0);
-    assert!(analysis.global_accesses_per_wi > 0.0);
+    let base = &analysis.mem_levels[0];
+    assert!(base.l_mem_wi(&analysis.pattern_latencies, CommMode::Pipeline) > 0.0);
+    assert!(base.global_accesses_per_wi > 0.0);
 
     // Stage 5: model vs ground truth on a few configurations.
     for config in [
