@@ -25,13 +25,15 @@
 //! scale, so single-shot timings are noise-dominated. Besides these warm
 //! rows (one [`flexcl_core::AnalysisCache`] per kernel held across the
 //! warm-up and every repetition, the steady state of a re-explored
-//! kernel), the measurement always adds one **cold** vadd row at
+//! kernel), the measurement adds one **cold** row per measured kernel at
 //! threads=1: each repetition sweeps with a fresh
 //! [`flexcl_core::AnalysisCache`], so the row times first exploration
 //! and splits its analysis into interpreter profiling, burst grouping
 //! and DRAM replay (`profile_ms`, `group_ms`, `replay_ms`); profiling
 //! also reports the instructions it interpreted and its cost per
-//! instruction (`profile_steps`, `profile_ns_per_step`).
+//! instruction (`profile_steps`, `profile_ns_per_step`). Every row
+//! reports the replay pass and ordered assembly of the points
+//! (`merge_ms`).
 //!
 //! Flags:
 //!
@@ -49,9 +51,10 @@
 //! * `--trace-out PATH` (with `--trace-sample N`) — dump the span trace
 //!   of the run as JSONL.
 //! * `--check PATH` — validate an existing BENCH_dse.json (schema keys
-//!   present, `configs_per_sec` finite and positive, a cold row that
-//!   profiled at least one instruction and whose analysis stages sum to
-//!   no more than its elapsed time) and exit; used
+//!   present, `configs_per_sec` finite and positive, `merge_ms` no more
+//!   than `elapsed_ms` on every row, and cold rows that profiled at least
+//!   one instruction and whose analysis stages sum to no more than their
+//!   elapsed time) and exit; used
 //!   by `scripts/tier1.sh`. With `--require-scaling`, additionally require
 //!   threads=8 throughput to beat threads=1 per kernel — skipped with a
 //!   notice when the rows were measured on a single-core host.
@@ -94,6 +97,8 @@ struct BenchRow {
     replay_ms: f64,
     estimate_ms: f64,
     sched_ms: f64,
+    /// The replay pass and ordered assembly of the points.
+    merge_ms: f64,
     analysis_cache_hit_rate: f64,
     sched_cache_hit_rate: f64,
 }
@@ -136,6 +141,7 @@ impl BenchRow {
             replay_ms: ms(res.stats.replay_nanos),
             estimate_ms: ms(res.stats.estimate_nanos),
             sched_ms: ms(res.stats.sched_nanos),
+            merge_ms: ms(res.stats.merge_nanos),
             analysis_cache_hit_rate: res.stats.analysis_cache_hit_rate(),
             sched_cache_hit_rate: res.stats.sched_cache_hit_rate(),
         }
@@ -200,10 +206,11 @@ fn vadd() -> (flexcl_ir::Function, Workload) {
     (f, w)
 }
 
-/// Times model-only sweeps (no System Run) at 1, 2, 4 and 8 worker
-/// threads over vadd and a few PolyBench kernels. `filter` restricts the
-/// kernels to names containing the given substring; each row is the
-/// median of `reps` timed sweeps after one warm-up.
+/// Times model-only sweeps (no System Run) over vadd and a few PolyBench
+/// kernels: per kernel, one cold sweep at threads=1 and warm sweeps at 1,
+/// 2, 4 and 8 worker threads. `filter` restricts the kernels to names
+/// containing the given substring; each row is the median of `reps` timed
+/// sweeps (the warm ones after one warm-up).
 fn bench_sweeps(
     filter: Option<&str>,
     grid_name: &str,
@@ -229,17 +236,25 @@ fn bench_sweeps(
     }
 
     let mut rows = Vec::new();
-    // First exploration: every repetition starts from an empty analysis
-    // cache, so the row carries the real profiling and replay cost.
-    let (f, w) = vadd();
-    let (secs, res) = median_run(reps, || {
-        let opts = DseOptions { threads: 1, ..DseOptions::default() };
-        explore_space_cached(&f, &platform, &w, &grid, opts, None, &AnalysisCache::default())
-            .expect("cold bench sweep")
-    });
-    report("vadd", "cold threads=1", &res, verbose);
-    rows.push(BenchRow::new("vadd", "cold", grid_name, 1, reps, secs, &res));
     for (name, func, workload) in &targets {
+        // First exploration: every repetition starts from an empty
+        // analysis cache, so the row carries the real profiling, grouping
+        // and replay cost.
+        let (secs, res) = median_run(reps, || {
+            let opts = DseOptions { threads: 1, ..DseOptions::default() };
+            explore_space_cached(
+                func,
+                &platform,
+                workload,
+                &grid,
+                opts,
+                None,
+                &AnalysisCache::new(),
+            )
+            .expect("cold bench sweep")
+        });
+        report(name, "cold threads=1", &res, verbose);
+        rows.push(BenchRow::new(name, "cold", grid_name, 1, reps, secs, &res));
         // Warm this kernel's cache once so every repetition measures the
         // same steady state (the analysis cache fully hot).
         let cache = AnalysisCache::new();
@@ -261,7 +276,7 @@ fn bench_sweeps(
 }
 
 /// The keys of a BENCH_dse.json row, in emission order.
-const BENCH_KEYS: [&str; 23] = [
+const BENCH_KEYS: [&str; 24] = [
     "kernel",
     "cache",
     "points",
@@ -283,13 +298,14 @@ const BENCH_KEYS: [&str; 23] = [
     "replay_ms",
     "estimate_ms",
     "sched_ms",
+    "merge_ms",
     "analysis_cache_hit_rate",
     "sched_cache_hit_rate",
 ];
 
 impl BenchRow {
     /// This row's values, in [`BENCH_KEYS`] order.
-    fn values(&self) -> [Value<'_>; 23] {
+    fn values(&self) -> [Value<'_>; 24] {
         let int = |n: usize| Value::Int(n as u64);
         let f3 = |x: f64| Value::Float(x, 3);
         [
@@ -314,6 +330,7 @@ impl BenchRow {
             f3(self.replay_ms),
             f3(self.estimate_ms),
             f3(self.sched_ms),
+            f3(self.merge_ms),
             f3(self.analysis_cache_hit_rate),
             f3(self.sched_cache_hit_rate),
         ]
@@ -357,10 +374,11 @@ fn write_rows(rows: &[BenchRow], out: Option<&str>) {
     record::write("BENCH_dse.json", out, &BENCH_KEYS, &values);
 }
 
-/// The BENCH_dse.json gates: a finite positive `configs_per_sec` on
-/// every row, and a cold row that missed the analysis cache, profiled
-/// at least one instruction (`profile_steps`), and whose analysis
-/// stages (`profile_ms + group_ms + replay_ms`) sum to no more than its
+/// The BENCH_dse.json gates: a finite positive `configs_per_sec` and a
+/// `merge_ms` no more than `elapsed_ms` on every row, and at least one
+/// cold row; every cold row missed the analysis cache, profiled at least
+/// one instruction (`profile_steps`), and has analysis stages
+/// (`profile_ms + group_ms + replay_ms`) that sum to no more than its
 /// `elapsed_ms`. With `require_scaling`, additionally demands that per
 /// kernel the warm threads=8 throughput beats threads=1 — skipped with
 /// a notice when the rows report a single-core measuring host, where a
@@ -370,6 +388,13 @@ fn gate(rows: &[Row], require_scaling: bool) -> Result<(), String> {
         let cps = row.num("configs_per_sec")?;
         if !cps.is_finite() || cps <= 0.0 {
             return Err(format!("row {i}: configs_per_sec = {cps} (must be finite and positive)"));
+        }
+        let (merge, elapsed) = (row.num("merge_ms")?, row.num("elapsed_ms")?);
+        if !(0.0..=elapsed).contains(&merge) {
+            return Err(format!(
+                "row {i}: merge_ms = {merge:.3} against {elapsed:.3} ms elapsed \
+                 (must be no more than elapsed)"
+            ));
         }
     }
     let cold: Vec<&Row> = rows.iter().filter(|r| r.str("cache") == "cold").collect();
@@ -395,8 +420,9 @@ fn gate(rows: &[Row], require_scaling: bool) -> Result<(), String> {
             ));
         }
         println!(
-            "BENCH check: cold row ok (stages {stages:.2} ms of {elapsed:.2} ms elapsed, \
+            "BENCH check: {} cold row ok (stages {stages:.2} ms of {elapsed:.2} ms elapsed, \
              {steps} profiled steps at {:.2} ns/step)",
+            row.str("kernel"),
             row.num("profile_ns_per_step")?
         );
     }
@@ -636,16 +662,17 @@ mod tests {
             steals: 15,
             repaired_chunks: 0,
             host_cores: 2,
-            elapsed_ms: 48.535,
-            configs_per_sec: 7_516_168.4,
-            analysis_ms: 4.999,
-            profile_ms: 0.963,
+            elapsed_ms: 160.672,
+            configs_per_sec: 2_270_467.7,
+            analysis_ms: 10.275,
+            profile_ms: 3.341,
             profile_steps: 193_688,
-            profile_ns_per_step: 4.97,
-            group_ms: 3.451,
-            replay_ms: 0.567,
-            estimate_ms: 27.327,
-            sched_ms: 0.159,
+            profile_ns_per_step: 17.248,
+            group_ms: 6.237,
+            replay_ms: 0.615,
+            estimate_ms: 96.31,
+            sched_ms: 0.897,
+            merge_ms: 49.757,
             analysis_cache_hit_rate: 0.0,
             sched_cache_hit_rate: 1.0,
         }
@@ -655,7 +682,7 @@ mod tests {
     fn bench_rows_render_like_the_committed_file() {
         assert_eq!(
             record::render_row(&BENCH_KEYS, &cold_row().values()),
-            r#"{"kernel": "vadd", "cache": "cold", "points": 364800, "threads": 1, "grid": "fine", "reps": 5, "chunk_size": 2048, "chunks": 183, "steals": 15, "repaired_chunks": 0, "host_cores": 2, "elapsed_ms": 48.535, "configs_per_sec": 7516168.4, "analysis_ms": 4.999, "profile_ms": 0.963, "profile_steps": 193688, "profile_ns_per_step": 4.970, "group_ms": 3.451, "replay_ms": 0.567, "estimate_ms": 27.327, "sched_ms": 0.159, "analysis_cache_hit_rate": 0.000, "sched_cache_hit_rate": 1.000}"#
+            r#"{"kernel": "vadd", "cache": "cold", "points": 364800, "threads": 1, "grid": "fine", "reps": 5, "chunk_size": 2048, "chunks": 183, "steals": 15, "repaired_chunks": 0, "host_cores": 2, "elapsed_ms": 160.672, "configs_per_sec": 2270467.7, "analysis_ms": 10.275, "profile_ms": 3.341, "profile_steps": 193688, "profile_ns_per_step": 17.248, "group_ms": 6.237, "replay_ms": 0.615, "estimate_ms": 96.310, "sched_ms": 0.897, "merge_ms": 49.757, "analysis_cache_hit_rate": 0.000, "sched_cache_hit_rate": 1.000}"#
         );
     }
 
@@ -666,16 +693,25 @@ mod tests {
         gate(&rows, false).expect("committed BENCH_dse.json passes its gates");
     }
 
+    /// The gate's verdict on a file of the single row `row`.
+    fn gate_of(row: BenchRow) -> Result<(), String> {
+        let rows = record::parse_rows(&record::render(&BENCH_KEYS, &[row.values()]), &BENCH_KEYS)
+            .expect("a rendered file parses");
+        gate(&rows, false)
+    }
+
     #[test]
     fn a_cold_row_that_profiled_nothing_fails_the_gate() {
-        let gate_of = |row: BenchRow| {
-            let rows =
-                record::parse_rows(&record::render(&BENCH_KEYS, &[row.values()]), &BENCH_KEYS)
-                    .expect("a rendered file parses");
-            gate(&rows, false)
-        };
         assert_eq!(gate_of(cold_row()), Ok(()));
         let starved = BenchRow { profile_steps: 0, ..cold_row() };
         assert!(gate_of(starved).unwrap_err().contains("profiling interpreted nothing"));
+    }
+
+    #[test]
+    fn a_row_whose_merge_outlasts_its_sweep_fails_the_gate() {
+        let elapsed_ms = cold_row().elapsed_ms;
+        assert_eq!(gate_of(BenchRow { merge_ms: elapsed_ms, ..cold_row() }), Ok(()));
+        let late = BenchRow { merge_ms: elapsed_ms + 0.5, ..cold_row() };
+        assert!(gate_of(late).unwrap_err().contains("merge_ms"));
     }
 }

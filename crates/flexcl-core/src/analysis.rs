@@ -14,8 +14,7 @@ use crate::config::CommMode;
 use crate::error::FlexclError;
 use crate::platform::Platform;
 use flexcl_dram::{
-    coalesce, microbench, AccessKind, Burst, DramConfig, DramSim, ElementAccess, PatternTable,
-    Request,
+    microbench, AccessKind, Burst, DramConfig, ElementAccess, PatternTable, StreamSummaries,
 };
 use flexcl_frontend::types::AddressSpace;
 use flexcl_interp::{
@@ -57,26 +56,29 @@ pub struct OwnedBurst {
 /// Reusable buffers for repeated analyses (one per DSE worker thread).
 ///
 /// A design-space sweep re-runs [`KernelAnalysis::analyze_interned`] once
-/// per work-group size; the intermediate allocations (trace staging, the
-/// coalescing element buffer, the coarsening dedup table and the DRAM
-/// replay simulators) are identical in shape each time, so a sweep holds
-/// one scratch per worker and reuses it instead of reallocating. A fresh
-/// `AnalysisScratch::default()` gives bit-identical results to a reused
-/// one: every buffer is cleared (and each simulator fully
-/// [`DramSim::reset`]) before use.
+/// per work-group size; the intermediate buffers (per-buffer burst
+/// streams, the level's group bursts, the coarsening dedup table and
+/// merged trace, the per-bank stream summaries) are identical in shape
+/// each time, so a sweep holds one scratch per worker and reuses it
+/// instead of reallocating. A fresh `AnalysisScratch::default()` gives
+/// bit-identical results to a reused one: every buffer is cleared before
+/// use.
 #[derive(Debug, Default)]
 pub struct AnalysisScratch {
-    /// One group run's staging: `(param, work_item, access)`.
-    entries: Vec<(u32, u64, ElementAccess)>,
-    /// Per-stream element buffer handed to `coalesce`.
-    elements: Vec<ElementAccess>,
+    /// Per buffer (indexed by parameter), the bursts of the group run
+    /// being grouped.
+    streams: Vec<Vec<OwnedBurst>>,
+    /// The group bursts of the memory level being analyzed.
+    bursts: GroupBursts,
     /// Dedup table of [`coarsen_trace`], reset per group run.
     seen: AccessSet,
-    /// The merged trace of the coarsening level being analyzed.
+    /// The merged trace of the coarsening level being analyzed, coarsened
+    /// in place into the next level's.
     merged: Vec<MemAccess>,
-    /// Pool of DRAM replay simulators, one per replayed stream, reset
-    /// between uses.
-    replay_pool: Vec<DramSim>,
+    /// Per-bank summaries of the level's group streams in work-item
+    /// order and phased reads-first.
+    pipe: StreamSummaries,
+    phased: StreamSummaries,
     /// Time spent per analysis sub-stage, summed over every analysis run
     /// through this scratch.
     stages: AnalysisStages,
@@ -97,8 +99,9 @@ pub struct AnalysisStages {
     pub profile_steps: u64,
     /// Burst grouping, coarsening dedup and burst-owner counting.
     pub group_nanos: u64,
-    /// Every DRAM replay: pattern counts in both orders, each coarsening
-    /// level and the contention curve.
+    /// Every DRAM replay: summarizing each level's group streams per bank
+    /// in both burst orders, and composing the summaries into each
+    /// level's pattern counts and the contention curve.
     pub replay_nanos: u64,
 }
 
@@ -134,23 +137,6 @@ impl AnalysisScratch {
     pub fn stages(&self) -> AnalysisStages {
         self.stages
     }
-
-    /// `n` freshly-reset simulators for `config`, reusing the held ones
-    /// when the configuration matches ([`DramSim::reset`] restores the
-    /// exact initial state, so reuse is bit-identical to construction).
-    fn dram_pool(&mut self, config: DramConfig, n: usize) -> &mut [DramSim] {
-        let reusable = self.replay_pool.len() >= n
-            && self.replay_pool.iter().take(n).all(|s| *s.config() == config);
-        if !reusable {
-            self.replay_pool.clear();
-            self.replay_pool.extend((0..n).map(|_| DramSim::new(config)));
-        }
-        let pool = &mut self.replay_pool[..n];
-        for sim in pool.iter_mut() {
-            sim.reset();
-        }
-        pool
-    }
 }
 
 /// `trace` in the layout [`Profile::trace`] guarantees — each work-group
@@ -183,49 +169,78 @@ fn group_runs(trace: &[MemAccess]) -> impl Iterator<Item = &[MemAccess]> {
 /// disagree only where the model genuinely approximates (average pattern
 /// latencies vs per-access bank state).
 pub fn trace_to_group_bursts(trace: &[MemAccess], unit_bytes: u32) -> Vec<(u64, Vec<OwnedBurst>)> {
-    trace_to_group_bursts_into(trace, unit_bytes, &mut AnalysisScratch::new())
+    let mut out = GroupBursts::default();
+    group_bursts_into(trace, unit_bytes, &mut Vec::new(), &mut out);
+    out.to_lists()
 }
 
-/// [`trace_to_group_bursts`] with caller-provided scratch buffers.
+/// Per-work-group burst lists in one buffer: group `groups[i].0` owns the
+/// bursts from the previous group's end to `groups[i].1`.
+#[derive(Debug, Default)]
+struct GroupBursts {
+    bursts: Vec<OwnedBurst>,
+    groups: Vec<(u64, usize)>,
+}
+
+impl GroupBursts {
+    /// Each group's id and bursts, ascending by id.
+    fn iter(&self) -> impl Iterator<Item = (u64, &[OwnedBurst])> {
+        let starts = std::iter::once(0).chain(self.groups.iter().map(|&(_, end)| end));
+        self.groups.iter().zip(starts).map(|(&(g, end), start)| (g, &self.bursts[start..end]))
+    }
+
+    /// One burst list per group, ascending by id.
+    fn to_lists(&self) -> Vec<(u64, Vec<OwnedBurst>)> {
+        self.iter().map(|(g, bursts)| (g, bursts.to_vec())).collect()
+    }
+}
+
+/// [`trace_to_group_bursts`] into `out` (cleared first), with `streams`
+/// as per-buffer staging.
 ///
-/// Streams are segmented per group run: each run is stable-sorted by
-/// `param`, which keeps trace order within each stream and yields
-/// parameters ascending per group and groups ascending overall. A stable
-/// sort by group followed by a stable sort by parameter within each group
-/// is a stable sort by `(group, param)`, so the output is bit-identical to
-/// sorting the whole trace by that pair, grouped input or not.
-pub fn trace_to_group_bursts_into(
+/// Each group run is read once. Every access extends the last burst of
+/// its buffer's stream ([`Burst::extend`]) or opens a new burst owned by
+/// its work-item, so each stream keeps trace order and is coalesced
+/// exactly as [`flexcl_dram::coalesce`] would. The group's bursts are
+/// then its streams in ascending parameter order, stable-sorted by owner
+/// (the sort is skipped when the owners already ascend): the output is
+/// bit-identical to stable-sorting the whole trace by `(group, param)`,
+/// coalescing each stream and stable-sorting each group's bursts by
+/// owner, grouped input or not.
+fn group_bursts_into(
     trace: &[MemAccess],
     unit_bytes: u32,
-    scratch: &mut AnalysisScratch,
-) -> Vec<(u64, Vec<OwnedBurst>)> {
+    streams: &mut Vec<Vec<OwnedBurst>>,
+    out: &mut GroupBursts,
+) {
     let trace = grouped(trace);
-    let AnalysisScratch { entries, elements, .. } = scratch;
-    let mut out: Vec<(u64, Vec<OwnedBurst>)> = Vec::new();
+    out.bursts.clear();
+    out.groups.clear();
     for run in group_runs(&trace) {
-        entries.clear();
-        entries.extend(run.iter().map(|a| {
+        for a in run {
+            let p = a.param as usize;
+            if p >= streams.len() {
+                streams.resize_with(p + 1, Vec::new);
+            }
             let addr =
                 (param_base(a.param) as i64 + a.elem_index * i64::from(a.bytes)).max(0) as u64;
             let kind = if a.write { AccessKind::Write } else { AccessKind::Read };
-            (a.param, a.work_item, ElementAccess { addr, bytes: a.bytes, kind })
-        }));
-        entries.sort_by_key(|(p, _, _)| *p);
-        let mut bursts = Vec::new();
-        for stream in entries.chunk_by(|x, y| x.0 == y.0) {
-            elements.clear();
-            elements.extend(stream.iter().map(|(_, _, e)| *e));
-            let mut cursor = 0usize;
-            for b in coalesce(elements, unit_bytes) {
-                let owner = stream[cursor].1;
-                cursor += b.merged as usize;
-                bursts.push(OwnedBurst { burst: b, work_item: owner });
+            let e = ElementAccess { addr, bytes: a.bytes, kind };
+            let stream = &mut streams[p];
+            if !stream.last_mut().is_some_and(|b| b.burst.extend(&e, unit_bytes)) {
+                stream.push(OwnedBurst { burst: Burst::of(&e), work_item: a.work_item });
             }
         }
-        bursts.sort_by_key(|b| b.work_item);
-        out.push((run[0].work_group, bursts));
+        let start = out.bursts.len();
+        for stream in streams.iter_mut() {
+            out.bursts.append(stream);
+        }
+        let group = &mut out.bursts[start..];
+        if !group.is_sorted_by_key(|b| b.work_item) {
+            group.sort_by_key(|b| b.work_item);
+        }
+        out.groups.push((run[0].work_group, out.bursts.len()));
     }
-    out
 }
 
 /// A kernel workload: argument values plus the global NDRange.
@@ -482,9 +497,11 @@ impl ContentionCurve {
 
 /// Thread-coarsening factors pre-analyzed for every kernel beyond factor 1
 /// (filtered per work-group size to the values dividing it) — the values
-/// the preset [`crate::config::SweepGrid`]s sweep. Each level costs two
-/// C=1 DRAM replays of the merged trace at analysis time, so levels are
-/// computed eagerly and configurations only read closed-form summaries.
+/// the preset [`crate::config::SweepGrid`]s sweep. Each level costs one
+/// merge of the previous level's trace by 2, burst grouping, and per-bank
+/// summaries of its group streams in both burst orders at analysis time,
+/// so levels are computed eagerly and configurations only read
+/// closed-form summaries.
 pub const COARSEN_CANDIDATES: [u32; 3] = [2, 4, 8];
 
 /// Memory-model summaries of the kernel's representative trace after
@@ -521,8 +538,9 @@ pub struct MemLevel {
     /// pipeline-mode wave-overlap correction in the integration.
     pub burst_owners_per_group: f64,
     /// Memory service cycles of the *heaviest* profiled group streamed
-    /// alone (work-item burst order, including multi-beat transfer
-    /// cycles). `L_mem^wi` is a mean over groups; when groups are
+    /// alone (work-item burst order): its service span in a serial DRAM
+    /// replay, multi-beat transfer cycles counted once, as the simulator
+    /// counts them. `L_mem^wi` is a mean over groups; when groups are
     /// heterogeneous (wavefront kernels leave some groups memory-silent)
     /// and CUs outnumber rounds, the kernel's critical path is its
     /// heaviest group, not the average one — the integration uses this as
@@ -587,7 +605,7 @@ pub fn coarsen_trace(trace: &[MemAccess], factor: u32) -> Vec<MemAccess> {
 }
 
 /// [`coarsen_trace`] into `out` (cleared first) with a reusable dedup
-/// table.
+/// table: each group run is appended to `out` and merged there in place.
 fn coarsen_trace_into(
     trace: &[MemAccess],
     factor: u32,
@@ -599,19 +617,48 @@ fn coarsen_trace_into(
         out.extend_from_slice(trace);
         return;
     }
+    for run in group_runs(&grouped(trace)) {
+        let start = out.len();
+        out.extend_from_slice(run);
+        let (_, end) = coarsen_run(out, start, start, factor, seen);
+        out.truncate(end);
+    }
+}
+
+/// [`coarsen_trace`] by `factor` > 1 of a trace in the [`Profile::trace`]
+/// layout, in place.
+fn coarsen_in_place(trace: &mut Vec<MemAccess>, factor: u32, seen: &mut AccessSet) {
+    let (mut read, mut write) = (0, 0);
+    while read < trace.len() {
+        (read, write) = coarsen_run(trace, read, write, factor, seen);
+    }
+    trace.truncate(write);
+}
+
+/// Merges by `factor` the group run that starts at `trace[read]`, writing
+/// its kept accesses from `trace[write]` on (`write ≤ read`, so no access
+/// is overwritten before it is read). Returns the run's end and the end
+/// of its kept accesses.
+fn coarsen_run(
+    trace: &mut [MemAccess],
+    read: usize,
+    write: usize,
+    factor: u32,
+    seen: &mut AccessSet,
+) -> (usize, usize) {
     let cf = u64::from(factor);
-    let trace = grouped(trace);
-    out.reserve(trace.len());
-    for run in group_runs(&trace) {
-        let kept = out.len();
-        seen.reset(run.len());
-        for a in run {
-            let merged = MemAccess { work_item: a.work_item / cf, ..*a };
-            if seen.insert(&merged, &out[kept..]) {
-                out.push(merged);
-            }
+    let group = trace[read].work_group;
+    let end = read + trace[read..].partition_point(|a| a.work_group == group);
+    seen.reset(end - read);
+    let mut kept = write;
+    for i in read..end {
+        let merged = MemAccess { work_item: trace[i].work_item / cf, ..trace[i] };
+        if seen.insert(&merged, &trace[write..kept]) {
+            trace[kept] = merged;
+            kept += 1;
         }
     }
+    (end, kept)
 }
 
 /// Linear-probing set over the accesses one group run has kept so far,
@@ -781,17 +828,11 @@ impl KernelAnalysis {
 
         // ---- memory: one level per coarsening factor that tiles the
         // work-group, factor 1 first. Each replays its (merged) trace in
-        // both burst orders; the factor-1 bursts and replays are also the
-        // single-stream baseline of the contention curve below.
-        let wg_size = u64::from(work_group.0) * u64::from(work_group.1);
-        let (base, group_bursts, pipe, phased) =
-            replay_level(&platform, &profile, 1, scratch, &mut clock);
+        // both burst orders; the factor-1 summaries and replays are also
+        // the single-stream baseline of the contention curve below.
+        let (base, pipe, phased) =
+            replay_level(&platform, &profile, &profile.trace, 1, scratch, &mut clock);
         let mut mem_levels = vec![base];
-        for cf in COARSEN_CANDIDATES {
-            if wg_size.is_multiple_of(u64::from(cf)) {
-                mem_levels.push(replay_level(&platform, &profile, cf, scratch, &mut clock).0);
-            }
-        }
 
         let pattern_latencies = microbench::profile_cached(platform.dram);
         if pattern_latencies.iter().any(|(_, dt)| !dt.is_finite() || dt < 0.0) {
@@ -814,8 +855,8 @@ impl KernelAnalysis {
         let (base_pipe, base_phased) = (cost(&pipe.totals), cost(&phased.totals));
         let mut curve_points = vec![(1u32, 1.0f64, 1.0f64)];
         for c in [2u32, 4, 8] {
-            let tp = replay_weighted(&platform, &group_bursts, &profile, c, false, scratch).totals;
-            let tb = replay_weighted(&platform, &group_bursts, &profile, c, true, scratch).totals;
+            let tp = replay(&scratch.pipe, &profile, c).totals;
+            let tb = replay(&scratch.phased, &profile, c).totals;
             let fp = if base_pipe > 0.0 { (cost(&tp) / base_pipe).clamp(0.5, 2.0) } else { 1.0 };
             let fb =
                 if base_phased > 0.0 { (cost(&tb) / base_phased).clamp(0.5, 2.0) } else { 1.0 };
@@ -823,6 +864,28 @@ impl KernelAnalysis {
         }
         let contention = ContentionCurve { points: curve_points };
         scratch.stages.replay_nanos += lap(&mut clock);
+
+        // The coarsened levels form a chain: the dividing candidates are a
+        // prefix of 2, 4, 8, and merging a level's trace by 2 gives the
+        // next level's exactly (the first access of a `wi / 2k` item is
+        // the first of its `wi / k` item), so each level is coarsened in
+        // place from the one before instead of from the whole trace.
+        let wg_size = u64::from(work_group.0) * u64::from(work_group.1);
+        let mut merged = std::mem::take(&mut scratch.merged);
+        let mut at = 1;
+        for cf in COARSEN_CANDIDATES {
+            if !wg_size.is_multiple_of(u64::from(cf)) {
+                continue;
+            }
+            if at == 1 {
+                coarsen_trace_into(&profile.trace, cf, &mut scratch.seen, &mut merged);
+            } else {
+                coarsen_in_place(&mut merged, cf / at, &mut scratch.seen);
+            }
+            at = cf;
+            mem_levels.push(replay_level(&platform, &profile, &merged, cf, scratch, &mut clock).0);
+        }
+        scratch.merged = merged;
 
         // ---- static analysis with trip-count weighting.
         let multipliers = instruction_multipliers(&func, &profile.trips);
@@ -1282,40 +1345,36 @@ impl KernelAnalysis {
     }
 }
 
-/// One memory level of a profiled trace: the trace merged by `factor`
-/// ([`coarsen_trace`]; factor 1 is the trace itself), coalesced per buffer
-/// and interleaved in work-item order ([`trace_to_group_bursts`]), then
-/// replayed through the banked DRAM in both burst orders and classified
-/// against Table 1. Each profiled group's pattern-count delta enters the
-/// totals multiplied by its stratum weight, and per-work-item averages
-/// divide by the weighted work-item count — a weighted mixture over the
-/// strata that is bit-identical to the plain average when every weight is
-/// 1. Also returns the level's group bursts and both replays.
+/// One memory level of a profiled trace: `trace`, the profile's trace
+/// merged by `factor` ([`coarsen_trace`]; factor 1 is the trace itself),
+/// coalesced per buffer and interleaved in work-item order
+/// ([`trace_to_group_bursts`]), then replayed through the banked DRAM in
+/// both burst orders and classified against Table 1. Each profiled
+/// group's pattern-count delta enters the totals multiplied by its
+/// stratum weight, and per-work-item averages divide by the weighted
+/// work-item count — a weighted mixture over the strata that is
+/// bit-identical to the plain average when every weight is 1. Also
+/// returns both replays, and leaves the level's per-bank stream summaries
+/// in `scratch.pipe` and `scratch.phased`.
 fn replay_level(
     platform: &Platform,
     profile: &Profile,
+    trace: &[MemAccess],
     factor: u32,
     scratch: &mut AnalysisScratch,
     clock: &mut Instant,
-) -> (MemLevel, Vec<(u64, Vec<OwnedBurst>)>, Replay, Replay) {
+) -> (MemLevel, Replay, Replay) {
     let unit_bytes = platform.mem_access_unit_bits / 8;
-    let group_bursts = if factor <= 1 {
-        trace_to_group_bursts_into(&profile.trace, unit_bytes, scratch)
-    } else {
-        let mut merged = std::mem::take(&mut scratch.merged);
-        coarsen_trace_into(&profile.trace, factor, &mut scratch.seen, &mut merged);
-        let bursts = trace_to_group_bursts_into(&merged, unit_bytes, scratch);
-        scratch.merged = merged;
-        bursts
-    };
-    let owners = owner_runs_per_group(&group_bursts, profile);
+    group_bursts_into(trace, unit_bytes, &mut scratch.streams, &mut scratch.bursts);
+    let owners = owner_runs_per_group(&scratch.bursts, profile);
     scratch.stages.group_nanos += lap(clock);
-    let pipe = replay_weighted(platform, &group_bursts, profile, 1, false, scratch);
-    let phased = replay_weighted(platform, &group_bursts, profile, 1, true, scratch);
+    summarize(&scratch.bursts, platform.dram, &mut scratch.pipe, &mut scratch.phased);
+    let pipe = replay(&scratch.pipe, profile, 1);
+    let phased = replay(&scratch.phased, profile, 1);
     scratch.stages.replay_nanos += lap(clock);
     let eff_wi = profile.weighted_work_items().max(1.0);
     let level = MemLevel::new(factor, &pipe, &phased, owners, eff_wi);
-    (level, group_bursts, pipe, phased)
+    (level, pipe, phased)
 }
 
 /// Stratum-weighted mean of distinct burst-owner runs per group: how
@@ -1324,7 +1383,7 @@ fn replay_level(
 /// one owner; the pipeline integration uses this to model how much of the
 /// wave schedule the memory stream can actually overlap. Groups without
 /// bursts are left out; 0 when every group is silent.
-fn owner_runs_per_group(group_bursts: &[(u64, Vec<OwnedBurst>)], profile: &Profile) -> f64 {
+fn owner_runs_per_group(group_bursts: &GroupBursts, profile: &Profile) -> f64 {
     let mut runs_weighted = 0.0f64;
     let mut weight_total = 0.0f64;
     for (g, bursts) in group_bursts.iter() {
@@ -1339,7 +1398,7 @@ fn owner_runs_per_group(group_bursts: &[(u64, Vec<OwnedBurst>)], profile: &Profi
                 last = Some(ob.work_item);
             }
         }
-        let w = profile.group_weight(*g);
+        let w = profile.group_weight(g);
         runs_weighted += w * runs as f64;
         weight_total += w;
     }
@@ -1361,80 +1420,50 @@ struct Replay {
     /// which the micro-benchmark measures with single-chunk requests.
     extra: f64,
     /// Service cycles of the heaviest single group (unweighted max over
-    /// groups, including its transfer beats).
+    /// groups; its transfer beats counted once, as the DRAM serves them).
     max_group: f64,
 }
 
-/// Replays the profiled group streams round-robin across `streams` DRAM
-/// channel states — each with its own serial clock, the way `streams`
-/// co-running CUs emit them. With one stream this is the plain serial
-/// replay the pattern counts use.
-fn replay_weighted(
-    platform: &Platform,
-    group_bursts: &[(u64, Vec<OwnedBurst>)],
-    profile: &Profile,
-    streams: u32,
-    phased: bool,
-    scratch: &mut AnalysisScratch,
-) -> Replay {
-    let pool = scratch.dram_pool(platform.dram, streams.max(1) as usize);
-    let mut clocks = vec![0u64; pool.len()];
-    let mut totals = PatternTable::new();
-    let mut weighted_bursts = 0.0f64;
-    let mut weighted_extra = 0.0f64;
-    let mut max_group = 0.0f64;
-    let chunk = platform.dram.interleave_bytes.max(1);
-    let beat = u64::from(platform.dram.timing.t_burst);
+/// Summarizes each group's burst stream per DRAM bank ([`StreamSummaries`])
+/// in both burst orders: work-item order (pipeline mode) into `pipe`, and
+/// phased, reads then writes (barrier mode), into `phased`.
+fn summarize(
+    group_bursts: &GroupBursts,
+    dram: DramConfig,
+    pipe: &mut StreamSummaries,
+    phased: &mut StreamSummaries,
+) {
+    pipe.reset(dram);
+    phased.reset(dram);
     for (g, bursts) in group_bursts.iter() {
-        // Lane by group-id residue: the dispatcher hands group `g` to CU
-        // `g mod C`, so channel `r`'s stream is the ids `≡ r (mod C)` in
-        // order. Position-based round-robin would instead split the
-        // profiled strata (and their warm-up predecessors) arbitrarily,
-        // severing genuine id-adjacency the sample does contain and
-        // overstating the handoff cost.
-        let lane = (*g % pool.len() as u64) as usize;
-        let sim = &mut pool[lane];
-        let before = *sim.counts();
-        let entered = clocks[lane];
-        let mut t = entered;
-        let mut extra = 0u64;
-        if phased {
-            // Barrier mode: per group, reads then writes.
-            for pass in [AccessKind::Read, AccessKind::Write] {
-                for ob in bursts.iter().filter(|b| b.burst.kind == pass) {
-                    t = serve_burst(sim, ob, t);
-                }
-            }
-        } else {
-            // Pipeline mode: work-item order.
-            for ob in bursts {
-                t = serve_burst(sim, ob, t);
-            }
-        }
-        for ob in bursts {
-            extra += (u64::from(ob.burst.bytes).saturating_sub(1)) / chunk * beat;
-        }
-        clocks[lane] = t;
-        max_group = max_group.max((t - entered + extra) as f64);
-        let w = profile.group_weight(*g);
-        for (p, c) in sim.counts().iter() {
-            totals[p] += w * (c - before[p]) as f64;
-        }
-        weighted_bursts += w * bursts.len() as f64;
-        weighted_extra += w * extra as f64;
+        pipe.push(g, bursts.iter().map(|b| &b.burst));
+        let pass = |kind| bursts.iter().filter(move |b| b.burst.kind == kind).map(|b| &b.burst);
+        phased.push(g, pass(AccessKind::Read).chain(pass(AccessKind::Write)));
     }
-    Replay { totals, bursts: weighted_bursts, extra: weighted_extra, max_group }
 }
 
-/// Services one coalesced burst arriving at `t`, returning its finish time.
-fn serve_burst(sim: &mut DramSim, ob: &OwnedBurst, t: u64) -> u64 {
-    sim.access(Request {
-        addr: ob.burst.addr,
-        bytes: ob.burst.bytes,
-        kind: ob.burst.kind,
-        arrival: t,
-    })
-    .finish
+/// Replays the summarized group streams round-robin across `streams`
+/// DRAM channel states — each with its own serial clock, the way
+/// `streams` co-running CUs emit them. With one stream this is the plain
+/// serial replay the pattern counts use.
+///
+/// Lane by group-id residue: the dispatcher hands group `g` to CU
+/// `g mod C`, so channel `r`'s stream is the ids `≡ r (mod C)` in order.
+/// Position-based round-robin would instead split the profiled strata
+/// (and their warm-up predecessors) arbitrarily, severing genuine
+/// id-adjacency the sample does contain and overstating the handoff cost.
+fn replay(summaries: &StreamSummaries, profile: &Profile, streams: u32) -> Replay {
+    let mut r = Replay { totals: PatternTable::new(), bursts: 0.0, extra: 0.0, max_group: 0.0 };
+    summaries.replay(streams as usize, |group, counts, span| {
+        r.max_group = r.max_group.max(span as f64);
+        let w = profile.group_weight(group.id);
+        for (p, c) in counts.iter() {
+            r.totals[p] += w * c as f64;
+        }
+        r.bursts += w * group.bursts as f64;
+        r.extra += w * group.transfer_cycles as f64;
+    });
+    r
 }
 
 /// Computes per-instruction execution multipliers from the region tree and
@@ -1525,6 +1554,7 @@ mod trace_pass_equivalence {
     //! implementations they replaced: one global dedup set for
     //! coarsening, one stable `(group, param)` sort for burst grouping.
     use super::*;
+    use flexcl_dram::coalesce;
     use proptest::prelude::*;
 
     fn ref_coarsen_trace(trace: &[MemAccess], factor: u32) -> Vec<MemAccess> {
@@ -1622,6 +1652,9 @@ mod trace_pass_equivalence {
             factor in prop::sample::select(vec![2u32, 4, 8]),
         ) {
             let unit = 64;
+            // Each coarsening level is the one before merged by 2.
+            prop_assert_eq!(coarsen_trace(&coarsen_trace(&trace, 2), 2), coarsen_trace(&trace, 4));
+            prop_assert_eq!(coarsen_trace(&coarsen_trace(&trace, 4), 2), coarsen_trace(&trace, 8));
             let merged = coarsen_trace(&trace, factor);
             let ref_merged = ref_coarsen_trace(&trace, factor);
             if grouped {
@@ -1640,12 +1673,16 @@ mod trace_pass_equivalence {
             let mut scratch = AnalysisScratch::new();
             for cf in [factor, 1, 8] {
                 coarsen_trace_into(&trace, cf, &mut scratch.seen, &mut scratch.merged);
-                let again = std::mem::take(&mut scratch.merged);
+                group_bursts_into(
+                    &scratch.merged,
+                    unit,
+                    &mut scratch.streams,
+                    &mut scratch.bursts,
+                );
                 prop_assert_eq!(
-                    trace_to_group_bursts_into(&again, unit, &mut scratch),
+                    scratch.bursts.to_lists(),
                     ref_group_bursts(&ref_coarsen_trace(&trace, cf), unit)
                 );
-                scratch.merged = again;
             }
         }
     }

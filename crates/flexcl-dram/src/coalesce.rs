@@ -32,28 +32,45 @@ pub struct Burst {
     pub merged: u32,
 }
 
+impl Burst {
+    /// The burst of the single element access `a`.
+    pub fn of(a: &ElementAccess) -> Burst {
+        Burst { addr: a.addr, bytes: a.bytes, kind: a.kind, merged: 1 }
+    }
+
+    /// Merges `a` into this burst if it continues it: same kind, exactly
+    /// contiguous, and the burst stays within one `unit_bytes` unit.
+    /// Returns whether it merged.
+    #[inline]
+    pub fn extend(&mut self, a: &ElementAccess, unit_bytes: u32) -> bool {
+        let contiguous = self.addr + u64::from(self.bytes) == a.addr;
+        let same_kind = self.kind == a.kind;
+        let fits = self.bytes + a.bytes <= unit_bytes;
+        // A burst may not straddle a unit boundary (hardware alignment).
+        let same_unit = (self.addr / u64::from(unit_bytes))
+            == (a.addr + u64::from(a.bytes) - 1) / u64::from(unit_bytes);
+        if contiguous && same_kind && fits && same_unit {
+            self.bytes += a.bytes;
+            self.merged += 1;
+            true
+        } else {
+            false
+        }
+    }
+}
+
 /// Coalesces a stream of element accesses into bursts of at most
 /// `unit_bytes`.
 ///
 /// Elements merge into the current burst while they have the same kind,
-/// are exactly contiguous with it, and the burst stays within one unit.
+/// are exactly contiguous with it, and the burst stays within one unit
+/// ([`Burst::extend`]).
 pub fn coalesce(accesses: &[ElementAccess], unit_bytes: u32) -> Vec<Burst> {
     let mut out: Vec<Burst> = Vec::new();
     for a in accesses {
-        if let Some(cur) = out.last_mut() {
-            let contiguous = cur.addr + u64::from(cur.bytes) == a.addr;
-            let same_kind = cur.kind == a.kind;
-            let fits = cur.bytes + a.bytes <= unit_bytes;
-            // A burst may not straddle a unit boundary (hardware alignment).
-            let same_unit = (cur.addr / u64::from(unit_bytes))
-                == (a.addr + u64::from(a.bytes) - 1) / u64::from(unit_bytes);
-            if contiguous && same_kind && fits && same_unit {
-                cur.bytes += a.bytes;
-                cur.merged += 1;
-                continue;
-            }
+        if !out.last_mut().is_some_and(|cur| cur.extend(a, unit_bytes)) {
+            out.push(Burst::of(a));
         }
-        out.push(Burst { addr: a.addr, bytes: a.bytes, kind: a.kind, merged: 1 });
     }
     out
 }

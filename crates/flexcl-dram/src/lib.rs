@@ -9,12 +9,14 @@
 //! `ΔT` through micro-benchmark profiling. SDAccel-style access coalescing
 //! reduces the transaction count by `f = unit_size / dtype_width`.
 //!
-//! This crate provides all four pieces:
+//! This crate provides these pieces:
 //!
 //! * [`config`] — geometry, DDR3/DDR4 timing presets, address mapping;
 //! * [`pattern`] — the Table-1 pattern taxonomy and analytic latencies;
 //! * [`sim`] — a behavioural simulator (bank queues, open rows) used as the
 //!   memory backend of the System Run simulator;
+//! * [`summary`] — per-bank summaries of serially served burst streams,
+//!   which replay them exactly without the simulator;
 //! * [`mod@coalesce`] — burst coalescing;
 //! * [`microbench`] — the profiling flow that recovers the `ΔT` table.
 //!
@@ -34,11 +36,13 @@ pub mod config;
 pub mod microbench;
 pub mod pattern;
 pub mod sim;
+pub mod summary;
 
 pub use coalesce::{coalesce, coalescing_degree, Burst, ElementAccess};
 pub use config::{DramConfig, DramTiming};
 pub use pattern::{analytic_latencies, AccessKind, Pattern, PatternTable};
 pub use sim::{DramSim, Request, ServiceInfo};
+pub use summary::{StreamSummaries, StreamSummary};
 
 #[cfg(test)]
 mod proptests {

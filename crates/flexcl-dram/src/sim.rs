@@ -34,11 +34,70 @@ pub struct ServiceInfo {
     pub finish: u64,
 }
 
+/// A bank's row-buffer state: its open row and the kind of its last
+/// access, which is all Table-1 classification reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowBuffer {
+    open_row: Option<u64>,
+    last_kind: AccessKind,
+}
+
+impl RowBuffer {
+    /// A bank that has not been accessed: no open row, and a read as its
+    /// "previous" kind.
+    pub(crate) const IDLE: RowBuffer = RowBuffer { open_row: None, last_kind: AccessKind::Read };
+
+    /// Classifies an access of `kind` to `row` against this state, then
+    /// leaves the row open with `kind` as the last access.
+    #[inline]
+    pub(crate) fn access(&mut self, row: u64, kind: AccessKind) -> Pattern {
+        let pattern = Pattern { now: kind, prev: self.last_kind, hit: self.open_row == Some(row) };
+        *self = RowBuffer { open_row: Some(row), last_kind: kind };
+        pattern
+    }
+}
+
+/// Service cycles of one request: its pattern's analytic `ΔT`, rounded,
+/// plus `t_burst` per interleave chunk it streams beyond the first.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ServiceTimes {
+    pattern: PatternTable<u64>,
+    chunk: u64,
+    beat: u64,
+}
+
+impl ServiceTimes {
+    /// The service times of `config`.
+    pub(crate) fn new(config: &DramConfig) -> Self {
+        let mut pattern = PatternTable::new();
+        for (p, dt) in analytic_latencies(&config.timing).iter() {
+            pattern[p] = dt.round() as u64;
+        }
+        ServiceTimes {
+            pattern,
+            chunk: config.interleave_bytes,
+            beat: u64::from(config.timing.t_burst),
+        }
+    }
+
+    /// The rounded `ΔT` of `pattern`.
+    #[inline]
+    pub(crate) fn pattern(&self, pattern: Pattern) -> u64 {
+        self.pattern[pattern]
+    }
+
+    /// Transfer cycles of a `bytes`-long request beyond its pattern's
+    /// `ΔT` (0 within one interleave chunk).
+    #[inline]
+    pub(crate) fn transfer(&self, bytes: u32) -> u64 {
+        u64::from(bytes).saturating_sub(1) / self.chunk * self.beat
+    }
+}
+
 /// Per-bank state.
 #[derive(Debug, Clone, Copy)]
 struct BankState {
-    open_row: Option<u64>,
-    last_kind: AccessKind,
+    row: RowBuffer,
     free_at: u64,
 }
 
@@ -47,6 +106,7 @@ struct BankState {
 pub struct DramSim {
     config: DramConfig,
     latencies: PatternTable<f64>,
+    times: ServiceTimes,
     banks: Vec<BankState>,
     counts: PatternTable<u64>,
     busy_cycles: u64,
@@ -59,10 +119,8 @@ impl DramSim {
     pub fn new(config: DramConfig) -> Self {
         let latencies = analytic_latencies(&config.timing);
         DramSim {
-            banks: vec![
-                BankState { open_row: None, last_kind: AccessKind::Read, free_at: 0 };
-                config.num_banks as usize
-            ],
+            banks: vec![BankState { row: RowBuffer::IDLE, free_at: 0 }; config.num_banks as usize],
+            times: ServiceTimes::new(&config),
             config,
             latencies,
             counts: PatternTable::new(),
@@ -80,17 +138,12 @@ impl DramSim {
     pub fn access(&mut self, req: Request) -> ServiceInfo {
         let (bank_idx, row) = self.config.map(req.addr);
         let bank = &mut self.banks[bank_idx as usize];
-        let hit = bank.open_row == Some(row);
-        let pattern = Pattern { now: req.kind, prev: bank.last_kind, hit };
-        let latency = self.latencies[pattern].round() as u64;
+        let pattern = bank.row.access(row, req.kind);
         // Multi-chunk transfers stream additional bursts.
-        let extra_bursts = (u64::from(req.bytes).saturating_sub(1)) / self.config.interleave_bytes;
-        let total = latency + extra_bursts * u64::from(self.config.timing.t_burst);
+        let total = self.times.pattern(pattern) + self.times.transfer(req.bytes);
 
         let start = req.arrival.max(bank.free_at);
         let finish = start + total;
-        bank.open_row = Some(row);
-        bank.last_kind = req.kind;
         bank.free_at = finish;
 
         self.counts[pattern] += 1;
@@ -122,7 +175,7 @@ impl DramSim {
     /// Resets bank state and counters.
     pub fn reset(&mut self) {
         for b in &mut self.banks {
-            *b = BankState { open_row: None, last_kind: AccessKind::Read, free_at: 0 };
+            *b = BankState { row: RowBuffer::IDLE, free_at: 0 };
         }
         self.counts = PatternTable::new();
         self.busy_cycles = 0;

@@ -14,10 +14,11 @@ cargo test -q
 # The benchmark is its own cargo package (not a workspace member), so a
 # public-API break would otherwise only surface when the benchmark runs.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
-# Robustness gates: the estimation pipeline must stay panic-free on
-# input-dependent paths, and the DSE sweep must survive injected faults
-# with bit-identical surviving points.
-cargo clippy -p flexcl-core -p flexcl-interp -- -D warnings -W clippy::unwrap_used
+# Robustness gates: the estimation pipeline (the DRAM model and its
+# stream summaries included) must stay panic-free on input-dependent
+# paths, and the DSE sweep must survive injected faults with
+# bit-identical surviving points.
+cargo clippy -p flexcl-core -p flexcl-interp -p flexcl-dram -- -D warnings -W clippy::unwrap_used
 cargo test -q -p flexcl-core --test fault_injection
 # Every smoke file below lives in one temporary directory, removed on exit.
 SMOKE="$(mktemp -d -t tier1_smoke.XXXXXX)"
@@ -31,7 +32,8 @@ trap 'rm -rf "$SMOKE"' EXIT
 # speedup is physically impossible. The smoke also carries one cold vadd
 # row (fresh analysis cache per repetition); --check fails when that row
 # is missing, hit the cache, or its analysis stages (profile + group +
-# replay) sum to more than its elapsed time.
+# replay) sum to more than its elapsed time, and when any row's merge_ms
+# (replay pass and ordered assembly) exceeds its elapsed time.
 BENCH_SMOKE="$SMOKE/bench_dse.json"
 cargo run --release -q -p flexcl-bench --bin dse -- \
   --bench-only --grid fine --kernels vadd --reps 3 --out "$BENCH_SMOKE"
