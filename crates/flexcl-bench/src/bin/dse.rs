@@ -32,7 +32,7 @@
 //! and DRAM replay (`profile_ms`, `group_ms`, `replay_ms`); profiling
 //! also reports the instructions it interpreted and its cost per
 //! instruction (`profile_steps`, `profile_ns_per_step`). Every row
-//! reports the replay pass and ordered assembly of the points
+//! reports the replay pass and in-place compaction of the points
 //! (`merge_ms`).
 //!
 //! Flags:
@@ -97,7 +97,7 @@ struct BenchRow {
     replay_ms: f64,
     estimate_ms: f64,
     sched_ms: f64,
-    /// The replay pass and ordered assembly of the points.
+    /// The replay pass and in-place compaction of the points.
     merge_ms: f64,
     analysis_cache_hit_rate: f64,
     sched_cache_hit_rate: f64,
@@ -662,17 +662,17 @@ mod tests {
             steals: 15,
             repaired_chunks: 0,
             host_cores: 2,
-            elapsed_ms: 160.672,
-            configs_per_sec: 2_270_467.7,
-            analysis_ms: 10.275,
-            profile_ms: 3.341,
+            elapsed_ms: 104.925,
+            configs_per_sec: 3_476_757.3,
+            analysis_ms: 10.638,
+            profile_ms: 3.044,
             profile_steps: 193_688,
-            profile_ns_per_step: 17.248,
-            group_ms: 6.237,
-            replay_ms: 0.615,
-            estimate_ms: 96.31,
-            sched_ms: 0.897,
-            merge_ms: 49.757,
+            profile_ns_per_step: 15.714,
+            group_ms: 6.946,
+            replay_ms: 0.598,
+            estimate_ms: 90.644,
+            sched_ms: 0.869,
+            merge_ms: 0.016,
             analysis_cache_hit_rate: 0.0,
             sched_cache_hit_rate: 1.0,
         }
@@ -682,7 +682,7 @@ mod tests {
     fn bench_rows_render_like_the_committed_file() {
         assert_eq!(
             record::render_row(&BENCH_KEYS, &cold_row().values()),
-            r#"{"kernel": "vadd", "cache": "cold", "points": 364800, "threads": 1, "grid": "fine", "reps": 5, "chunk_size": 2048, "chunks": 183, "steals": 15, "repaired_chunks": 0, "host_cores": 2, "elapsed_ms": 160.672, "configs_per_sec": 2270467.7, "analysis_ms": 10.275, "profile_ms": 3.341, "profile_steps": 193688, "profile_ns_per_step": 17.248, "group_ms": 6.237, "replay_ms": 0.615, "estimate_ms": 96.310, "sched_ms": 0.897, "merge_ms": 49.757, "analysis_cache_hit_rate": 0.000, "sched_cache_hit_rate": 1.000}"#
+            r#"{"kernel": "vadd", "cache": "cold", "points": 364800, "threads": 1, "grid": "fine", "reps": 5, "chunk_size": 2048, "chunks": 183, "steals": 15, "repaired_chunks": 0, "host_cores": 2, "elapsed_ms": 104.925, "configs_per_sec": 3476757.3, "analysis_ms": 10.638, "profile_ms": 3.044, "profile_steps": 193688, "profile_ns_per_step": 15.714, "group_ms": 6.946, "replay_ms": 0.598, "estimate_ms": 90.644, "sched_ms": 0.869, "merge_ms": 0.016, "analysis_cache_hit_rate": 0.000, "sched_cache_hit_rate": 1.000}"#
         );
     }
 

@@ -16,16 +16,20 @@
 //!    each rep times one disabled and one enabled sweep back-to-back
 //!    (via `trace::set_enabled`, whose paused state runs the exact
 //!    disabled fast path), because an unpaired A-then-B comparison
-//!    drifts more than the real overhead on small hosts. The sink is a
-//!    line-counting null writer, so disk speed is not measured.
-//!    `sweep_trace.overhead_pct` is the measured best-of throughput
-//!    loss; a truly uninstrumented build does not exist in this binary,
-//!    so `sweep_off.overhead_pct` is *derived*: disabled-span ns/op ×
-//!    spans per point as a fraction of the per-point budget.
+//!    drifts more than the real overhead on small hosts. The pairs run
+//!    ABBA — off first in even pairs, on first in odd ones — so a drift
+//!    within a pair favours neither side. The sink is a line-counting
+//!    null writer, so disk speed is not measured. Each side's
+//!    `configs_per_sec` is its median rep; `sweep_trace.overhead_pct` is
+//!    the median of the per-pair throughput losses and
+//!    `overhead_iqr_pct` their interquartile range. A truly
+//!    uninstrumented build does not exist in this binary, so
+//!    `sweep_off.overhead_pct` is *derived*: disabled-span ns/op × spans
+//!    per point as a fraction of the per-point budget.
 //! 3. **serve_trace** — client-observed p50/p99 and req/s of a steady
 //!    cache-warm request stream with tracing on.
 //!
-//! `--check` validates schema keys on every row and gates
+//! `--check` validates schema keys on every row and gates the median
 //! `sweep_trace.overhead_pct` (default ceiling 5%) and the derived
 //! `sweep_off.overhead_pct` (default ceiling 1%).
 
@@ -61,9 +65,12 @@ struct ObsRow {
     threads: usize,
     reps: usize,
     configs_per_sec: f64,
-    /// sweep_trace: measured loss vs sweep_off. sweep_off: derived
+    /// sweep_trace: median per-pair loss vs sweep_off. sweep_off: derived
     /// disabled-path cost. Other rows: 0.
     overhead_pct: f64,
+    /// sweep_trace: interquartile range of the per-pair losses. Other
+    /// rows: 0.
+    overhead_iqr_pct: f64,
     span_ns: f64,
     spans_emitted: u64,
     trace_dropped: u64,
@@ -84,6 +91,7 @@ impl ObsRow {
             reps: 0,
             configs_per_sec: 0.0,
             overhead_pct: 0.0,
+            overhead_iqr_pct: 0.0,
             span_ns: 0.0,
             spans_emitted: 0,
             trace_dropped: 0,
@@ -129,32 +137,46 @@ fn bench_disabled_span() -> f64 {
     start.elapsed().as_nanos() as f64 / ITERS as f64
 }
 
-/// Best-of-reps fine-grid sweep throughput: (points, configs/s).
-/// Best-of rather than median: the overhead comparison wants each
-/// configuration's peak capability, which is far less sensitive to
-/// scheduler noise on small hosts than any averaged statistic. Analyses
-/// are reused from `cache`.
+/// Fine-grid sweeps timed as one sample: a single sweep lasts well under
+/// a scheduler hiccup on a small shared host, so one sample spans
+/// several.
+const SWEEPS_PER_SAMPLE: u32 = 4;
+
+/// The throughput of [`SWEEPS_PER_SAMPLE`] back-to-back fine-grid
+/// sweeps: (points per sweep, configs/s). Analyses are reused from
+/// `cache`.
 fn bench_sweep(
     func: &flexcl_ir::Function,
     workload: &Workload,
     threads: usize,
-    reps: usize,
     cache: &AnalysisCache,
 ) -> (u64, f64) {
     let platform = Platform::virtex7_adm7v3();
     let grid = SweepGrid::fine();
     let opts = DseOptions { threads, ..DseOptions::default() };
-    let mut best = 0.0f64;
     let mut points = 0u64;
-    for _ in 0..reps {
-        let start = Instant::now();
+    let start = Instant::now();
+    for _ in 0..SWEEPS_PER_SAMPLE {
         let res = explore_space_cached(func, &platform, workload, &grid, opts, None, cache)
             .expect("obs sweep");
-        let secs = start.elapsed().as_secs_f64();
         points = res.points.len() as u64;
-        best = best.max(points as f64 / secs.max(1e-9));
     }
-    (points, best)
+    let secs = start.elapsed().as_secs_f64();
+    (points, f64::from(SWEEPS_PER_SAMPLE) * points as f64 / secs.max(1e-9))
+}
+
+/// `(first quartile, median, third quartile)` of `v`, interpolating
+/// linearly between order statistics; zeros for an empty sample.
+fn quartiles(v: &[f64]) -> (f64, f64, f64) {
+    let mut s = v.to_vec();
+    s.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let Some(last) = s.len().checked_sub(1) else { return 0.0 };
+        let pos = q * last as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
+    };
+    (at(0.25), at(0.5), at(0.75))
 }
 
 /// Blocks until the trace drain thread has caught up: the emitted-line
@@ -232,7 +254,7 @@ fn bench_serve(total: usize) -> (f64, f64, f64) {
 }
 
 /// The keys of a BENCH_obs.json row, in emission order.
-const BENCH_KEYS: [&str; 15] = [
+const BENCH_KEYS: [&str; 16] = [
     "mode",
     "kernel",
     "grid",
@@ -241,6 +263,7 @@ const BENCH_KEYS: [&str; 15] = [
     "reps",
     "configs_per_sec",
     "overhead_pct",
+    "overhead_iqr_pct",
     "span_ns",
     "spans_emitted",
     "trace_dropped",
@@ -252,7 +275,7 @@ const BENCH_KEYS: [&str; 15] = [
 
 impl ObsRow {
     /// This row's values, in [`BENCH_KEYS`] order.
-    fn values(&self) -> [Value<'_>; 15] {
+    fn values(&self) -> [Value<'_>; 16] {
         let int = |n: usize| Value::Int(n as u64);
         [
             Value::Str(self.mode),
@@ -263,6 +286,7 @@ impl ObsRow {
             int(self.reps),
             Value::Float(self.configs_per_sec, 1),
             Value::Float(self.overhead_pct, 3),
+            Value::Float(self.overhead_iqr_pct, 3),
             Value::Float(self.span_ns, 2),
             Value::Int(self.spans_emitted),
             Value::Int(self.trace_dropped),
@@ -285,8 +309,13 @@ fn write_rows(rows: &[ObsRow], out: Option<&str>) {
                 r.p50_ms, r.p99_ms, r.requests_per_sec
             ),
             _ => println!(
-                "  {:<14} {:>9.0} configs/s  overhead={:+.2}%  spans={} dropped={}",
-                r.mode, r.configs_per_sec, r.overhead_pct, r.spans_emitted, r.trace_dropped
+                "  {:<14} {:>9.0} configs/s  overhead={:+.2}% (IQR {:.2})  spans={} dropped={}",
+                r.mode,
+                r.configs_per_sec,
+                r.overhead_pct,
+                r.overhead_iqr_pct,
+                r.spans_emitted,
+                r.trace_dropped
             ),
         }
     }
@@ -294,8 +323,9 @@ fn write_rows(rows: &[ObsRow], out: Option<&str>) {
     record::write("BENCH_obs.json", out, &BENCH_KEYS, &values);
 }
 
-/// The BENCH_obs.json gates: the four modes present, traced-sweep
-/// overhead at most `max_pct` with a positive throughput, derived
+/// The BENCH_obs.json gates: the four modes present, median traced-sweep
+/// overhead at most `max_pct` with a finite interquartile range and a
+/// positive throughput, derived
 /// disabled-path overhead at most `max_disabled_pct`, and a live serve
 /// row.
 fn gate(rows: &[Row], max_pct: f64, max_disabled_pct: f64) -> Result<(), String> {
@@ -314,9 +344,13 @@ fn gate(rows: &[Row], max_pct: f64, max_disabled_pct: f64) -> Result<(), String>
                 let pct = row.num("overhead_pct")?;
                 if !pct.is_finite() || pct > max_pct {
                     return Err(format!(
-                        "sweep_trace: traced-sweep overhead {pct:.2}% exceeds the \
+                        "sweep_trace: median traced-sweep overhead {pct:.2}% exceeds the \
                          {max_pct}% ceiling"
                     ));
+                }
+                let iqr = row.num("overhead_iqr_pct")?;
+                if !iqr.is_finite() || iqr < 0.0 {
+                    return Err(format!("sweep_trace: overhead_iqr_pct = {iqr}"));
                 }
                 let cps = row.num("configs_per_sec")?;
                 if !cps.is_finite() || cps <= 0.0 {
@@ -354,7 +388,9 @@ fn main() {
     let parse = |flag: &str, default: usize| -> usize {
         flag_value(&args, flag).map_or(default, |v| v.parse().expect("bad flag value"))
     };
-    let reps = parse("--reps", 5).max(1);
+    // Off/on pairs. Nine keep the median steady to about a point on a
+    // 2-vCPU host, where single pairs spread ±5%.
+    let reps = parse("--reps", 9).max(1);
     // Oversubscribing a small host adds scheduler noise the paired
     // design cannot cancel, so default to what the host actually has.
     let threads =
@@ -373,8 +409,9 @@ fn main() {
     // overhead), so the tracer is installed up front, toggled with
     // `set_enabled` — a paused tracer runs the exact disabled fast
     // path — and each rep times one disabled and one enabled sweep
-    // back-to-back. Best-of on each side picks both phases' quietest
-    // epochs.
+    // back-to-back, in ABBA order. The median of the per-pair losses
+    // is the estimate: the minimum would keep the pair where noise
+    // favoured tracing most.
     println!("paired fine-grid sweeps, tracing off/on 1-in-{sample} ({reps} reps each)…");
     let (func, workload) = vadd();
     let lines = Arc::new(AtomicU64::new(0));
@@ -385,23 +422,29 @@ fn main() {
     flexcl_obs::trace::set_enabled(false);
     // One analysis cache, warmed here, serves every off/on rep.
     let cache = AnalysisCache::new();
-    let _ = bench_sweep(&func, &workload, threads, 1, &cache);
+    let _ = bench_sweep(&func, &workload, threads, &cache);
     let mut points = 0u64;
-    let mut cps_off = 0.0f64;
-    let mut cps_trace = 0.0f64;
-    let mut pair_overhead = f64::INFINITY;
-    for _ in 0..reps {
-        flexcl_obs::trace::set_enabled(false);
-        let (p, off) = bench_sweep(&func, &workload, threads, 1, &cache);
-        flexcl_obs::trace::set_enabled(true);
-        let (_, on) = bench_sweep(&func, &workload, threads, 1, &cache);
-        points = p;
-        cps_off = cps_off.max(off);
-        cps_trace = cps_trace.max(on);
-        // The quietest pair is the cleanest overhead estimate: every
-        // pair carries the true overhead, noisy pairs only inflate it.
-        pair_overhead = pair_overhead.min((off / on.max(1e-9) - 1.0) * 100.0);
+    let (mut offs, mut ons, mut losses) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..reps {
+        let mut timed = |traced: bool| {
+            flexcl_obs::trace::set_enabled(traced);
+            let (p, cps) = bench_sweep(&func, &workload, threads, &cache);
+            points = p;
+            cps
+        };
+        let (off, on) = if pair % 2 == 0 {
+            let off = timed(false);
+            (off, timed(true))
+        } else {
+            let on = timed(true);
+            (timed(false), on)
+        };
+        offs.push(off);
+        ons.push(on);
+        losses.push((off / on.max(1e-9) - 1.0) * 100.0);
     }
+    let (cps_off, cps_trace) = (quartiles(&offs).1, quartiles(&ons).1);
+    let (q1, median_loss, q3) = quartiles(&losses);
     // Let the drain catch up, then snapshot before the serve phase so
     // sweep span accounting is not polluted by request spans.
     let sweep_spans = settled_line_count(&lines);
@@ -419,7 +462,8 @@ fn main() {
     r_trace.threads = threads;
     r_trace.reps = reps;
     r_trace.configs_per_sec = cps_trace;
-    r_trace.overhead_pct = pair_overhead;
+    r_trace.overhead_pct = median_loss;
+    r_trace.overhead_iqr_pct = q3 - q1;
 
     // 4. Serve latency with tracing on.
     flexcl_obs::trace::set_enabled(true);
@@ -454,19 +498,27 @@ mod tests {
         let row = ObsRow {
             kernel: "vadd",
             grid: "fine",
-            points: 121_600,
-            threads: 1,
-            reps: 5,
-            configs_per_sec: 2_037_308.0,
-            overhead_pct: -10.308,
-            spans_emitted: 1100,
-            host_cores: 1,
+            points: 364_800,
+            threads: 2,
+            reps: 9,
+            configs_per_sec: 4_604_361.8,
+            overhead_pct: 2.092,
+            overhead_iqr_pct: 14.026,
+            spans_emitted: 17011,
+            host_cores: 2,
             ..ObsRow::blank("sweep_trace")
         };
         assert_eq!(
             record::render_row(&BENCH_KEYS, &row.values()),
-            r#"{"mode": "sweep_trace", "kernel": "vadd", "grid": "fine", "points": 121600, "threads": 1, "reps": 5, "configs_per_sec": 2037308.0, "overhead_pct": -10.308, "span_ns": 0.00, "spans_emitted": 1100, "trace_dropped": 0, "p50_ms": 0.000, "p99_ms": 0.000, "requests_per_sec": 0.0, "host_cores": 1}"#
+            r#"{"mode": "sweep_trace", "kernel": "vadd", "grid": "fine", "points": 364800, "threads": 2, "reps": 9, "configs_per_sec": 4604361.8, "overhead_pct": 2.092, "overhead_iqr_pct": 14.026, "span_ns": 0.00, "spans_emitted": 17011, "trace_dropped": 0, "p50_ms": 0.000, "p99_ms": 0.000, "requests_per_sec": 0.0, "host_cores": 2}"#
         );
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0]), (1.75, 2.5, 3.25));
+        assert_eq!(quartiles(&[-2.0]), (-2.0, -2.0, -2.0));
+        assert_eq!(quartiles(&[]), (0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A BENCH file is a JSON array with one object per line, every object
 //! carrying the same keys in the same order, so regenerated files diff
 //! line for line. A binary states its key list once, renders each row
-//! as values in that order ([`write`]), and validates a file by parsing
+//! as values in that order ([`write()`]), and validates a file by parsing
 //! it against the same list ([`run_check`]) before applying its own
 //! gates to the typed [`Row`]s.
 

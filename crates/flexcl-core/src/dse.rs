@@ -270,7 +270,7 @@ impl DseOptions {
 }
 
 /// One explored configuration with its estimate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct DesignPoint {
     /// The configuration.
     pub config: OptimizationConfig,
@@ -411,12 +411,11 @@ pub struct DseStats {
     /// Chunks the replay pass re-evaluated because the racy incumbent
     /// over-pruned them.
     pub repaired_chunks: usize,
-    /// Wall-clock nanoseconds in the replay pass and the ordered assembly
-    /// of [`DseResult::points`] (repair evaluations included).
+    /// Wall-clock nanoseconds in the replay pass and the in-place
+    /// compaction of [`DseResult::points`] (repair evaluations included).
     pub merge_nanos: u64,
-    /// Candidates per work unit actually used
-    /// ([`DseOptions::effective_chunk_size`] resolution of
-    /// [`DseOptions::chunk_size`]).
+    /// Candidates per work unit actually used: [`DseOptions::chunk_size`],
+    /// or the automatic size it resolves to when `0`.
     pub chunk_size: usize,
 }
 
@@ -572,7 +571,7 @@ impl DseResult {
                 (i, p, cost)
             })
             .min_by(|(ia, _, ca), (ib, _, cb)| ca.total_cmp(cb).then(ia.cmp(ib)))
-            .map(|(_, p, _)| p.clone())
+            .map(|(_, p, _)| *p)
     }
 
     /// The performance/area Pareto frontier of the explored space.
@@ -756,20 +755,178 @@ fn build_schedule(family_lens: &[usize], chunk_size: usize) -> Vec<ChunkRef> {
     sched
 }
 
+/// The sweep's single output buffer and the per-chunk slots workers write
+/// into. The module's fields are private: a [`Slot`]'s length is the
+/// count of points it initialized, and [`PointBuf::into_points`] relies
+/// on nothing else being able to set it.
+mod slots {
+    use super::DesignPoint;
+    use std::mem::MaybeUninit;
+
+    /// One reservation sized to the candidate count, split in candidate
+    /// order into one slot per chunk. Only the pages a slot writes are
+    /// committed, so a pruned sweep pays for the points it evaluates.
+    pub(super) struct PointBuf {
+        /// Length 0 until [`PointBuf::into_points`]; the slots live in its
+        /// spare capacity.
+        points: Vec<DesignPoint>,
+        /// Slot capacities, in buffer order.
+        caps: Vec<usize>,
+        /// Points each slot holds, written only through its [`Slot`].
+        lens: Vec<usize>,
+    }
+
+    impl PointBuf {
+        /// A buffer of consecutive slots with capacities `caps`.
+        pub(super) fn new(caps: Vec<usize>) -> Self {
+            let points = Vec::with_capacity(caps.iter().sum());
+            PointBuf { points, lens: vec![0; caps.len()], caps }
+        }
+
+        /// The slots, in buffer order; each starts empty.
+        pub(super) fn slots(&mut self) -> Vec<Slot<'_>> {
+            let mut rest = self.points.spare_capacity_mut();
+            self.caps
+                .iter()
+                .zip(self.lens.iter_mut())
+                .map(|(&cap, len)| {
+                    let (buf, tail) = std::mem::take(&mut rest).split_at_mut(cap);
+                    rest = tail;
+                    Slot::new(buf, len)
+                })
+                .collect()
+        }
+
+        /// Moves every slot's points down over the holes the slots before
+        /// it left, in one pass, and returns them as one vector. Nothing
+        /// moves when every slot is full; when holes were closed the
+        /// allocation is shrunk, so a held result does not pin the
+        /// vacated pages.
+        pub(super) fn into_points(mut self) -> Vec<DesignPoint> {
+            let base = self.points.as_mut_ptr();
+            let (mut src, mut dst) = (0usize, 0usize);
+            for (&cap, &len) in self.caps.iter().zip(&self.lens) {
+                if dst != src && len > 0 {
+                    // SAFETY: the slot at `src` is `buf[src..src + cap]` of
+                    // this vector's spare capacity (as `slots` split it),
+                    // and its first `len <= cap` elements are initialized
+                    // (the `Slot` invariant). `dst + len <= src + len`
+                    // stays inside the allocation; `ptr::copy` allows the
+                    // ranges to overlap. `DesignPoint` is `Copy`, so the
+                    // stale source elements need no drop.
+                    unsafe { std::ptr::copy(base.add(src), base.add(dst), len) };
+                }
+                src += cap;
+                dst += len;
+            }
+            // SAFETY: the loop left the points of every slot, in order, in
+            // `[0, dst)`, so those elements are initialized, and `dst` is
+            // at most the sum of the capacities, which `new` reserved.
+            unsafe { self.points.set_len(dst) };
+            if self.points.len() < self.points.capacity() {
+                self.points.shrink_to_fit();
+            }
+            self.points
+        }
+    }
+
+    /// A chunk's range of the output: `buf[..len]` holds the points
+    /// written so far, in the order they were written.
+    pub(super) struct Slot<'a> {
+        buf: &'a mut [MaybeUninit<DesignPoint>],
+        len: &'a mut usize,
+    }
+
+    impl<'a> Slot<'a> {
+        /// An empty slot over `buf`, counting its points in `len`.
+        pub(super) fn new(buf: &'a mut [MaybeUninit<DesignPoint>], len: &'a mut usize) -> Self {
+            *len = 0;
+            Slot { buf, len }
+        }
+
+        /// Appends `p`; panics when the slot is full.
+        pub(super) fn push(&mut self, p: DesignPoint) {
+            self.buf[*self.len].write(p);
+            *self.len += 1;
+        }
+
+        /// The points written so far.
+        pub(super) fn as_slice(&self) -> &[DesignPoint] {
+            let init = &self.buf[..*self.len];
+            // SAFETY: `buf[..len]` is initialized — `new` starts at 0 and
+            // every method raises `len` only over elements it wrote — and
+            // `MaybeUninit<T>` has the layout of `T`.
+            unsafe { std::slice::from_raw_parts(init.as_ptr().cast::<DesignPoint>(), init.len()) }
+        }
+
+        /// Keeps only the points `keep` accepts, in order.
+        pub(super) fn retain(&mut self, mut keep: impl FnMut(&DesignPoint) -> bool) {
+            let mut n = 0;
+            for i in 0..*self.len {
+                let p = self.as_slice()[i];
+                if keep(&p) {
+                    self.buf[n].write(p);
+                    n += 1;
+                }
+            }
+            *self.len = n;
+        }
+
+        /// Interleaves `fresh` into the slot's points: `from_fresh[k]`
+        /// says whether the `k`-th point of the result comes from
+        /// `fresh` or from the slot, each run taken in order. Fills from
+        /// the back, so no slot point is overwritten before it moves.
+        pub(super) fn interleave(&mut self, fresh: &[DesignPoint], from_fresh: &[bool]) {
+            let (mut claimed, mut repaired) = (*self.len, fresh.len());
+            assert_eq!(from_fresh.iter().filter(|&&f| f).count(), repaired);
+            assert_eq!(from_fresh.len(), claimed + repaired);
+            for (k, &f) in from_fresh.iter().enumerate().rev() {
+                let p = if f {
+                    repaired -= 1;
+                    fresh[repaired]
+                } else {
+                    claimed -= 1;
+                    self.as_slice()[claimed]
+                };
+                self.buf[k].write(p);
+            }
+            *self.len = from_fresh.len();
+        }
+    }
+}
+
+use slots::{PointBuf, Slot};
+
 /// What one chunk contributed to the sweep: evaluated points in candidate
-/// order, failures tagged with their indices, and the pruning decision
-/// the claim phase applied (so replay can audit it).
-#[derive(Default)]
-struct ChunkOutcome {
-    points: Vec<DesignPoint>,
+/// order (in the chunk's slot of the sweep output), failures tagged with
+/// their indices, and the pruning decision the claim phase applied (so
+/// replay can audit it).
+struct ChunkOutcome<'a> {
+    points: Slot<'a>,
     failed: Vec<FailedPoint>,
     /// Per-mode `[barrier, pipeline]`: `true` if the claim phase skipped
     /// that mode's candidates against the racy incumbent.
     skipped: [bool; 2],
+    /// `true` once a worker has processed the chunk.
+    claimed: bool,
     /// `true` if the claiming worker's previous chunk was a different
     /// family (the claim switched its evaluation context).
     stole: bool,
     stats: DseStats,
+}
+
+impl<'a> ChunkOutcome<'a> {
+    /// An unclaimed chunk that will write its points into `points`.
+    fn new(points: Slot<'a>) -> Self {
+        ChunkOutcome {
+            points,
+            failed: Vec::new(),
+            skipped: [false; 2],
+            claimed: false,
+            stole: false,
+            stats: DseStats::default(),
+        }
+    }
 }
 
 /// Per-family shared state: the analysis is computed once by whichever
@@ -1139,12 +1296,11 @@ fn evaluate_entries<A: Borrow<KernelAnalysis>>(
     keep: [bool; 2],
     incumbent: &Incumbent,
     inject: Option<testhook::InjectedFault>,
-    out: &mut ChunkOutcome,
+    out: &mut ChunkOutcome<'_>,
 ) {
     let before = ctx.stats;
     let points_before = out.stats.points_evaluated;
     let t = Instant::now();
-    out.points.reserve(entries.len());
     for &(idx, cfg) in entries {
         if !keep[mode_idx(cfg.comm_mode)] {
             continue;
@@ -1185,8 +1341,9 @@ fn evaluate_entries<A: Borrow<KernelAnalysis>>(
     dse_metrics().points.add((out.stats.points_evaluated - points_before) as u64);
 }
 
-/// Processes one claimed chunk: settles its family's analysis if first,
-/// applies the racy pruning hint, and evaluates the surviving candidates.
+/// Processes one claimed chunk into `out`: settles its family's analysis
+/// if first, applies the racy pruning hint, and evaluates the surviving
+/// candidates into the chunk's slot.
 #[allow(clippy::too_many_arguments)]
 fn process_chunk(
     sweep: &SweepInputs<'_>,
@@ -1198,8 +1355,8 @@ fn process_chunk(
     args: &mut ProfileArgs<'_>,
     scratch: &mut AnalysisScratch,
     buf: &mut Vec<(usize, OptimizationConfig)>,
-) -> ChunkOutcome {
-    let mut out = ChunkOutcome::default();
+    out: &mut ChunkOutcome<'_>,
+) {
     let state = &states[chunk.family];
     let fam = state.analysis.get_or_init(|| analyze_family(sweep, state.work_group, args, scratch));
     match fam {
@@ -1236,15 +1393,14 @@ fn process_chunk(
                 let ctx = ctxs
                     .entry(chunk.family)
                     .or_insert_with(|| EvalContext::new(Arc::clone(analysis)));
-                evaluate_entries(ctx, buf, keep, incumbent, sweep.opts.inject, &mut out);
+                evaluate_entries(ctx, buf, keep, incumbent, sweep.opts.inject, out);
             }
         }
     }
-    out
 }
 
 /// The claim loop every worker runs: grab the next unclaimed chunk from
-/// the shared counter, process it, park the outcome in its slot. The
+/// the shared counter and process it into its cell. The
 /// cancellation token is consulted before every claim — the boundary at
 /// which a deadline-bounded sweep stops stealing work mid-flight.
 #[allow(clippy::too_many_arguments)]
@@ -1255,7 +1411,7 @@ fn worker_loop(
     sched: &[ChunkRef],
     next: &AtomicUsize,
     incumbent: &Incumbent,
-    slots: &[Mutex<Option<ChunkOutcome>>],
+    cells: &[Mutex<ChunkOutcome<'_>>],
     cancel: Option<&CancelToken>,
 ) {
     let mut args = ProfileArgs::new(sweep.workload);
@@ -1279,7 +1435,12 @@ fn worker_loop(
             chunk_span.attr_u64("len", chunk.len as u64);
             chunk_span.attr_u64("stole", u64::from(stole));
         }
-        let mut out = process_chunk(
+        // Only this worker claimed index `i`, so the lock is uncontended.
+        // Panics inside process_chunk are contained, and one that escaped
+        // would end the sweep before replay reads the cell; recover the
+        // data either way.
+        let mut out = cells[i].lock().unwrap_or_else(|e| e.into_inner());
+        process_chunk(
             sweep,
             set,
             states,
@@ -1289,18 +1450,17 @@ fn worker_loop(
             &mut args,
             &mut scratch,
             &mut buf,
+            &mut out,
         );
+        out.claimed = true;
         out.stole = stole;
+        drop(out);
         drop(chunk_span);
         let m = dse_metrics();
         m.chunks.inc();
         if stole {
             m.steals.inc();
         }
-        // Panics inside process_chunk are contained, so the lock can only
-        // be poisoned by a crash in this bookkeeping itself; recover the
-        // data either way.
-        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
     }
 }
 
@@ -1368,16 +1528,29 @@ fn run_sweep(
 
     let incumbent = Incumbent::new();
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ChunkOutcome>>> = sched.iter().map(|_| Mutex::new(None)).collect();
+
+    // One output, reserved once and split into one slot per chunk in
+    // candidate order: every chunk is a contiguous slice of one family and
+    // families are contiguous, so ordering the slots by (family, start)
+    // lays each chunk's points where its candidates enumerate. Workers
+    // write in place, replay filters and repairs in place, and a single
+    // compaction closes the holes pruning and failures leave.
+    let mut order: Vec<usize> = (0..sched.len()).collect();
+    order.sort_unstable_by_key(|&i| (sched[i].family, sched[i].start));
+    let mut output = PointBuf::new(order.iter().map(|&i| sched[i].len).collect());
+    let mut by_claim: Vec<(usize, Slot<'_>)> = order.iter().copied().zip(output.slots()).collect();
+    by_claim.sort_unstable_by_key(|&(i, _)| i);
+    let mut cells: Vec<Mutex<ChunkOutcome<'_>>> =
+        by_claim.into_iter().map(|(_, slot)| Mutex::new(ChunkOutcome::new(slot))).collect();
 
     let workers = opts.threads.max(1).min(sched.len().max(1));
     if workers <= 1 {
-        worker_loop(&sweep, set, &states, &sched, &next, &incumbent, &slots, cancel);
+        worker_loop(&sweep, set, &states, &sched, &next, &incumbent, &cells, cancel);
     } else {
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| {
-                    worker_loop(&sweep, set, &states, &sched, &next, &incumbent, &slots, cancel)
+                    worker_loop(&sweep, set, &states, &sched, &next, &incumbent, &cells, cancel)
                 });
             }
         });
@@ -1389,10 +1562,11 @@ fn run_sweep(
     // typed error so callers can see how far the sweep got.
     if cancel.is_some_and(|c| c.checkpoint()) {
         let mut stats = DseStats { chunk_size, ..DseStats::default() };
-        for slot in &slots {
-            let Some(out) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() else {
+        for cell in &mut cells {
+            let out = cell.get_mut().unwrap_or_else(|e| e.into_inner());
+            if !out.claimed {
                 continue;
-            };
+            }
             stats.chunks_processed += 1;
             stats.steals += u64::from(out.stole);
             stats.merge(&out.stats);
@@ -1416,17 +1590,14 @@ fn run_sweep(
     let t_merge = Instant::now();
     let mut replay_span = trace::span("dse.replay");
     let mut stats = DseStats { chunks_processed: sched.len(), chunk_size, ..DseStats::default() };
-    let mut runs: Vec<Vec<DesignPoint>> = Vec::with_capacity(sched.len());
     let mut kept_modes: Vec<[bool; 2]> = Vec::with_capacity(sched.len());
     let mut prefix_best = f64::INFINITY;
     let mut repair_ctxs: HashMap<usize, EvalContext<Arc<KernelAnalysis>>> = HashMap::new();
     let mut buf: Vec<(usize, OptimizationConfig)> = Vec::new();
-    for (i, &chunk) in sched.iter().enumerate() {
-        let mut out = slots[i]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("every chunk index was claimed by a worker");
+    let mut repaired: Vec<DesignPoint> = Vec::new();
+    for (cell, &chunk) in cells.iter_mut().zip(&sched) {
+        let out = cell.get_mut().unwrap_or_else(|e| e.into_inner());
+        assert!(out.claimed, "every chunk index was claimed by a worker");
         stats.steals += u64::from(out.stole);
         let mut keep = [false; 2];
         if let Some(FamilyAnalysis::Ready { analysis, bounds, .. }) =
@@ -1448,23 +1619,27 @@ fn run_sweep(
                     let ctx = repair_ctxs
                         .entry(chunk.family)
                         .or_insert_with(|| EvalContext::new(Arc::clone(analysis)));
-                    let mut fresh = ChunkOutcome::default();
+                    repaired.reserve(buf.len());
+                    let mut repaired_len = 0;
+                    let mut fresh = ChunkOutcome::new(Slot::new(
+                        repaired.spare_capacity_mut(),
+                        &mut repaired_len,
+                    ));
                     evaluate_entries(ctx, &buf, need, &incumbent, opts.inject, &mut fresh);
-                    merge_repaired(&buf, keep, need, &mut out, fresh);
+                    merge_repaired(&buf, keep, need, out, fresh);
                     stats.repaired_chunks += 1;
                 }
             }
             // Without pruning nothing reads the prefix incumbent; skip a
             // pass over every point.
             if opts.prune {
-                for p in &out.points {
+                for p in out.points.as_slice() {
                     if p.estimate.feasible {
                         prefix_best = prefix_best.min(p.estimate.cycles);
                     }
                 }
             }
         }
-        runs.push(std::mem::take(&mut out.points));
         kept_modes.push(keep);
         failed.append(&mut out.failed);
         stats.merge(&out.stats);
@@ -1475,17 +1650,8 @@ fn run_sweep(
     dse_metrics().repaired_chunks.add(stats.repaired_chunks as u64);
     account_families(&states, &mut stats);
 
-    // Ordered assembly. Every chunk is a contiguous slice of one family
-    // and families are contiguous in candidate order, so the chunk runs
-    // taken in (family, start) order are already in candidate order:
-    // each point moves once, into an output reserved at its exact size.
-    let mut order: Vec<usize> = (0..sched.len()).collect();
-    order.sort_unstable_by_key(|&i| (sched[i].family, sched[i].start));
-    let mut points = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    for &i in &order {
-        points.append(&mut runs[i]);
-    }
-    drop(runs);
+    drop(cells);
+    let points = output.into_points();
     failed.sort_by_key(|f| f.index);
     let chunks = order.iter().map(|&i| (sched[i], kept_modes[i])).collect();
     stats.merge_nanos = t_merge.elapsed().as_nanos() as u64;
@@ -1501,33 +1667,30 @@ fn run_sweep(
 }
 
 /// Interleaves a repaired chunk's two point runs back into candidate
-/// order: `out.points` holds the modes the claim phase evaluated, `fresh`
-/// the modes in `need` that replay re-evaluated. `entries` is the chunk's
-/// candidate list and `keep` the modes that survived replay; failures
-/// (tagged with their indices) mark the kept candidates without a point.
+/// order, in the chunk's slot: `out.points` holds the modes the claim
+/// phase evaluated, `fresh` the modes in `need` that replay re-evaluated.
+/// `entries` is the chunk's candidate list and `keep` the modes that
+/// survived replay; failures (tagged with their indices) mark the kept
+/// candidates without a point.
 fn merge_repaired(
     entries: &[(usize, OptimizationConfig)],
     keep: [bool; 2],
     need: [bool; 2],
-    out: &mut ChunkOutcome,
-    mut fresh: ChunkOutcome,
+    out: &mut ChunkOutcome<'_>,
+    mut fresh: ChunkOutcome<'_>,
 ) {
     out.failed.append(&mut fresh.failed);
     out.failed.sort_by_key(|f| f.index);
     out.stats.merge(&fresh.stats);
     let mut failed = out.failed.iter().map(|f| f.index).peekable();
-    let mut claimed = std::mem::take(&mut out.points).into_iter();
-    let mut repaired = fresh.points.into_iter();
-    out.points.reserve_exact(claimed.len() + repaired.len());
-    for &(idx, cfg) in entries {
-        let m = mode_idx(cfg.comm_mode);
-        if !keep[m] || failed.next_if_eq(&idx).is_some() {
-            continue;
-        }
-        let run = if need[m] { &mut repaired } else { &mut claimed };
-        out.points.extend(run.next());
-    }
-    debug_assert!(claimed.next().is_none() && repaired.next().is_none());
+    let from_fresh: Vec<bool> = entries
+        .iter()
+        .filter_map(|&(idx, cfg)| {
+            let m = mode_idx(cfg.comm_mode);
+            (keep[m] && failed.next_if_eq(&idx).is_none()).then_some(need[m])
+        })
+        .collect();
+    out.points.interleave(fresh.points.as_slice(), &from_fresh);
 }
 
 /// Family-level accounting, once per family regardless of chunk count.
@@ -2006,8 +2169,10 @@ mod tests {
     }
 
     /// A repaired chunk holds two runs: the modes the claim phase kept and
-    /// the modes replay re-evaluated. They interleave in candidate order,
-    /// and a failure in either run leaves a gap rather than a shift.
+    /// the modes replay re-evaluated. They interleave in candidate order
+    /// inside the chunk's slot, and a failure in either run leaves a gap
+    /// rather than a shift. Compaction then moves the run down over the
+    /// holes of the slot before it and trims the allocation.
     #[test]
     fn repaired_chunk_merges_runs_in_candidate_order() {
         let (f, w) = vadd();
@@ -2029,28 +2194,46 @@ mod tests {
             .collect();
         let incumbent = Incumbent::new();
         let fault = |idx| Some(testhook::InjectedFault::EstimatePanic(idx));
+        let key = |p: &DesignPoint| (p.config, p.estimate.cycles.to_bits());
 
-        let mut all = ChunkOutcome::default();
+        let mut reference = PointBuf::new(vec![entries.len()]);
+        let mut all = ChunkOutcome::new(reference.slots().pop().expect("one slot"));
         evaluate_entries(&mut ctx, &entries, [true, true], &incumbent, None, &mut all);
         let expected: Vec<DesignPoint> = entries
             .iter()
-            .zip(all.points)
+            .zip(all.points.as_slice())
             .filter(|((idx, _), _)| *idx != 104 && *idx != 107)
-            .map(|(_, p)| p)
+            .map(|(_, p)| *p)
             .collect();
+        let want: Vec<_> = expected.iter().map(key).collect();
 
-        let mut out = ChunkOutcome::default();
+        // The chunk's slot follows a three-point slot that keeps one point.
+        let mut output = PointBuf::new(vec![3, entries.len()]);
+        let mut slots = output.slots().into_iter();
+        let mut lead = slots.next().expect("lead slot");
+        let mut out = ChunkOutcome::new(slots.next().expect("chunk slot"));
+        lead.push(expected[0]);
+        // A barrier candidate fails in the claim phase, a pipeline one in
+        // the repair.
         evaluate_entries(&mut ctx, &entries, [true, false], &incumbent, fault(104), &mut out);
-        let mut fresh = ChunkOutcome::default();
+        let mut repaired: Vec<DesignPoint> = Vec::with_capacity(entries.len());
+        let mut repaired_len = 0;
+        let mut fresh =
+            ChunkOutcome::new(Slot::new(repaired.spare_capacity_mut(), &mut repaired_len));
         evaluate_entries(&mut ctx, &entries, [false, true], &incumbent, fault(107), &mut fresh);
         merge_repaired(&entries, [true, true], [false, true], &mut out, fresh);
 
-        let key = |p: &DesignPoint| (p.config, p.estimate.cycles.to_bits());
-        let got: Vec<_> = out.points.iter().map(key).collect();
-        let want: Vec<_> = expected.iter().map(key).collect();
+        let got: Vec<_> = out.points.as_slice().iter().map(key).collect();
         assert_eq!(got, want);
         assert_eq!(out.failed.iter().map(|f| f.index).collect::<Vec<_>>(), [104, 107]);
         assert_eq!(out.stats.points_evaluated, 10);
+
+        drop((lead, out));
+        let points = output.into_points();
+        let mut compacted = vec![key(&expected[0])];
+        compacted.extend(want);
+        assert_eq!(points.iter().map(key).collect::<Vec<_>>(), compacted);
+        assert_eq!(points.capacity(), points.len(), "holes closed, allocation trimmed");
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl fmt::Display for InfeasibleReason {
 }
 
 /// A performance estimate for one configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// Total kernel cycles (`T_kernel`). `f64::INFINITY` when infeasible.
     pub cycles: f64,

@@ -138,11 +138,11 @@ impl Platform {
     /// A hand-edited or corrupted platform table (zero port counts, NaN
     /// frequency) would otherwise surface deep inside the scheduler or the
     /// memory model; the sweep engine validates up front and reports a
-    /// typed [`FlexclError::Platform`].
+    /// typed [`FlexclError::Platform`](crate::error::FlexclError::Platform).
     ///
     /// # Errors
     ///
-    /// Returns [`FlexclError::Platform`] naming the first violated
+    /// Returns [`FlexclError::Platform`](crate::error::FlexclError::Platform) naming the first violated
     /// invariant.
     pub fn validate(&self) -> Result<(), crate::error::FlexclError> {
         let fail = |detail: String| {

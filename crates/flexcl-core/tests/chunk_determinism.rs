@@ -12,8 +12,11 @@
 //!   size alone — threads ∈ {2, 4, 8} reproduce the threads = 1 sweep
 //!   bit for bit — and `best()` always matches the exhaustive sweep;
 //! * either way the points come back as a subsequence of
-//!   `ConfigSpace::iter()` order, repaired chunks included.
+//!   `ConfigSpace::iter()` order, repaired chunks included;
+//! * a failed candidate leaves a hole that the in-place compaction of the
+//!   sweep output closes without disturbing any other point.
 
+use flexcl_core::dse::testhook::InjectedFault;
 use flexcl_core::{
     explore_space_cached, limits_for, AnalysisCache, ConfigSpace, DseOptions, DseResult, Platform,
     SweepGrid, Workload,
@@ -71,8 +74,17 @@ fn serial_exhaustive() -> &'static DseResult {
 }
 
 fn sweep(threads: usize, chunk_size: usize, prune: bool) -> DseResult {
+    sweep_with(threads, chunk_size, prune, None)
+}
+
+fn sweep_with(
+    threads: usize,
+    chunk_size: usize,
+    prune: bool,
+    inject: Option<InjectedFault>,
+) -> DseResult {
     let (f, w, platform) = fixture();
-    let opts = DseOptions { threads, chunk_size, prune, ..DseOptions::default() };
+    let opts = DseOptions { threads, chunk_size, prune, inject, ..DseOptions::default() };
     sweep_grid(f, platform, w, &SweepGrid::standard(), opts)
 }
 
@@ -227,6 +239,48 @@ proptest! {
                 .find(|q| q.config == p.config)
                 .expect("pruned point present in exhaustive sweep, in order");
             prop_assert_eq!(&twin.estimate, &p.estimate);
+        }
+    }
+
+    /// A candidate whose estimate panics leaves a hole in its chunk's
+    /// slot of the sweep output. Whatever the thread count, chunk size and
+    /// pruning, the surviving points are the threads = 1 sweep's, in
+    /// enumeration order, and exhaustively they are the serial reference
+    /// minus exactly that candidate. A pruned sweep hands back an output
+    /// trimmed to its length.
+    #[test]
+    fn a_failed_candidate_leaves_only_its_own_hole(
+        victim_seed in 0usize..1_000_000,
+        chunk_size in proptest::sample::select(vec![0usize, 1, 7, 64]),
+        prune in proptest::sample::select(vec![false, true]),
+    ) {
+        let (f, w, _) = fixture();
+        let space = ConfigSpace::new(&limits_for(f, w), &SweepGrid::standard());
+        let victim = victim_seed % space.len();
+        let inject = Some(InjectedFault::EstimatePanic(victim));
+        let reference = sweep_with(1, chunk_size, prune, inject);
+        let failed: Vec<usize> = reference.diagnostics.failed.iter().map(|p| p.index).collect();
+        if prune {
+            // Pruning may skip the victim before it is ever estimated.
+            prop_assert!(failed.is_empty() || failed == [victim], "{failed:?}");
+            prop_assert_eq!(reference.points.capacity(), reference.points.len());
+        } else {
+            prop_assert_eq!(failed, vec![victim]);
+            let mut expected = serial_exhaustive().points.clone();
+            expected.remove(victim);
+            prop_assert_eq!(reference.points.len(), expected.len());
+            for (p, q) in reference.points.iter().zip(&expected) {
+                prop_assert_eq!(p.config, q.config);
+                prop_assert_eq!(&p.estimate, &q.estimate);
+            }
+        }
+        let victim_config = space.get(victim);
+        prop_assert!(reference.points.iter().all(|p| p.config != victim_config));
+        assert_enumeration_order(&space, &reference, &format!("victim {victim}"));
+        for threads in [2usize, 4] {
+            let parallel = sweep_with(threads, chunk_size, prune, inject);
+            assert_points_identical(&reference, &parallel);
+            prop_assert_eq!(&parallel.diagnostics, &reference.diagnostics);
         }
     }
 }

@@ -11,6 +11,11 @@ cargo fmt --check -p flexcl-baselines -p flexcl-bench -p flexcl-core -p flexcl-d
   -p flexcl-sched -p flexcl-serve -p flexcl-sim
 cargo build --release
 cargo test -q
+# Documentation gate: rustdoc must build every flexcl package without a
+# warning, so a broken or ambiguous intra-doc link fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p flexcl-baselines -p flexcl-bench \
+  -p flexcl-core -p flexcl-dram -p flexcl-frontend -p flexcl-interp -p flexcl-ir \
+  -p flexcl-kernels -p flexcl-obs -p flexcl-sched -p flexcl-serve -p flexcl-sim
 # The benchmark is its own cargo package (not a workspace member), so a
 # public-API break would otherwise only surface when the benchmark runs.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
@@ -33,7 +38,7 @@ trap 'rm -rf "$SMOKE"' EXIT
 # row (fresh analysis cache per repetition); --check fails when that row
 # is missing, hit the cache, or its analysis stages (profile + group +
 # replay) sum to more than its elapsed time, and when any row's merge_ms
-# (replay pass and ordered assembly) exceeds its elapsed time.
+# (replay pass and in-place compaction) exceeds its elapsed time.
 BENCH_SMOKE="$SMOKE/bench_dse.json"
 cargo run --release -q -p flexcl-bench --bin dse -- \
   --bench-only --grid fine --kernels vadd --reps 3 --out "$BENCH_SMOKE"
@@ -117,11 +122,12 @@ cargo run --release -q -p flexcl-bench --bin serve_bench -- \
 cargo run --release -q -p flexcl-bench --bin serve_bench -- \
   --check "$BENCH_SERVE" --require-overload --require-coalesce \
   --require-warm-hits --min-rps 5000
-# Observability overhead gate: paired off/on fine-grid sweeps must show
-# ≤5% traced overhead (quietest pair), the derived compiled-in-but-
-# disabled cost must stay ≤1%, and the serve row must show live p50/p99
-# with tracing on. Schema-checked like the other BENCH files.
+# Observability overhead gate: nine ABBA-ordered off/on pairs of
+# fine-grid sweeps must show ≤5% traced overhead (median pair), the
+# derived compiled-in-but-disabled cost must stay ≤1%, and the serve row
+# must show live p50/p99 with tracing on. Schema-checked like the other
+# BENCH files.
 cargo run --release -q -p flexcl-bench --bin obs_bench -- \
-  --reps 3 --serve-requests 1000 --out "$BENCH_OBS"
+  --reps 9 --serve-requests 1000 --out "$BENCH_OBS"
 cargo run --release -q -p flexcl-bench --bin obs_bench -- \
   --check "$BENCH_OBS" --max-overhead-pct 5 --max-disabled-pct 1
