@@ -39,9 +39,9 @@ fn ablation_mode_aware_patterns() {
         let Ok(analysis) = KernelAnalysis::analyze(&func, &platform, &workload, wg) else {
             continue;
         };
-        let (base, lat) = (&analysis.mem_levels[0], &analysis.pattern_latencies);
-        let wi_order = base.l_mem_wi(lat, CommMode::Pipeline);
-        let phased = base.l_mem_wi(lat, CommMode::Barrier);
+        let base = &analysis.mem_levels[0];
+        let wi_order = base.l_mem_wi(CommMode::Pipeline);
+        let phased = base.l_mem_wi(CommMode::Barrier);
         println!("{:<28} {:>16.2} {:>16.2}", spec.full_name(), wi_order, phased);
         rows.push(format!("{},{wi_order:.3},{phased:.3}", spec.full_name()));
     }
@@ -83,7 +83,7 @@ fn ablation_flat_memory() {
             let base = &analysis.mem_levels[0];
             let total_accesses: f64 = Pattern::all().iter().map(|p| base.pattern_counts[*p]).sum();
             let flat_l_mem = avg_dt * total_accesses;
-            let true_l_mem = base.l_mem_wi(&analysis.pattern_latencies, CommMode::Pipeline);
+            let true_l_mem = base.l_mem_wi(CommMode::Pipeline);
             // Replace the memory term proportionally in the estimate.
             let Ok(est) = flexcl_core::estimate(&analysis, &r.config) else {
                 continue;

@@ -37,11 +37,11 @@
 use flexcl_bench::record::{self, flag_value, Row, Value};
 use flexcl_bench::{compile, write_csv};
 use flexcl_core::{
-    estimate, explore_space_cached, is_iterative_stencil, AnalysisCache, DseOptions,
+    estimate, explore_space_cached, is_iterative_stencil, AnalysisCache, DseOptions, Estimate,
     OptimizationConfig, Platform, SweepGrid,
 };
 use flexcl_kernels::{all, Scale, Suite};
-use flexcl_sim::{system_run, SimError, SimOptions};
+use flexcl_sim::{simulate, SimError, SimOptions, SimResult};
 
 /// One feasible design point with its signed error attribution.
 struct PointRow {
@@ -100,30 +100,36 @@ fn triage_sweep(filter: Option<&str>) -> Vec<PointRow> {
         let cache = AnalysisCache::new();
         let dse = explore_space_cached(&func, &platform, &workload, &grid, opts, None, &cache)
             .expect("exploration");
-        for point in &dse.points {
-            if !point.estimate.feasible {
-                continue;
-            }
-            let sim =
-                match system_run(&func, &platform, &workload, &point.config, SimOptions::default())
-                {
-                    Ok(r) => r,
-                    Err(SimError::Infeasible(_)) => continue,
-                    Err(e) => panic!("system run failed for {name}: {e}"),
-                };
-            let est = &point.estimate;
+        // One point's signed error, split per component over one denominator.
+        let attribute = |config, est: &Estimate, sim: &SimResult| {
             let denom = sim.cycles.max(1.0);
-            points.push(PointRow {
+            PointRow {
                 kernel: name.clone(),
                 suite: suite_name(spec.suite),
-                config: point.config,
+                config,
                 sim_cycles: sim.cycles,
                 model_cycles: est.cycles,
                 err: (est.cycles - sim.cycles) / denom,
                 err_comp: (est.comp_cycles - sim.comp_cycles) / denom,
                 err_mem: (est.mem_cycles - sim.mem_cycles) / denom,
                 err_overhead: (est.overhead_cycles - sim.overhead_cycles) / denom,
-            });
+            }
+        };
+        // Points come family by family: each family's analysis is the
+        // sweep's, looked up once and handed to every simulation.
+        for family in dse.points.chunk_by(|a, b| a.config.work_group == b.config.work_group) {
+            let analysis = cache
+                .get_or_analyze(&func, &platform, &workload, family[0].config.work_group, opts.fuel)
+                .expect("a swept family analyzes");
+            for point in family.iter().filter(|p| p.estimate.feasible) {
+                let sim = match simulate(&analysis, &workload, &point.config, SimOptions::default())
+                {
+                    Ok(r) => r,
+                    Err(SimError::Infeasible(_)) => continue,
+                    Err(e) => panic!("system run failed for {name}: {e}"),
+                };
+                points.push(attribute(point.config, &point.estimate, &sim));
+            }
         }
         // The standard grid keeps the coarsening/temporal axes at the
         // identity (it mirrors the paper's Table 2 space), so probe them
@@ -158,23 +164,12 @@ fn triage_sweep(filter: Option<&str>) -> Vec<PointRow> {
                 Ok(e) if e.feasible => e,
                 _ => continue,
             };
-            let sim = match system_run(&func, &platform, &workload, &cfg, SimOptions::default()) {
+            let sim = match simulate(&analysis, &workload, &cfg, SimOptions::default()) {
                 Ok(r) => r,
                 Err(SimError::Infeasible(_)) => continue,
                 Err(e) => panic!("system run failed for {name} probe {cfg}: {e}"),
             };
-            let denom = sim.cycles.max(1.0);
-            points.push(PointRow {
-                kernel: name.clone(),
-                suite: suite_name(spec.suite),
-                config: cfg,
-                sim_cycles: sim.cycles,
-                model_cycles: est.cycles,
-                err: (est.cycles - sim.cycles) / denom,
-                err_comp: (est.comp_cycles - sim.comp_cycles) / denom,
-                err_mem: (est.mem_cycles - sim.mem_cycles) / denom,
-                err_overhead: (est.overhead_cycles - sim.overhead_cycles) / denom,
-            });
+            points.push(attribute(cfg, &est, &sim));
         }
     }
     points

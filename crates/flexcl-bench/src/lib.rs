@@ -13,7 +13,7 @@ use flexcl_core::{
 };
 use flexcl_ir::Function;
 use flexcl_kernels::{KernelSpec, Scale};
-use flexcl_sim::{system_run, SimError, SimOptions};
+use flexcl_sim::{simulate, SimError, SimOptions};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -146,8 +146,7 @@ pub fn sweep_kernel(spec: &KernelSpec, platform: &Platform, scale: Scale) -> Ker
             sdaccel_time += t.elapsed();
 
             let t = Instant::now();
-            let system =
-                system_run(&func, platform, &workload, &point.config, SimOptions::default());
+            let system = simulate(&analysis, &workload, &point.config, SimOptions::default());
             system_time += t.elapsed();
             let system_cycles = match system {
                 Ok(r) => r.cycles,

@@ -20,7 +20,7 @@
 mod support;
 
 use flexcl_bench::{compile, standard_wg};
-use flexcl_core::{KernelAnalysis, Platform, ProfileArgs, ProfileFuel};
+use flexcl_core::{CommMode, KernelAnalysis, Platform, ProfileArgs, ProfileFuel};
 use flexcl_interp::Profile;
 use flexcl_kernels::Scale;
 use std::fmt::Write as _;
@@ -57,6 +57,12 @@ fn render_fields(out: &mut String, name: &str, a: &KernelAnalysis, profile: &Pro
             .f64(l.mem_group_max_phased);
     }
     line("coarsen_levels", h);
+    let h = a.mem_levels.iter().fold(Fnv::new(), |h, l| {
+        h.u64(u64::from(l.factor))
+            .f64(l.l_mem_wi(CommMode::Pipeline))
+            .f64(l.l_mem_wi(CommMode::Barrier))
+    });
+    line("l_mem_wi", h);
     let mut h = Fnv::new();
     for &(c, p, b) in a.contention.points() {
         h = h.u64(u64::from(c)).f64(p).f64(b);

@@ -14,7 +14,7 @@ use flexcl_core::{
     KernelAnalysis, OptimizationConfig, Platform, SweepGrid,
 };
 use flexcl_kernels::Scale;
-use flexcl_sim::{system_run, SimOptions};
+use flexcl_sim::{simulate, system_run, SimOptions};
 use std::sync::Arc;
 
 const WG: (u32, u32) = (16, 4);
@@ -37,7 +37,7 @@ fn model_and_sim(name: &str, cfg: &OptimizationConfig) -> (f64, f64) {
         KernelAnalysis::analyze(&func, &platform, &workload, cfg.work_group).expect("analysis");
     let est = estimate(&analysis, cfg).expect("estimate");
     assert!(est.feasible, "{name} {cfg} must fit");
-    let sys = system_run(&func, &platform, &workload, cfg, SimOptions::default()).expect("sim");
+    let sys = simulate(&analysis, &workload, cfg, SimOptions::default()).expect("sim");
     (est.cycles, sys.cycles)
 }
 

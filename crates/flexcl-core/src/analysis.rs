@@ -549,40 +549,27 @@ pub struct MemLevel {
     /// Like [`MemLevel::mem_group_max`], with each group's bursts phased
     /// reads-first (barrier communication mode).
     pub mem_group_max_phased: f64,
+    /// `(pipeline, barrier)` `L_mem^wi`, evaluated once when the level is
+    /// built; read through [`Self::l_mem_wi`].
+    l_mem_wi: (f64, f64),
+}
+
+/// Eq. 9's pattern sum: `Σ ΔT·N` over the Table-1 patterns, plus the
+/// order-independent multi-beat transfer cycles `extra`.
+fn eq9(latencies: &PatternTable<f64>, counts: &PatternTable<f64>, extra: f64) -> f64 {
+    latencies.iter().map(|(p, dt)| dt * counts[p]).sum::<f64>() + extra
 }
 
 impl MemLevel {
-    /// Normalizes one level's two replays (work-item and phased burst
-    /// order) per original work-item.
-    fn new(factor: u32, pipe: &Replay, phased: &Replay, owners: f64, eff_wi: f64) -> MemLevel {
-        let per_wi = |totals: &PatternTable<f64>| {
-            let mut counts = PatternTable::new();
-            for (p, c) in totals.iter() {
-                counts[p] = c / eff_wi;
-            }
-            counts
-        };
-        MemLevel {
-            factor,
-            pattern_counts: per_wi(&pipe.totals),
-            pattern_counts_phased: per_wi(&phased.totals),
-            global_accesses_per_wi: pipe.bursts / eff_wi,
-            mem_extra_wi: pipe.extra / eff_wi,
-            burst_owners_per_group: owners,
-            mem_group_max: pipe.max_group,
-            mem_group_max_phased: phased.max_group,
-        }
-    }
-
     /// Per-original-work-item global-memory latency `L_mem^wi` (Eq. 9)
     /// at this level, with the pattern counts of the burst order `mode`
-    /// emits (work-item order for pipeline mode, phased for barrier).
-    pub fn l_mem_wi(&self, latencies: &PatternTable<f64>, mode: CommMode) -> f64 {
-        let counts = match mode {
-            CommMode::Pipeline => &self.pattern_counts,
-            CommMode::Barrier => &self.pattern_counts_phased,
-        };
-        latencies.iter().map(|(p, dt)| dt * counts[p]).sum::<f64>() + self.mem_extra_wi
+    /// emits (work-item order for pipeline mode, phased for barrier),
+    /// priced by the analysis's micro-benchmarked pattern latencies.
+    pub fn l_mem_wi(&self, mode: CommMode) -> f64 {
+        match mode {
+            CommMode::Pipeline => self.l_mem_wi.0,
+            CommMode::Barrier => self.l_mem_wi.1,
+        }
     }
 }
 
@@ -826,14 +813,6 @@ impl KernelAnalysis {
         scratch.stages.profile_nanos += lap(&mut clock);
         scratch.stages.profile_steps += profile.steps;
 
-        // ---- memory: one level per coarsening factor that tiles the
-        // work-group, factor 1 first. Each replays its (merged) trace in
-        // both burst orders; the factor-1 summaries and replays are also
-        // the single-stream baseline of the contention curve below.
-        let (base, pipe, phased) =
-            replay_level(&platform, &profile, &profile.trace, 1, scratch, &mut clock);
-        let mut mem_levels = vec![base];
-
         let pattern_latencies = microbench::profile_cached(platform.dram);
         if pattern_latencies.iter().any(|(_, dt)| !dt.is_finite() || dt < 0.0) {
             return Err(FlexclError::MemoryModel {
@@ -844,14 +823,21 @@ impl KernelAnalysis {
             });
         }
 
+        // ---- memory: one level per coarsening factor that tiles the
+        // work-group, factor 1 first. Each replays its (merged) trace in
+        // both burst orders; the factor-1 summaries and replays are also
+        // the single-stream baseline of the contention curve below.
+        let lat = &pattern_latencies;
+        let (base, pipe, phased) =
+            replay_level(&platform, lat, &profile, &profile.trace, 1, scratch, &mut clock);
+        let mut mem_levels = vec![base];
+
         // Per-CU-count contention curve: replay the same streams as C CUs
         // would emit them (round-robin partition over C channel states) and
         // take the pattern-weighted cost ratio against the 1-stream replay.
         // Cost includes the order-independent multi-beat transfer cycles:
         // they dilute the ratio exactly as they dilute the real slowdown.
-        let cost = |totals: &PatternTable<f64>| -> f64 {
-            pattern_latencies.iter().map(|(p, dt)| dt * totals[p]).sum::<f64>() + pipe.extra
-        };
+        let cost = |totals: &PatternTable<f64>| eq9(lat, totals, pipe.extra);
         let (base_pipe, base_phased) = (cost(&pipe.totals), cost(&phased.totals));
         let mut curve_points = vec![(1u32, 1.0f64, 1.0f64)];
         for c in [2u32, 4, 8] {
@@ -883,7 +869,8 @@ impl KernelAnalysis {
                 coarsen_in_place(&mut merged, cf / at, &mut scratch.seen);
             }
             at = cf;
-            mem_levels.push(replay_level(&platform, &profile, &merged, cf, scratch, &mut clock).0);
+            mem_levels
+                .push(replay_level(&platform, lat, &profile, &merged, cf, scratch, &mut clock).0);
         }
         scratch.merged = merged;
 
@@ -1353,11 +1340,13 @@ impl KernelAnalysis {
 /// group's pattern-count delta enters the totals multiplied by its
 /// stratum weight, and per-work-item averages divide by the weighted
 /// work-item count — a weighted mixture over the strata that is
-/// bit-identical to the plain average when every weight is 1. Also
-/// returns both replays, and leaves the level's per-bank stream summaries
-/// in `scratch.pipe` and `scratch.phased`.
+/// bit-identical to the plain average when every weight is 1 — and
+/// priced under `latencies` into the level's `L_mem^wi`. Also returns
+/// both replays, and leaves the level's per-bank stream summaries in
+/// `scratch.pipe` and `scratch.phased`.
 fn replay_level(
     platform: &Platform,
+    latencies: &PatternTable<f64>,
     profile: &Profile,
     trace: &[MemAccess],
     factor: u32,
@@ -1373,7 +1362,29 @@ fn replay_level(
     let phased = replay(&scratch.phased, profile, 1);
     scratch.stages.replay_nanos += lap(clock);
     let eff_wi = profile.weighted_work_items().max(1.0);
-    let level = MemLevel::new(factor, &pipe, &phased, owners, eff_wi);
+    let per_wi = |totals: &PatternTable<f64>| {
+        let mut counts = PatternTable::new();
+        for (p, c) in totals.iter() {
+            counts[p] = c / eff_wi;
+        }
+        counts
+    };
+    let (pattern_counts, pattern_counts_phased) = (per_wi(&pipe.totals), per_wi(&phased.totals));
+    let mem_extra_wi = pipe.extra / eff_wi;
+    let level = MemLevel {
+        factor,
+        l_mem_wi: (
+            eq9(latencies, &pattern_counts, mem_extra_wi),
+            eq9(latencies, &pattern_counts_phased, mem_extra_wi),
+        ),
+        pattern_counts,
+        pattern_counts_phased,
+        global_accesses_per_wi: pipe.bursts / eff_wi,
+        mem_extra_wi,
+        burst_owners_per_group: owners,
+        mem_group_max: pipe.max_group,
+        mem_group_max_phased: phased.max_group,
+    };
     (level, pipe, phased)
 }
 
@@ -1692,6 +1703,58 @@ mod trace_pass_equivalence {
 mod tests {
     use super::*;
 
+    /// A curve with dyadic factors, so interpolated values are exact.
+    fn curve() -> ContentionCurve {
+        ContentionCurve {
+            points: vec![(1, 1.0, 1.0), (2, 1.5, 0.75), (4, 1.25, 0.5), (8, 2.0, 0.625)],
+        }
+    }
+
+    #[test]
+    fn contention_factor_reads_the_measured_points() {
+        let c = curve();
+        for &(cus, pipe, barrier) in c.points() {
+            assert_eq!(c.factor(cus, true), pipe, "C={cus}");
+            assert_eq!(c.factor(cus, false), barrier, "C={cus}");
+        }
+    }
+
+    #[test]
+    fn contention_factor_interpolates_between_measured_points() {
+        let c = curve();
+        assert_eq!(c.factor(3, true), 1.375);
+        assert_eq!(c.factor(3, false), 0.625);
+        assert_eq!(c.factor(6, true), 1.625);
+        assert_eq!(c.factor(6, false), 0.5625);
+    }
+
+    #[test]
+    fn contention_factor_clamps_to_the_measured_range() {
+        let c = curve();
+        assert_eq!((c.factor(0, true), c.factor(0, false)), (1.0, 1.0));
+        assert_eq!((c.factor(16, true), c.factor(16, false)), (2.0, 0.625));
+    }
+
+    #[test]
+    fn empty_contention_curve_is_neutral() {
+        let c = ContentionCurve { points: Vec::new() };
+        for cus in [0, 1, 3, 16] {
+            assert_eq!((c.factor(cus, true), c.factor(cus, false)), (1.0, 1.0));
+        }
+        assert_eq!((c.min_factor(true), c.min_factor(false)), (1.0, 1.0));
+    }
+
+    #[test]
+    fn min_factor_bounds_every_interpolated_factor() {
+        let c = curve();
+        assert_eq!((c.min_factor(true), c.min_factor(false)), (1.0, 0.5));
+        for cus in 1..=16 {
+            for pipeline in [true, false] {
+                assert!(c.min_factor(pipeline) <= c.factor(cus, pipeline), "C={cus} {pipeline}");
+            }
+        }
+    }
+
     fn analyze(
         src: &str,
         args: Vec<KernelArg>,
@@ -1765,7 +1828,7 @@ mod tests {
         // Perfectly consecutive accesses coalesce 16:1 (512-bit unit, f32).
         let base = &a.mem_levels[0];
         assert!(base.global_accesses_per_wi < 3.0 / 4.0, "{}", base.global_accesses_per_wi);
-        assert!(base.l_mem_wi(&a.pattern_latencies, CommMode::Pipeline) > 0.0);
+        assert!(base.l_mem_wi(CommMode::Pipeline) > 0.0);
         let budget = ResourceBudget::unconstrained();
         let (ii, depth) = a.pipeline_params(&budget).expect("pipeline params");
         assert!(ii >= 1);
@@ -1881,8 +1944,7 @@ mod tests {
             (256, 1),
             (64, 1),
         );
-        let l_mem =
-            |a: &KernelAnalysis| a.mem_levels[0].l_mem_wi(&a.pattern_latencies, CommMode::Pipeline);
+        let l_mem = |a: &KernelAnalysis| a.mem_levels[0].l_mem_wi(CommMode::Pipeline);
         assert!(
             l_mem(&strided) > l_mem(&seq),
             "strided {} vs sequential {}",

@@ -17,11 +17,13 @@
 //!   memoized, so SMS and list scheduling run **once per distinct
 //!   budget**;
 //! * one [`SchedScratch`] is reused across all scheduler calls, so the
-//!   misses themselves stop allocating;
-//! * the mode-dependent memory constants (`L_mem^wi` of every memory
-//!   level in both burst orders) and the warm-dispatch terms are hoisted
-//!   into precomputed fields, leaving pure arithmetic as the
-//!   per-candidate residue.
+//!   misses themselves stop allocating.
+//!
+//! Everything else a candidate needs is a read of the analysis, which
+//! stores every per-family quantity once (each memory level's
+//! `L_mem^wi` in both burst orders, the contention curve), or of the
+//! platform: the context holds no copy of either, so a fresh context
+//! recomputes exactly the scheduler memo and nothing else.
 //!
 //! The context IS the model: [`crate::estimate`] constructs a fresh
 //! context per call and evaluates through it, so the cached and uncached
@@ -64,7 +66,8 @@ pub struct EvalStats {
     pub sched_nanos: u64,
 }
 
-/// Memoizing evaluation context for one [`KernelAnalysis`].
+/// Memoizing evaluation context for one [`KernelAnalysis`]: the
+/// dependence edges and the budget-keyed scheduler memo, nothing else.
 ///
 /// Create one per family (or one per batch of configurations sharing an
 /// analysis) and call [`EvalContext::estimate`] per candidate. Results are
@@ -84,26 +87,13 @@ pub struct EvalContext<A: Borrow<KernelAnalysis>> {
     pipe_cache: HashMap<ResourceBudget, Result<(u32, u32), FlexclError>>,
     /// `budget → L_wi` (work-item pipelining off).
     lat_cache: HashMap<ResourceBudget, Result<f64, FlexclError>>,
-    /// `(num_cus, is_pipeline) → contention factor` from the analysis's
-    /// per-CU-count curve, memoized so candidates sharing a CU count skip
-    /// the interpolation.
-    mem_scale_cache: HashMap<(u32, bool), f64>,
     scratch: SchedScratch,
-    // Hoisted per-family constants (pure functions of the analysis).
-    /// `(pipeline, barrier)` `L_mem^wi` of each memory level, in the
-    /// analysis's level order.
-    l_mem_wi: Vec<(f64, f64)>,
-    n_wi_kernel: f64,
-    dl: f64,
-    dl_warm: f64,
-    launch: f64,
     /// Counters for the instrumented sweep.
     pub stats: EvalStats,
 }
 
 impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
-    /// Prepares a context: precomputes the dependence edges and the
-    /// mode-dependent memory/dispatch constants.
+    /// Prepares a context: precomputes the dependence edges.
     pub fn new(analysis: A) -> Self {
         Self::with_scratch(analysis, SchedScratch::new())
     }
@@ -113,32 +103,11 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
     /// sequence — the sweep's repair pass, a server's request loop —
     /// keep one set of scheduler buffers alive instead of reallocating.
     pub fn with_scratch(analysis: A, scratch: SchedScratch) -> Self {
-        let a = analysis.borrow();
-        let platform = &a.platform;
-        let dl = f64::from(platform.schedule_overhead);
-        let deps = a.work_item_deps();
-        let lat = &a.pattern_latencies;
-        let l_mem_wi = a
-            .mem_levels
-            .iter()
-            .map(|l| (l.l_mem_wi(lat, CommMode::Pipeline), l.l_mem_wi(lat, CommMode::Barrier)))
-            .collect();
-        let n_wi_kernel = (a.global.0 * a.global.1) as f64;
-        // Steady-state dispatch cost per group (scheduler overlap hides
-        // most of ΔL once a CU is warm); `C·ΔL` pays the cold starts.
-        let dl_warm = dl * (1.0 - platform.dispatch_overlap).max(0.0);
-        let launch = f64::from(platform.launch_overhead);
         EvalContext {
-            deps,
+            deps: analysis.borrow().work_item_deps(),
             pipe_cache: HashMap::new(),
             lat_cache: HashMap::new(),
-            mem_scale_cache: HashMap::new(),
             scratch,
-            l_mem_wi,
-            n_wi_kernel,
-            dl,
-            dl_warm,
-            launch,
             stats: EvalStats::default(),
             analysis,
         }
@@ -197,7 +166,7 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
         config.validate()?;
         let analysis = self.analysis.borrow();
         let platform = &analysis.platform;
-        let n_wi_kernel = self.n_wi_kernel;
+        let n_wi_kernel = (analysis.global.0 * analysis.global.1) as f64;
         let n_wi_wg = config.work_group_size() as f64;
         let p_eff = config.effective_pes().max(1);
         let c = config.num_cus.max(1);
@@ -274,6 +243,7 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
         };
         // Re-borrow: the scheduler calls above needed `&mut self`.
         let analysis = self.analysis.borrow();
+        let platform = &analysis.platform;
         let level = &analysis.mem_levels[li];
         // Thread coarsening merges `cf` work-items per coarse item: the
         // pipelined PE re-derives (II, D) analytically from the scheduled
@@ -294,18 +264,15 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
         let waves = ((items - f64::from(n_pe)) / f64::from(n_pe)).ceil().max(0.0);
         let l_cu = f64::from(ii_comp) * waves + f64::from(depth);
 
-        // ---- memory model (Eq. 9), hoisted per family --------------------
+        // ---- memory model (Eq. 9), stored per family ---------------------
         // Pattern counts follow the burst order the chosen communication
         // mode produces: work-item-interleaved for pipeline mode, phased
         // reads-then-writes for barrier mode (§3.5: integration depends on
-        // how computation communicates with global memory). The constants
-        // come from the coarsening factor's level (the merged trace at
-        // cf > 1), normalized per *original* work-item so the `L_mem·N_wi`
-        // algebra below is unchanged.
-        let l_mem_wi = match config.comm_mode {
-            CommMode::Pipeline => self.l_mem_wi[li].0,
-            CommMode::Barrier => self.l_mem_wi[li].1,
-        };
+        // how computation communicates with global memory). The coarsening
+        // factor's level (the merged trace at cf > 1) stores it, normalized
+        // per *original* work-item so the `L_mem·N_wi` algebra below is
+        // unchanged.
+        let l_mem_wi = level.l_mem_wi(config.comm_mode);
         let owners_group = level.burst_owners_per_group;
         let hvy_mem_pipe = level.mem_group_max;
         let hvy_mem_phased = level.mem_group_max_phased;
@@ -321,8 +288,10 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
         // per round below. (The old `group_duration / ΔL_warm` cap priced
         // short-group kernels at a single CU and overshot them ~4× at
         // C = 4.)
-        let dl = self.dl;
-        let dl_warm = self.dl_warm;
+        let dl = f64::from(platform.schedule_overhead);
+        // Steady-state dispatch cost per group (scheduler overlap hides
+        // most of ΔL once a CU is warm); `C·ΔL` pays the cold starts.
+        let dl_warm = dl * platform.warm_dispatch_fraction();
         let n_cu = c;
         let wg_rounds = (n_wi_kernel / (n_wi_wg * f64::from(n_cu))).ceil().max(1.0);
         // Cold dispatches to the C CUs proceed in parallel, so one ΔL of
@@ -340,17 +309,14 @@ impl<A: Borrow<KernelAnalysis>> EvalContext<A> {
         // the equation is applied at group granularity and multiplied by
         // the rounds each CU executes. For C = 1 this is algebraically
         // identical to Eq. 10.
-        let launch = self.launch;
+        let launch = f64::from(platform.launch_overhead);
         // Replicated CUs split the group stream across the DDR channels:
         // each channel sees only every C-th group and loses cross-group row
         // locality. The analysis measures this as a per-CU-count contention
         // curve (pattern-cost ratio at C co-running streams vs one); its
         // factor at `num_cus` scales `L_mem^wi` in the integration.
         let pipeline = matches!(config.comm_mode, CommMode::Pipeline);
-        let mem_scale = *self
-            .mem_scale_cache
-            .entry((c, pipeline))
-            .or_insert_with(|| analysis.contention.factor(c, pipeline));
+        let mem_scale = analysis.contention.factor(c, pipeline);
         // Alongside the total, the estimate decomposes into compute, memory
         // and dispatch/launch cycles (summing exactly to `cycles`) so the
         // triage harness can attribute model-vs-sim divergence per term.

@@ -301,11 +301,8 @@ pub fn cycle_lower_bound(analysis: &KernelAnalysis, mode: CommMode) -> f64 {
     // (merged accesses deduplicate and re-coalesce), so the bound takes
     // the minimum over every memory level.
     let pipeline = matches!(mode, CommMode::Pipeline);
-    let l_mem_wi = analysis
-        .mem_levels
-        .iter()
-        .map(|lvl| lvl.l_mem_wi(&analysis.pattern_latencies, mode))
-        .fold(f64::INFINITY, f64::min);
+    let l_mem_wi =
+        analysis.mem_levels.iter().map(|lvl| lvl.l_mem_wi(mode)).fold(f64::INFINITY, f64::min);
     // The integration scales memory by the contention curve's factor at
     // the configuration's CU count; the curve's minimum keeps the bound
     // under every reachable factor (interpolation never dips below it).
@@ -322,7 +319,7 @@ pub fn cycle_lower_bound(analysis: &KernelAnalysis, mode: CommMode) -> f64 {
     let rounds_min = (n_wi_kernel / (n_wi_wg * f64::from(MAX_CUS))).ceil().max(1.0);
 
     let dl = f64::from(platform.schedule_overhead);
-    let dl_warm = dl * (1.0 - platform.dispatch_overlap).max(0.0);
+    let dl_warm = dl * platform.warm_dispatch_fraction();
     let launch = f64::from(platform.launch_overhead);
     let per_round = match mode {
         CommMode::Barrier => mem_group + waves_min,

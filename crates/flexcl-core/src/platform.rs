@@ -128,6 +128,13 @@ impl Platform {
         }
     }
 
+    /// The fraction of `ΔL` a warm dispatch pays: `1 − dispatch_overlap`,
+    /// floored at zero. The model and the simulator both scale the
+    /// dispatch overhead by it, each in its own float order.
+    pub fn warm_dispatch_fraction(&self) -> f64 {
+        (1.0 - self.dispatch_overlap).max(0.0)
+    }
+
     /// Converts a cycle count into seconds on this platform.
     pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
         cycles / (self.frequency_mhz * 1e6)

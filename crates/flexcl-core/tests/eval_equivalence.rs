@@ -1,8 +1,9 @@
 //! Property: the memoizing evaluation context is observationally
 //! identical to the uncached model.
 //!
-//! [`EvalContext`] serves repeated budgets from its schedule caches and
-//! hoists per-family constants; none of that may be visible in results.
+//! [`EvalContext`] serves repeated budgets from its schedule caches (the
+//! per-family constants it reads live in the analysis, not in the
+//! context); none of that may be visible in results.
 //! For arbitrary candidate configurations — valid, degenerate, or
 //! hostile — and in arbitrary evaluation orders, a context shared across
 //! the whole sequence must return exactly what a fresh

@@ -97,12 +97,14 @@ impl From<FlexclError> for SimError {
     }
 }
 
-/// Simulates a full kernel execution ("System Run").
+/// Simulates a full kernel execution ("System Run") from scratch: the
+/// budget check, a fresh [`KernelAnalysis`] at the configuration's
+/// work-group, then [`simulate`].
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] when the design is infeasible, the workload too
-/// large, or execution fails.
+/// large, or analysis or execution fails.
 pub fn system_run(
     func: &Function,
     platform: &Platform,
@@ -110,11 +112,44 @@ pub fn system_run(
     config: &OptimizationConfig,
     opts: SimOptions,
 ) -> Result<SimResult, SimError> {
+    check_budget(workload, opts)?;
+    let analysis = KernelAnalysis::analyze(func, platform, workload, config.work_group)?;
+    simulate(&analysis, workload, config, opts)
+}
+
+fn check_budget(workload: &Workload, opts: SimOptions) -> Result<(), SimError> {
     if workload.total_work_items() > opts.max_work_items {
         return Err(SimError::TooLarge(workload.total_work_items()));
     }
-    let analysis = KernelAnalysis::analyze(func, platform, workload, config.work_group)?;
-    let est = estimate(&analysis, config)?;
+    Ok(())
+}
+
+/// Simulates a full kernel execution against the analysis of its family
+/// (the kernel, platform and workload `analysis` was built from, at the
+/// configuration's work-group): callers that already hold the family's
+/// analysis, such as a design-space sweep, skip re-analyzing it. Results
+/// are bit-identical to [`system_run`]'s.
+///
+/// # Errors
+///
+/// As [`system_run`], plus [`SimError::Analysis`] wrapping
+/// [`FlexclError::Config`] when `analysis` was built for another
+/// work-group or global NDRange than `config` and `workload` describe.
+pub fn simulate(
+    analysis: &KernelAnalysis,
+    workload: &Workload,
+    config: &OptimizationConfig,
+    opts: SimOptions,
+) -> Result<SimResult, SimError> {
+    check_budget(workload, opts)?;
+    if analysis.work_group != config.work_group || analysis.global != workload.global {
+        let (wg, global) = (analysis.work_group, analysis.global);
+        let detail =
+            format!("analysis of work-group {wg:?} over {global:?} run over {:?}", workload.global);
+        return Err(SimError::Analysis(FlexclError::Config { config: *config, detail }));
+    }
+    let (func, platform) = (&*analysis.func, &*analysis.platform);
+    let est = estimate(analysis, config)?;
     if !est.feasible {
         return Err(SimError::Infeasible(
             est.infeasible_reason
@@ -128,7 +163,7 @@ pub fn system_run(
     );
 
     // ---- synthesized pipeline parameters (perturbed) -------------------
-    let budget = pe_budget(&analysis, config);
+    let budget = pe_budget(analysis, config);
     let (ii_base, depth_base) = if config.work_item_pipeline {
         let (g, _) = analysis.work_item_graph(&budget)?;
         let pg = perturb_graph(&g, &mut rng);
@@ -151,7 +186,7 @@ pub fn system_run(
     let cf = config.coarsen_factor.max(1);
     let tb = config.temporal_block_depth.max(1);
     let (ii_sim, depth_sim) = if config.work_item_pipeline {
-        flexcl_core::model::coarsened_pipeline_params(&analysis, ii_base, depth_base, cf)
+        flexcl_core::model::coarsened_pipeline_params(analysis, ii_base, depth_base, cf)
     } else {
         let d = ii_base.saturating_mul(cf).max(1);
         (d, d)
@@ -226,8 +261,7 @@ pub fn system_run(
         let (cu_idx, _) =
             cu_free.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).expect("at least one CU");
         let jitter = rng.gen_range(0.85..1.25);
-        let overhead_frac =
-            if cu_warm[cu_idx] { (1.0 - platform.dispatch_overlap).max(0.0) } else { 1.0 };
+        let overhead_frac = if cu_warm[cu_idx] { platform.warm_dispatch_fraction() } else { 1.0 };
         cu_warm[cu_idx] = true;
         let dispatch = f64::from(platform.schedule_overhead) * jitter * overhead_frac;
         let start = cu_free[cu_idx] + dispatch;
@@ -238,17 +272,12 @@ pub fn system_run(
         // interface; bursts serialize per CU (matching the serial Eq. 9
         // assumption of the model — the model's error against this sim
         // comes from per-access bank state, not from engine topology).
-        let engines = 1usize;
         let (end, comp) = match config.comm_mode {
-            CommMode::Barrier => simulate_barrier_group(
-                start,
-                bursts,
-                comp_phase(items0) + extra_comp,
-                dram,
-                engines,
-            ),
+            CommMode::Barrier => {
+                simulate_barrier_group(start, bursts, comp_phase(items0) + extra_comp, dram)
+            }
             CommMode::Pipeline => simulate_pipeline_group(
-                start, bursts, items0, n_pe, ii_sim, depth_sim, extra_comp, dram, engines,
+                start, bursts, items0, n_pe, ii_sim, depth_sim, extra_comp, dram,
             ),
         };
         cu_overhead[cu_idx] += dispatch;
@@ -281,8 +310,8 @@ pub fn system_run(
 
 /// Barrier mode: the CU streams the group's reads through its AXI engine,
 /// computes (`comp` covers every fused temporal step), then streams the
-/// writes. Engine requests serialize; banks are shared with other CUs
-/// through the common DRAM state.
+/// writes. Engine requests serialize; the CU's channel state carries
+/// across the groups it runs.
 ///
 /// Returns `(end, comp)` — the finish time and the pure compute component
 /// of the group's occupancy (`end - start - comp` is its DRAM stall).
@@ -291,34 +320,23 @@ fn simulate_barrier_group(
     bursts: &[OwnedBurst],
     comp: f64,
     dram: &mut DramSim,
-    engines: usize,
 ) -> (f64, f64) {
-    let mut engine_free = vec![start; engines];
-    for (i, b) in bursts.iter().filter(|b| b.burst.kind == AccessKind::Read).enumerate() {
-        let slot = i % engines;
-        let info = dram.access(Request {
-            addr: b.burst.addr,
-            bytes: b.burst.bytes,
-            kind: AccessKind::Read,
-            arrival: engine_free[slot].round() as u64,
-        });
-        engine_free[slot] = info.finish as f64;
-    }
-    let mut t = engine_free.iter().copied().fold(start, f64::max);
-    // Computation phase (all temporal steps back to back).
-    t += comp;
-    let mut engine_free = vec![t; engines];
-    for (i, b) in bursts.iter().filter(|b| b.burst.kind == AccessKind::Write).enumerate() {
-        let slot = i % engines;
-        let info = dram.access(Request {
-            addr: b.burst.addr,
-            bytes: b.burst.bytes,
-            kind: AccessKind::Write,
-            arrival: engine_free[slot].round() as u64,
-        });
-        engine_free[slot] = info.finish as f64;
-    }
-    (engine_free.iter().copied().fold(t, f64::max), comp)
+    let mut stream = |from: f64, kind: AccessKind| {
+        let mut engine_free = from;
+        for b in bursts.iter().filter(|b| b.burst.kind == kind) {
+            let info = dram.access(Request {
+                addr: b.burst.addr,
+                bytes: b.burst.bytes,
+                kind,
+                arrival: engine_free.round() as u64,
+            });
+            engine_free = info.finish as f64;
+        }
+        from.max(engine_free)
+    };
+    // Computation phase (all temporal steps back to back) between them.
+    let t = stream(start, AccessKind::Read) + comp;
+    (stream(t, AccessKind::Write), comp)
 }
 
 /// Pipeline mode: the CU's burst engine streams the group's transactions
@@ -342,26 +360,22 @@ fn simulate_pipeline_group(
     depth: u32,
     extra_comp: f64,
     dram: &mut DramSim,
-    engines: usize,
 ) -> (f64, f64) {
-    // Stream all bursts through the engines (prefetch order = work-item
-    // order, engines round-robin), recording when each owning work-item's
-    // data is ready.
-    let mut engine_free = vec![start; engines];
+    // Stream all bursts through the engine (prefetch order = work-item
+    // order), recording when each owning work-item's data is ready.
+    let mut engine_free = start;
     let mut owner_ready: Vec<(u64, f64)> = Vec::new(); // (owner wi, ready)
-    for (i, b) in bursts.iter().enumerate() {
-        let slot = i % engines;
+    for b in bursts {
         let info = dram.access(Request {
             addr: b.burst.addr,
             bytes: b.burst.bytes,
             kind: b.burst.kind,
-            arrival: engine_free[slot].round() as u64,
+            arrival: engine_free.round() as u64,
         });
-        engine_free[slot] = info.finish as f64;
-        let ready = engine_free[slot];
+        engine_free = info.finish as f64;
         match owner_ready.last_mut() {
-            Some((wi, r)) if *wi == b.work_item => *r = r.max(ready),
-            _ => owner_ready.push((b.work_item, ready)),
+            Some((wi, r)) if *wi == b.work_item => *r = r.max(engine_free),
+            _ => owner_ready.push((b.work_item, engine_free)),
         }
     }
     owner_ready.sort_by_key(|(wi, _)| *wi);
@@ -371,7 +385,7 @@ fn simulate_pipeline_group(
     // coalesced kernels; uncoalesced kernels have one owner per work-item,
     // making this exact).
     let n_owners = owner_ready.len() as u64;
-    let stride = if n_owners == 0 { 1 } else { (wg_size / n_owners).max(1) };
+    let stride = wg_size.checked_div(n_owners).map_or(1, |s| s.max(1));
     let waves = wg_size.div_ceil(n_pe.max(1));
 
     let mut issue = start;
@@ -603,6 +617,49 @@ mod tests {
         let err = system_run(&f, &Platform::virtex7_adm7v3(), &w, &cfg, SimOptions::default())
             .unwrap_err();
         assert!(matches!(err, SimError::Infeasible(_)));
+    }
+
+    /// A result's fields as bits, so equality is bit for bit.
+    fn bits(r: &SimResult) -> [u64; 7] {
+        let f = [r.cycles, r.comp_cycles, r.mem_cycles, r.overhead_cycles].map(f64::to_bits);
+        [f[0], f[1], f[2], f[3], r.groups, u64::from(r.ii), u64::from(r.depth)]
+    }
+
+    #[test]
+    fn simulate_on_a_fresh_analysis_equals_system_run() {
+        let (f, w) = vadd();
+        let platform = Platform::virtex7_adm7v3();
+        let analysis = KernelAnalysis::analyze(&f, &platform, &w, (64, 1)).expect("analysis");
+        for comm_mode in [CommMode::Barrier, CommMode::Pipeline] {
+            for coarsen_factor in [1, 2] {
+                for num_cus in [1, 2] {
+                    let cfg = OptimizationConfig {
+                        work_item_pipeline: true,
+                        comm_mode,
+                        coarsen_factor,
+                        num_cus,
+                        ..OptimizationConfig::baseline((64, 1))
+                    };
+                    let want =
+                        system_run(&f, &platform, &w, &cfg, SimOptions::default()).expect("run");
+                    let got = simulate(&analysis, &w, &cfg, SimOptions::default()).expect("run");
+                    assert_eq!(bits(&got), bits(&want), "{cfg}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simulate_rejects_an_analysis_of_another_family() {
+        let (f, w) = vadd();
+        let analysis = KernelAnalysis::analyze(&f, &Platform::virtex7_adm7v3(), &w, (64, 1))
+            .expect("analysis");
+        let other_global = Workload { global: (512, 1), ..w.clone() };
+        for (workload, wg) in [(&w, (32, 1)), (&other_global, (64, 1))] {
+            let cfg = OptimizationConfig::baseline(wg);
+            let err = simulate(&analysis, workload, &cfg, SimOptions::default()).unwrap_err();
+            assert!(matches!(err, SimError::Analysis(FlexclError::Config { .. })), "{err}");
+        }
     }
 
     #[test]

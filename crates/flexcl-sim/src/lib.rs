@@ -21,6 +21,11 @@
 //! All variance is seeded and deterministic: like a real synthesis run, a
 //! given (kernel, configuration, seed) always produces the same "bitstream".
 //!
+//! [`system_run`] analyzes the kernel at the configuration's work-group
+//! and then runs [`simulate`]; a caller that already holds that analysis
+//! (a design-space sweep does, one per work-group family) passes it to
+//! [`simulate`] directly and skips the re-analysis.
+//!
 //! ```no_run
 //! use flexcl_core::{OptimizationConfig, Platform, Workload};
 //! use flexcl_interp::KernelArg;
@@ -53,4 +58,4 @@
 pub mod engine;
 pub mod perturb;
 
-pub use engine::{system_run, SimError, SimOptions, SimResult};
+pub use engine::{simulate, system_run, SimError, SimOptions, SimResult};

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  transactions/work-item: {:.3}   L_mem/wi: {:.2} cycles   II_comp: {}",
             base.global_accesses_per_wi,
-            base.l_mem_wi(&analysis.pattern_latencies, CommMode::Pipeline),
+            base.l_mem_wi(CommMode::Pipeline),
             est.ii_comp
         );
         let dominant = if est.ii_wi > f64::from(est.ii_comp) + 0.5 {

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analysis = flexcl.analyze_source(src, "add", &workload, (64, 1))?;
     println!("  inter-work-item recurrences : {}", analysis.recurrences.len());
     println!("  RecMII                      : {}", analysis.rec_mii());
-    let l_mem = analysis.mem_levels[0].l_mem_wi(&analysis.pattern_latencies, CommMode::Pipeline);
+    let l_mem = analysis.mem_levels[0].l_mem_wi(CommMode::Pipeline);
     println!("  L_mem per work-item         : {:.2} cycles", l_mem);
 
     for (label, config) in [

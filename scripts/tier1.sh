@@ -20,10 +20,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p flexcl-baselines -p flexcl-
 # public-API break would otherwise only surface when the benchmark runs.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # Robustness gates: the estimation pipeline (the DRAM model and its
-# stream summaries included) must stay panic-free on input-dependent
-# paths, and the DSE sweep must survive injected faults with
-# bit-identical surviving points.
-cargo clippy -p flexcl-core -p flexcl-interp -p flexcl-dram -- -D warnings -W clippy::unwrap_used
+# stream summaries, the schedulers and the simulator included) must stay
+# panic-free on input-dependent paths, and the DSE sweep must survive
+# injected faults with bit-identical surviving points.
+cargo clippy -p flexcl-core -p flexcl-interp -p flexcl-dram -p flexcl-sim -p flexcl-sched \
+  -- -D warnings -W clippy::unwrap_used
 cargo test -q -p flexcl-core --test fault_injection
 # Every smoke file below lives in one temporary directory, removed on exit.
 SMOKE="$(mktemp -d -t tier1_smoke.XXXXXX)"

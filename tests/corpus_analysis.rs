@@ -27,8 +27,8 @@ fn every_corpus_kernel_analyzes_sanely() {
         let name = spec.full_name();
         // Memory model inputs.
         let base = &analysis.mem_levels[0];
-        let l_mem = base.l_mem_wi(&analysis.pattern_latencies, CommMode::Pipeline);
-        let l_mem_phased = base.l_mem_wi(&analysis.pattern_latencies, CommMode::Barrier);
+        let l_mem = base.l_mem_wi(CommMode::Pipeline);
+        let l_mem_phased = base.l_mem_wi(CommMode::Barrier);
         assert!(l_mem >= 0.0, "{name}: negative memory latency");
         assert!(
             l_mem_phased <= l_mem * 1.5 + 1.0,
@@ -45,7 +45,8 @@ fn every_corpus_kernel_analyzes_sanely() {
         let got: Vec<u32> = analysis.mem_levels.iter().map(|l| l.factor).collect();
         assert_eq!(got, want, "{name}: memory levels");
         // Each estimate reads its coarsening factor's level in its mode's
-        // burst order (the evaluation context hoists these per level).
+        // burst order: the level's stored `L_mem^wi` must equal Eq. 9
+        // recomputed here from that order's pattern counts.
         let mut ctx = EvalContext::new(&analysis);
         for level in &analysis.mem_levels {
             for mode in [CommMode::Pipeline, CommMode::Barrier] {
@@ -54,8 +55,15 @@ fn every_corpus_kernel_analyzes_sanely() {
                     comm_mode: mode,
                     ..OptimizationConfig::baseline(wg)
                 };
+                let counts = match mode {
+                    CommMode::Pipeline => &level.pattern_counts,
+                    CommMode::Barrier => &level.pattern_counts_phased,
+                };
+                let lat = &analysis.pattern_latencies;
+                let want =
+                    lat.iter().map(|(p, dt)| dt * counts[p]).sum::<f64>() + level.mem_extra_wi;
+                assert_eq!(level.l_mem_wi(mode).to_bits(), want.to_bits(), "{name} {cfg}");
                 let est = ctx.estimate(&cfg).expect("estimate");
-                let want = level.l_mem_wi(&analysis.pattern_latencies, mode);
                 assert_eq!(est.l_mem_wi.to_bits(), want.to_bits(), "{name} {cfg}");
             }
         }

@@ -62,7 +62,7 @@ fn every_stage_produces_consistent_artifacts() {
     let platform = Platform::virtex7_adm7v3();
     let analysis = KernelAnalysis::analyze(&func, &platform, &workload, (64, 1)).expect("analysis");
     let base = &analysis.mem_levels[0];
-    assert!(base.l_mem_wi(&analysis.pattern_latencies, CommMode::Pipeline) > 0.0);
+    assert!(base.l_mem_wi(CommMode::Pipeline) > 0.0);
     assert!(base.global_accesses_per_wi > 0.0);
 
     // Stage 5: model vs ground truth on a few configurations.
